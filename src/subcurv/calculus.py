@@ -7,6 +7,14 @@ pointwise IEEE-double evaluation, substitution, parsing/unparsing of a
 small text grammar, and compilation to fast Python callables for grid
 sweeps.
 
+Every bottom-up walk (simplification, differentiation, evaluation,
+substitution, free variables, compilation) is one iterative post-order
+fold over the expression DAG with a handler per node kind.  The fold's
+memo is keyed on structure (node equality through the cached hash), so
+structurally equal subtrees are rebuilt, evaluated and emitted once, and
+deep trees do not exhaust the interpreter stack.  Negation is not a node
+kind: ``-e`` is the product of ``-1`` and ``e``.
+
 Simplification is deliberately shallow: constant folding, neutral-element
 elimination and flattening of nested sums/products.  There is no
 polynomial canonical form; trees that differ structurally are compared
@@ -15,7 +23,9 @@ numerically by callers where needed.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -30,7 +40,6 @@ __all__ = [
     "Expr",
     "Const",
     "Var",
-    "Neg",
     "Add",
     "Mul",
     "Pow",
@@ -127,7 +136,6 @@ _RANK_VAR = 1
 _RANK_POW = 2
 _RANK_MUL = 3
 _RANK_ADD = 4
-_RANK_NEG = 5
 
 
 class Expr:
@@ -224,25 +232,6 @@ class Var(Expr):
 
     def __eq__(self, other):
         return isinstance(other, Var) and self.index == other.index
-
-    __hash__ = Expr.__hash__
-
-
-class Neg(Expr):
-    """Unary negation.  Canonicalization rewrites it as a product with -1."""
-
-    __slots__ = ("child",)
-    rank = _RANK_NEG
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "_hash", hash((_RANK_NEG, child._hash)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.child == other.child
 
     __hash__ = Expr.__hash__
 
@@ -357,8 +346,6 @@ def _tree_cmp(a: Expr, b: Expr) -> int:
         if a.exponent != b.exponent:
             return -1 if a.exponent < b.exponent else 1
         return 0
-    if isinstance(a, Neg):
-        return _tree_cmp(a.child, b.child)
     ca, cb = a.children, b.children
     if len(ca) != len(cb):
         return -1 if len(ca) < len(cb) else 1
@@ -566,35 +553,67 @@ def sqrt_(e) -> Expr:
     return pow_(e, Fraction(1, 2))
 
 
+# ---------------------------------------------------------------------------
+# The fold: every bottom-up walk of the engine is a handler table for it
+# ---------------------------------------------------------------------------
+
+
+_EMIT = object()  # fold stack marker: the node below it has its operands folded
+
+
+def _fold(root: Expr, handlers: Mapping[type, Callable]):
+    """Iterative post-order fold over the DAG under ``root``.
+
+    ``handlers[type(node)](node, kids)`` gets the folded values of the
+    node's operands (the children of a sum or product, the base of a
+    power, none for a leaf), left to right.  It runs once per
+    structurally distinct node: the memo is keyed on the node itself, so
+    equal subtrees held by distinct objects share one result.
+    """
+    memo: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is _EMIT:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Pow:
+                memo[node] = handlers[kind](node, (memo[node.base],))
+            else:
+                memo[node] = handlers[kind](node, [memo[c] for c in node.children])
+            continue
+        if node in memo:
+            continue
+        kind = type(node)
+        if kind is Add or kind is Mul:
+            stack += (node, _EMIT)
+            stack.extend(reversed(node.children))
+        elif kind is Pow:
+            stack += (node, _EMIT, node.base)
+        elif kind is Const or kind is Var:
+            memo[node] = handlers[kind](node, ())
+        else:
+            raise TypeError(f"unknown node {kind.__name__}")
+    return memo[root]
+
+
+_REBUILD = {
+    Const: lambda node, kids: node,
+    Var: lambda node, kids: node,
+    Add: lambda node, kids: add(*kids),
+    Mul: lambda node, kids: mul(*kids),
+    Pow: lambda node, kids: pow_(kids[0], node.exponent),
+}
+
+
 def simplify(e: Expr) -> Expr:
     """Rebuild a tree through the smart constructors.
 
-    Canonicalizes arbitrary (e.g. hand-assembled) trees: negations become
-    products with -1, nested sums/products flatten, constants fold.
+    Canonicalizes arbitrary (e.g. hand-assembled) trees: nested
+    sums/products flatten, constants fold, like terms and powers merge.
     Idempotent on its own output.
     """
-    memo: dict = {}
-
-    def walk(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, (Const, Var)):
-            out = node
-        elif isinstance(node, Neg):
-            out = neg(walk(node.child))
-        elif isinstance(node, Add):
-            out = add(*[walk(c) for c in node.children])
-        elif isinstance(node, Mul):
-            out = mul(*[walk(c) for c in node.children])
-        elif isinstance(node, Pow):
-            out = pow_(walk(node.base), node.exponent)
-        else:
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = out
-        return out
-
-    return walk(e)
+    return _fold(e, _REBUILD)
 
 
 # ---------------------------------------------------------------------------
@@ -608,45 +627,33 @@ def differentiate(e: Expr, index: int) -> Expr:
     Shared subtrees are differentiated once, so the result stays compact
     as a DAG even when the input reuses nodes heavily.
     """
-    memo: dict = {}
 
-    def d(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = ZERO
-        elif isinstance(node, Var):
-            out = ONE if node.index == index else ZERO
-        elif isinstance(node, Neg):
-            out = neg(d(node.child))
-        elif isinstance(node, Add):
-            out = add(*[d(c) for c in node.children])
-        elif isinstance(node, Mul):
-            terms = []
-            kids = node.children
-            for i, c in enumerate(kids):
-                dc = d(c)
-                if dc is ZERO or (isinstance(dc, Const) and dc.value == 0):
-                    continue
-                terms.append(mul(*kids[:i], dc, *kids[i + 1 :]))
-            out = add(*terms)
-        elif isinstance(node, Pow):
-            db = d(node.base)
-            if isinstance(db, Const) and db.value == 0:
-                out = ZERO
-            else:
-                out = mul(
-                    Const(node.exponent),
-                    pow_(node.base, node.exponent - 1),
-                    db,
-                )
-        else:
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = out
-        return out
+    def d_mul(node, dkids):
+        kids = node.children
+        return add(
+            *[
+                mul(*kids[:i], dc, *kids[i + 1 :])
+                for i, dc in enumerate(dkids)
+                if not (isinstance(dc, Const) and dc.value == 0)
+            ]
+        )
 
-    return d(e)
+    def d_pow(node, dkids):
+        db = dkids[0]
+        if isinstance(db, Const) and db.value == 0:
+            return ZERO
+        return mul(Const(node.exponent), pow_(node.base, node.exponent - 1), db)
+
+    return _fold(
+        e,
+        {
+            Const: lambda node, _: ZERO,
+            Var: lambda node, _: ONE if node.index == index else ZERO,
+            Add: lambda node, dkids: add(*dkids),
+            Mul: d_mul,
+            Pow: d_pow,
+        },
+    )
 
 
 def gradient(e: Expr, nvars: int) -> list:
@@ -669,86 +676,33 @@ def _pow_float(base: float, exponent: Fraction) -> float:
 def evaluate(e: Expr, point: Sequence[float]) -> float:
     """Evaluate at a coordinate tuple; IEEE double, deterministic.
 
-    Raises :class:`NonSmoothPoint` for a non-integer power of a
-    non-positive base and :class:`DivisionByZero` for a negative integer
-    power of zero.
+    Sums and products combine their operands left to right, exactly as
+    the kernels of :func:`compile_expr` do.  Raises :class:`NonSmoothPoint`
+    for a non-integer power of a non-positive base and
+    :class:`DivisionByZero` for a negative integer power of zero.
     """
-    memo: dict = {}
-
-    def ev(node: Expr) -> float:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = node._float
-        elif isinstance(node, Var):
-            out = float(point[node.index])
-        elif isinstance(node, Neg):
-            out = -ev(node.child)
-        elif isinstance(node, Add):
-            out = 0.0
-            for c in node.children:
-                out = out + ev(c)
-        elif isinstance(node, Mul):
-            out = 1.0
-            for c in node.children:
-                out = out * ev(c)
-        elif isinstance(node, Pow):
-            out = _pow_float(ev(node.base), node.exponent)
-        else:
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = out
-        return out
-
-    return ev(e)
+    return _fold(
+        e,
+        {
+            Const: lambda node, _: node._float,
+            Var: lambda node, _: float(point[node.index]),
+            Add: lambda node, kids: reduce(operator.add, kids),
+            Mul: lambda node, kids: reduce(operator.mul, kids),
+            Pow: lambda node, kids: _pow_float(kids[0], node.exponent),
+        },
+    )
 
 
 def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
     """Replace variables by expressions; the result is canonical."""
-    memo: dict = {}
-
-    def sub_(node: Expr) -> Expr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = node
-        elif isinstance(node, Var):
-            out = mapping.get(node.index, node)
-        elif isinstance(node, Neg):
-            out = neg(sub_(node.child))
-        elif isinstance(node, Add):
-            out = add(*[sub_(c) for c in node.children])
-        elif isinstance(node, Mul):
-            out = mul(*[sub_(c) for c in node.children])
-        elif isinstance(node, Pow):
-            out = pow_(sub_(node.base), node.exponent)
-        else:
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = out
-        return out
-
-    return sub_(e)
+    return _fold(e, {**_REBUILD, Var: lambda node, _: mapping.get(node.index, node)})
 
 
 def free_vars(e: Expr) -> set:
     """Set of variable indices appearing in the tree."""
-    seen: set = set()
     out: set = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-        elif isinstance(node, (Add, Mul)):
-            stack.extend(node.children)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
+    skip = dict.fromkeys((Const, Add, Mul, Pow), lambda node, kids: None)
+    _fold(e, {**skip, Var: lambda node, _: out.add(node.index)})
     return out
 
 
@@ -768,66 +722,42 @@ def compile_expr(e: Expr, nvars: int) -> Callable[[Sequence[float]], float]:
     """Compile to a Python callable ``f(point) -> float``.
 
     Point semantics and error behaviour match :func:`evaluate` exactly;
-    shared subtrees are emitted once (the generated code is linear in the
-    DAG size, not the tree size).
+    structurally equal subtrees are emitted once (the generated code is
+    linear in the number of distinct subtrees, not the tree size).
     """
-    names: dict = {}
     lines = []
-    counter = [0]
 
-    def fresh() -> str:
-        counter[0] += 1
-        return f"t{counter[0]}"
-
-    # iterative post-order over the DAG
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in names:
-            continue
-        if not ready:
-            stack.append((node, True))
-            if isinstance(node, Neg):
-                stack.append((node.child, False))
-            elif isinstance(node, (Add, Mul)):
-                for c in node.children:
-                    stack.append((c, False))
-            elif isinstance(node, Pow):
-                stack.append((node.base, False))
-            continue
-        if id(node) in names:
-            continue
-        if isinstance(node, Const):
-            names[id(node)] = repr(node._float)
-            continue
-        if isinstance(node, Var):
-            if node.index >= nvars:
-                raise ValueError(
-                    f"variable index {node.index} out of range for {nvars} coords"
-                )
-            names[id(node)] = f"p[{node.index}]"
-            continue
-        name = fresh()
-        if isinstance(node, Neg):
-            rhs = f"-({names[id(node.child)]})"
-        elif isinstance(node, Add):
-            rhs = " + ".join(names[id(c)] for c in node.children)
-        elif isinstance(node, Mul):
-            rhs = " * ".join(names[id(c)] for c in node.children)
-        elif isinstance(node, Pow):
-            b = names[id(node.base)]
-            q = node.exponent
-            if q.denominator == 1:
-                rhs = f"{b} ** {q.numerator}"
-            else:
-                rhs = f"_rp({b}, {float(q)!r})"
-        else:
-            raise TypeError(f"unknown node {type(node).__name__}")
+    def emit(rhs: str) -> str:
+        name = f"t{len(lines) + 1}"
         lines.append(f"    {name} = {rhs}")
-        names[id(node)] = name
+        return name
 
-    body = "\n".join(lines) if lines else ""
-    src = f"def _f(p):\n{body}\n    return {names[id(e)]}\n"
+    def name_var(node, _):
+        if node.index >= nvars:
+            raise ValueError(
+                f"variable index {node.index} out of range for {nvars} coords"
+            )
+        return f"p[{node.index}]"
+
+    def emit_pow(node, kids):
+        q = node.exponent
+        if q.denominator == 1:
+            return emit(f"{kids[0]} ** {q.numerator}")
+        return emit(f"_rp({kids[0]}, {float(q)!r})")
+
+    result = _fold(
+        e,
+        {
+            # parenthesized, so that a negative base binds as in evaluate
+            Const: lambda node, _: f"({node._float!r})",
+            Var: name_var,
+            Add: lambda node, kids: emit(" + ".join(kids)),
+            Mul: lambda node, kids: emit(" * ".join(kids)),
+            Pow: emit_pow,
+        },
+    )
+    body = "\n".join(lines)
+    src = f"def _f(p):\n{body}\n    return {result}\n"
     namespace = {"_rp": _rp}
     exec(compile(src, "<compiled-expr>", "exec"), namespace)
     raw = namespace["_f"]
@@ -902,11 +832,19 @@ def _tokenize(source: str):
     return tokens
 
 
+# Bound on nested parentheses, sqrt( calls, unary minus signs and
+# exponents: each level costs the recursive-descent parser up to six
+# interpreter frames, so the bound keeps it well inside the default
+# recursion limit and turns absurd nesting into a ParseError.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, coords: CoordSystem):
         self.tokens = tokens
         self.pos = 0
         self.coords = coords
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -921,6 +859,17 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, got {tok.text!r}", tok.offset)
         return tok
+
+    def nested(self, parse, tok: _Token) -> Expr:
+        """Run ``parse`` one nesting level below ``tok``."""
+        if self.depth >= _MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {_MAX_NESTING} levels", tok.offset
+            )
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -947,15 +896,14 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.peek().kind == "-":
-            self.next()
-            return neg(self.unary())
+            return neg(self.nested(self.unary, self.next()))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek().kind == "^":
             tok = self.next()
-            exp_tree = self.unary()  # right-associative
+            exp_tree = self.nested(self.unary, tok)  # right-associative
             exp_tree = simplify(exp_tree)
             if not isinstance(exp_tree, Const):
                 raise ParseError(
@@ -970,8 +918,7 @@ class _Parser:
             return Const(Fraction(tok.text))
         if tok.kind == "ident":
             if tok.text == "sqrt":
-                self.expect("(")
-                inner = self.expr()
+                inner = self.nested(self.expr, self.expect("("))
                 self.expect(")")
                 return sqrt_(inner)
             try:
@@ -980,7 +927,7 @@ class _Parser:
                 raise ParseError(f"unknown identifier {tok.text!r}", tok.offset) from None
             return Var(idx)
         if tok.kind == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, tok)
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
@@ -1024,8 +971,6 @@ def _level(e: Expr) -> int:
         return 4
     if isinstance(e, Pow):
         return 3
-    if isinstance(e, Neg):
-        return 2
     if isinstance(e, Mul):
         return 2
     return 1  # Add
@@ -1051,8 +996,6 @@ def unparse(e: Expr, coords: CoordSystem) -> str:
             s = _unparse_const(node.value)
         elif isinstance(node, Var):
             s = coords.names[node.index]
-        elif isinstance(node, Neg):
-            s = "-" + u(node.child, 3)
         elif isinstance(node, Add):
             parts = [u(node.children[0], 1)]
             for c in node.children[1:]:
@@ -1089,8 +1032,6 @@ def _repr_tree(e: Expr, depth: int = 0) -> str:
         return _unparse_const(e.value)
     if isinstance(e, Var):
         return f"x[{e.index}]"
-    if isinstance(e, Neg):
-        return f"neg({_repr_tree(e.child, depth + 1)})"
     if isinstance(e, Add):
         return "add(" + ", ".join(_repr_tree(c, depth + 1) for c in e.children) + ")"
     if isinstance(e, Mul):

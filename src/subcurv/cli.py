@@ -9,8 +9,9 @@ Subcommands:
 Configuration files are minimal INI-style text (sections + key=value,
 ``#`` comments) with all expressions parsed by the expression grammar.
 Reports are deterministic: floats are serialized with 17 significant
-digits, keys and arrays have fixed order, and results are identical for
-any ``--jobs`` value.
+digits and keys and arrays have fixed order.  ``scenario run --jobs N``
+is accepted for compatibility; runs are sequential, so the output never
+depends on it.
 
 Exit codes: 0 success, 2 configuration error, 3 evaluation error,
 4 missing frame metadata.
@@ -304,9 +305,7 @@ def _build_operator(doc: ConfigDocument, raw: dict):
         if S.null_coform is None or S.dim < 2:
             raise ConfigError("[scenario]: graph_HF needs a graph_F structure")
         m = S.dim - 1
-        chart = CoordSystem(S.coords.names[:m])
-        F = [ca.substitute(c, {}) for c in S.null_coform[:m]]
-        return smp.GraphHFOperator(F, m)
+        return smp.GraphHFOperator(S.null_coform[:m], m)
     if name == "intrinsic":
         return smp.IntrinsicOperator(_require_int(raw, "n", "[scenario]"))
     if name == "la_graph":

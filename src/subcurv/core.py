@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import calculus as ca
 from .calculus import CoordSystem, Expr
-from .numerics import leading_minors, matrix_rank, newton_minimize
+from .numerics import matrix_rank, newton_minimize, principal_minors
 
 __all__ = [
     "GeometryError",
@@ -37,6 +37,8 @@ __all__ = [
     "GridSpec",
     "SingularHit",
     "SingularScanResult",
+    "grid_clusters",
+    "newton_refiner",
     "raise_covector",
     "pairing_expr",
     "covector_pairing",
@@ -449,26 +451,8 @@ class SingularScanResult:
 
     def clusters(self) -> list:
         """Group hits into connected components of adjacent grid cells."""
-        index_map = {h.index: i for i, h in enumerate(self.hits)}
-        parent = list(range(len(self.hits)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for h in self.hits:
-            for neighbor in _neighbors(h.index):
-                j = index_map.get(neighbor)
-                if j is not None:
-                    ri, rj = find(index_map[h.index]), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        groups = {}
-        for i, h in enumerate(self.hits):
-            groups.setdefault(find(i), []).append(h)
-        return list(groups.values())
+        groups = grid_clusters([h.index for h in self.hits])
+        return [[self.hits[i] for i in group] for group in groups]
 
     def __repr__(self):
         return (
@@ -476,10 +460,57 @@ class SingularScanResult:
         )
 
 
-def _neighbors(index):
-    for axis in range(len(index)):
-        for delta in (-1, 1):
-            yield index[:axis] + (index[axis] + delta,) + index[axis + 1 :]
+def grid_clusters(cells) -> list:
+    """Connected components of grid cells under axis adjacency.
+
+    ``cells`` are multi-indices; each component is a list of positions
+    into ``cells``, and components are ordered by their first position.
+    """
+    index = {c: i for i, c in enumerate(cells)}
+    parent = list(range(len(cells)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, cell in enumerate(cells):
+        for axis in range(len(cell)):
+            for delta in (-1, 1):
+                j = index.get(cell[:axis] + (cell[axis] + delta,) + cell[axis + 1 :])
+                if j is not None:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[ri] = rj
+    groups: dict = {}
+    for i in range(len(cells)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
+    """``refine(x0) -> (x, converged)``: Newton minimization of ``f``.
+
+    The gradient and Hessian of ``f`` are formed symbolically and
+    compiled once; each call iterates over the grid axes that are not
+    frozen (count > 1) and holds the others at their ``x0`` values.
+    """
+    grad_exprs = ca.gradient(f, nvars)
+    grad_fns = [ca.compile_expr(g, nvars) for g in grad_exprs]
+    hess_fns = [
+        [ca.compile_expr(ca.differentiate(g, j), nvars) for j in range(nvars)]
+        for g in grad_exprs
+    ]
+    active = [i for i, (_, _, count) in enumerate(grid.axes) if count > 1]
+
+    def grad_at(x):
+        return [fn(x) for fn in grad_fns]
+
+    def hess_at(x):
+        return [[fn(x) for fn in row] for row in hess_fns]
+
+    return lambda x0: newton_minimize(grad_at, hess_at, x0, active)
 
 
 def singular_scan(
@@ -501,27 +532,14 @@ def singular_scan(
     n = S.dim
     sq = conorm_sq_expr(S, phi)
     sq_fn = ca.compile_expr(sq, n)
-    grad_exprs = ca.gradient(sq, n)
-    grad_fns = [ca.compile_expr(g, n) for g in grad_exprs]
-    hess_fns = [
-        [ca.compile_expr(ca.differentiate(g, j), n) for j in range(n)]
-        for g in grad_exprs
-    ]
-    active = [i for i, (_, _, count) in enumerate(grid.axes) if count > 1]
+    refine = newton_refiner(sq, n, grid)
     threshold = eps * eps
-
-    def grad_at(x):
-        return [f(x) for f in grad_fns]
-
-    def hess_at(x):
-        return [[f(x) for f in row] for row in hess_fns]
-
     hits = []
     for idx, pt in grid.points():
         val = sq_fn(pt)
         if val >= threshold:
             continue
-        refined_pt, converged = newton_minimize(grad_at, hess_at, pt, active)
+        refined_pt, converged = refine(pt)
         if converged:
             res_sq = sq_fn(refined_pt)
             if res_sq < threshold:
@@ -558,7 +576,7 @@ def probe_validate(
     expected_rank = S.dim - S.degeneracy
     for _, pt in grid.points():
         g = S.cometric_at(pt)
-        minors = leading_minors(g)
+        minors = principal_minors(g)
         if any(m < -psd_tol for m in minors):
             issues.append(f"cometric not PSD at {pt}: minors {minors}")
         a = ca.evaluate(S.volume_density, pt)

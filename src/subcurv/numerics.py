@@ -6,12 +6,13 @@ produces (charts up to a handful of coordinates).
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Sequence
 
 __all__ = [
     "solve_linear",
     "matrix_rank",
-    "leading_minors",
+    "principal_minors",
     "newton_minimize",
 ]
 
@@ -86,31 +87,40 @@ def matrix_rank(rows: Sequence[Sequence[float]], pivot_tol: float = None):
     return rank, pivot_tol
 
 
-def leading_minors(matrix: Sequence[Sequence[float]]) -> list:
-    """Determinants of all leading principal submatrices."""
+def _det(m: list) -> float:
+    """Determinant by elimination with partial pivoting (consumes ``m``)."""
+    k = len(m)
+    det = 1.0
+    for col in range(k):
+        piv = max(range(col, k), key=lambda r: abs(m[r][col]))
+        if m[piv][col] == 0.0:
+            return 0.0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1.0 / m[col][col]
+        for r in range(col + 1, k):
+            f = m[r][col] * inv
+            for c in range(col, k):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def principal_minors(matrix: Sequence[Sequence[float]]) -> list:
+    """Determinants of all principal submatrices, by size then index set.
+
+    A symmetric matrix is positive semidefinite exactly when every
+    principal minor is nonnegative (leading minors alone do not decide
+    it: ``[[0, 0], [0, -1]]`` has leading minors 0 and 0).  There are
+    ``2^n - 1`` of them, 127 for a 7x7 matrix.
+    """
     n = len(matrix)
-    out = []
-    for k in range(1, n + 1):
-        sub = [list(map(float, matrix[i][:k])) for i in range(k)]
-        det = 1.0
-        ok = True
-        for col in range(k):
-            piv = max(range(col, k), key=lambda r: abs(sub[r][col]))
-            if sub[piv][col] == 0.0:
-                det = 0.0
-                ok = False
-                break
-            if piv != col:
-                sub[col], sub[piv] = sub[piv], sub[col]
-                det = -det
-            det *= sub[col][col]
-            inv = 1.0 / sub[col][col]
-            for r in range(col + 1, k):
-                f = sub[r][col] * inv
-                for c in range(col, k):
-                    sub[r][c] -= f * sub[col][c]
-        out.append(det if ok else 0.0)
-    return out
+    return [
+        _det([[float(matrix[i][j]) for j in rows] for i in rows])
+        for k in range(1, n + 1)
+        for rows in itertools.combinations(range(n), k)
+    ]
 
 
 def newton_minimize(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,6 +28,8 @@ from .core import (
     VectorFieldExpr,
     conorm_sq_expr,
     default_eps_sing,
+    grid_clusters,
+    newton_refiner,
     p_mean_curvature_expr,
 )
 from .brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
@@ -44,7 +45,6 @@ from .heisenberg import (
     standard_structure,
     drift_graph_structure,
 )
-from .numerics import newton_minimize
 
 __all__ = [
     "Tolerances",
@@ -388,20 +388,11 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _indexed_map(fn, items, jobs: int):
-    """Order-preserving map; identical output for any job count."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=256))
-
-
 class _ScenarioEngine:
     """Compiles the scenario once and caches per-grid-point measurements."""
 
-    def __init__(self, scenario: ComparisonScenario, jobs: int = 1):
+    def __init__(self, scenario: ComparisonScenario):
         self.sc = scenario
-        self.jobs = jobs
         op = scenario.operator
         chart = op.chart
         self.nvars = len(chart)
@@ -416,8 +407,7 @@ class _ScenarioEngine:
         self.sing_u_fn = ca.compile_expr(sing_u, self.nvars)
         self.sing_v_fn = ca.compile_expr(sing_v, self.nvars)
         self.grid = scenario.grid()
-        self.points = [pt for _, pt in self.grid.points()]
-        self.indices = [idx for idx, _ in self.grid.points()]
+        self.indices, self.points = zip(*self.grid.points())
         self._rows = None
         self._swapped = False
         self._ordering = None
@@ -451,7 +441,7 @@ class _ScenarioEngine:
                     hv, sv = None, True
             return (du, hu, hv, su, sv)
 
-        raw = _indexed_map(measure, self.points, self.jobs)
+        raw = [measure(pt) for pt in self.points]
         du_min = min(r[0] for r in raw)
         du_max = max(r[0] for r in raw)
         eps = self.tol.eps_order
@@ -506,25 +496,12 @@ class _ScenarioEngine:
         eps = self.tol.eps_touch
         hit_ids = [k for k, r in enumerate(rows) if abs(r[0]) <= eps]
         diff = ca.sub(self.eff_v_expr(), self.eff_u_expr())
-        grad_exprs = ca.gradient(diff, self.nvars)
-        grad_fns = [ca.compile_expr(g, self.nvars) for g in grad_exprs]
-        hess_fns = [
-            [ca.compile_expr(ca.differentiate(g, j), self.nvars) for j in range(self.nvars)]
-            for g in grad_exprs
-        ]
+        refine = newton_refiner(diff, self.nvars, self.grid)
         diff_fn = ca.compile_expr(diff, self.nvars)
-        active = [i for i, (_, _, c) in enumerate(self.grid.axes) if c > 1]
-
-        def grad_at(x):
-            return [f(x) for f in grad_fns]
-
-        def hess_at(x):
-            return [[f(x) for f in row] for row in hess_fns]
-
         out = []
         for k in hit_ids:
             pt = self.points[k]
-            refined, converged = newton_minimize(grad_at, hess_at, pt, active)
+            refined, converged = refine(pt)
             if converged and abs(diff_fn(refined)) <= eps and _in_box(refined, self.sc.box):
                 out.append(
                     {
@@ -579,7 +556,7 @@ class _ScenarioEngine:
         out = []
         for col in (3, 4):
             cells = [self.indices[k] for k, r in enumerate(rows) if r[col]]
-            out.append(_count_clusters(cells))
+            out.append(len(grid_clusters(cells)))
         return tuple(out)
 
     def table(self):
@@ -595,28 +572,6 @@ def _in_box(pt, box) -> bool:
     return all(lo <= c <= hi for c, (lo, hi) in zip(pt, box))
 
 
-def _count_clusters(cells) -> int:
-    index = {c: i for i, c in enumerate(cells)}
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for cell in cells:
-        for axis in range(len(cell)):
-            for delta in (-1, 1):
-                nb = cell[:axis] + (cell[axis] + delta,) + cell[axis + 1 :]
-                j = index.get(nb)
-                if j is not None:
-                    ri, rj = find(index[cell]), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-    return len({find(i) for i in range(len(cells))})
-
-
 # ---------------------------------------------------------------------------
 # Public measurement operations
 # ---------------------------------------------------------------------------
@@ -627,13 +582,19 @@ def touching_set(scenario: ComparisonScenario, jobs: int = 1) -> list:
 
     Returns the refined touching records; the ordering summary (min of
     v - u and its location) is available through :func:`run_scenario`.
+    ``jobs`` is accepted and never changes the result; the sweep runs
+    sequentially.
     """
-    return _ScenarioEngine(scenario, jobs).touching()
+    return _ScenarioEngine(scenario).touching()
 
 
 def curvature_gap(scenario: ComparisonScenario, jobs: int = 1) -> dict:
-    """max(H(v) - H(u)) over jointly nonsingular grid points + witness."""
-    return _ScenarioEngine(scenario, jobs).gap()
+    """max(H(v) - H(u)) over jointly nonsingular grid points + witness.
+
+    ``jobs`` is accepted and never changes the result; the sweep runs
+    sequentially.
+    """
+    return _ScenarioEngine(scenario).gap()
 
 
 class IntegrationResult:
@@ -923,8 +884,11 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     counterexample-detected (with rank-condition-failed appended when the
     bracket closure misses the hypersurface dimension at the touching
     point); anything else is smp-consistent or inconclusive.
+
+    ``jobs`` is accepted and never changes the report; every measurement
+    runs sequentially in this process.
     """
-    engine = _ScenarioEngine(scenario, jobs)
+    engine = _ScenarioEngine(scenario)
     rows = engine.rows()
     touching = engine.touching()
     gap = engine.gap()

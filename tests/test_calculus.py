@@ -1,6 +1,8 @@
 """Expression engine: grammar, differentiation, evaluation, compilation."""
 
 import random
+import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,13 @@ from subcurv import calculus as ca
 from subcurv.calculus import (
     CoordSystem,
     DivisionByZero,
+    EvaluationError,
     NonSmoothPoint,
     ParseError,
     compile_expr,
     differentiate,
     evaluate,
+    free_vars,
     parse_expr,
     simplify,
     substitute,
@@ -90,6 +94,27 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expr("x1 )", XZ)
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(" * 300 + "x1" + ")" * 300,
+            "sqrt(" * 300 + "x1" + ")" * 300,
+            "-" * 1200 + "x1",
+            "x1" + "^1" * 300,
+        ],
+        ids=["parentheses", "sqrt", "unary-minus", "exponents"],
+    )
+    def test_nesting_bound(self, src):
+        with pytest.raises(ParseError, match="nested deeper") as info:
+            parse_expr(src, XZ)
+        assert 0 < info.value.offset < len(src)
+
+    def test_nesting_bound_offset_and_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse_expr("(" * 300 + "x1" + ")" * 300, XZ)
+        assert info.value.offset == 100  # the 101st parenthesis
+        assert parse_expr("(" * 100 + "x1" + ")" * 100, XZ) == ca.var(0)
+
     def test_scientific_notation(self):
         assert evaluate(parse_expr("1e-3 + x1", XZ), (0.0, 0.0)) == 1e-3
 
@@ -154,6 +179,11 @@ class TestEvaluate:
             fn = compile_expr(e, 3)
             pt = [rng.uniform(0.2, 1.4) for _ in range(3)]
             assert fn(pt) == evaluate(e, pt)
+
+    def test_compiled_negative_constant_base(self):
+        # a hand-built power of a negative constant: -2.0 ** 2 would be -4
+        e = ca.Pow(ca.const(-2), Fraction(2))
+        assert compile_expr(e, 1)((0.0,)) == evaluate(e, (0.0,)) == 4.0
 
     def test_compiled_error_behaviour(self):
         fn = compile_expr(parse_expr("x1^(-2)", XZ), 2)
@@ -256,7 +286,85 @@ class TestSubstitute:
         composed = substitute(e, {0: parse_expr("x1 + z", XZ)})
         assert evaluate(composed, (2.0, 3.0)) == 25.0
 
-    def test_neg_node_canonicalizes(self):
-        raw = ca.Neg(ca.Neg(ca.var(0)))
-        assert simplify(raw) == ca.var(0)
-        assert evaluate(raw, (2.5,)) == 2.5
+
+# Random trees from the smart constructors, over two coordinates.
+_EXPONENTS = [Fraction(q) for q in ("-2", "-1", "2", "3", "1/2", "-3/2", "1/3")]
+
+expr_trees = st.recursive(
+    st.one_of(
+        st.integers(0, 1).map(ca.var),
+        st.fractions(-4, 4, max_denominator=6).map(ca.const),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: ca.add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: ca.mul(*xs)),
+        st.tuples(kids, st.sampled_from(_EXPONENTS)).map(lambda t: ca.pow_(*t)),
+        kids.map(ca.neg),
+    ),
+    max_leaves=12,
+)
+
+
+def _outcome(fn, *args):
+    """Bit pattern of the float result, or the type of the error raised."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except (EvaluationError, OverflowError) as exc:
+        return type(exc)
+
+
+def _distinct_operators(e) -> set:
+    """Structurally distinct non-leaf nodes (a recursive reference walk)."""
+    out = set()
+
+    def walk(node):
+        if isinstance(node, (ca.Add, ca.Mul)):
+            out.add(node)
+            for c in node.children:
+                walk(c)
+        elif isinstance(node, ca.Pow):
+            out.add(node)
+            walk(node.base)
+
+    walk(e)
+    return out
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(expr_trees, st.floats(-3, 3), st.floats(-3, 3))
+    def test_compiled_kernel_is_bitwise_evaluate(self, e, x, z):
+        pt = (x, z)
+        assert _outcome(compile_expr(e, 2), pt) == _outcome(evaluate, e, pt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr_trees)
+    def test_simplify_idempotent_and_empty_substitute(self, e):
+        s = simplify(e)
+        assert simplify(s) == s
+        assert substitute(e, {}) == s
+
+    def test_kernel_emits_each_distinct_subtree_once(self):
+        def branch():
+            return ca.sqrt_(ca.add(ca.mul(ca.var(0), ca.var(1)), ca.ONE))
+
+        a, b = branch(), branch()
+        assert a == b and a is not b
+        e = ca.add(ca.mul(a, ca.var(0)), ca.mul(b, ca.var(1)))
+        src = compile_expr(e, 2).source
+        assigned = re.findall(r"^    t\d+ = ", src, flags=re.M)
+        assert len(assigned) == len(_distinct_operators(e)) == 6
+
+    def test_deep_tree_every_walker(self):
+        # 3000 nested powers: far past the interpreter's recursion limit
+        e = ca.var(0)
+        for _ in range(3000):
+            e = ca.pow_(ca.add(e, ca.ONE), -1)
+        pt = (1.0, 2.0)
+        assert compile_expr(e, 2)(pt) == evaluate(e, pt)
+        assert free_vars(e) == {0}
+        assert differentiate(e, 1) == ca.ZERO
+        assert hash(simplify(e)) == hash(e)
+        moved = substitute(e, {0: ca.var(1)})
+        assert free_vars(moved) == {1}
+        assert evaluate(moved, (2.0, 1.0)) == evaluate(e, pt)

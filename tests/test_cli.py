@@ -357,6 +357,15 @@ grid = 17
 
 
 class TestExitCodeContract:
+    def test_deeply_nested_expression_is_config_error(self, cfg):
+        nested = HEIS1.replace("expr = -z", "expr = " + "(" * 300 + "z" + ")" * 300)
+        path = cfg("deep.cfg", nested)
+        proc = run_cli(["curvature", "--config", path, "--function", "negz",
+                        "--at", "0.5,0.5,0.5"])
+        assert proc.returncode == 2
+        assert "nested deeper" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_all_documented_codes_reachable(self, cfg):
         # 0: success
         assert run_cli(["scenario", "list"]).returncode == 0

@@ -233,6 +233,18 @@ class TestValidation:
 
         assert probe_validate(cylinder_structure(1)) == []
 
+    def test_indefinite_cometric_reported(self):
+        # leading minors of [[0, 0], [0, -1]] are 0 and 0; the 1x1 minor
+        # of the second coordinate is -1
+        S = SubriemannianStructure(
+            CoordSystem(("a", "b")),
+            [[ca.ZERO, ca.ZERO], [ca.ZERO, ca.const(-1)]],
+            ca.ONE,
+            domain_box=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        issues = probe_validate(S)
+        assert issues and all("not PSD" in msg for msg in issues)
+
     def test_asymmetric_cometric_rejected(self):
         coords = CoordSystem(("a", "b"))
         with pytest.raises(ValueError, match="symmetric"):
