@@ -83,9 +83,9 @@ def bracket_generate_rank(
     """Rank of the span of right-nested bracket words at a point.
 
     Words of depth d are [X_i, w] with w of depth d-1, so the count grows
-    like r^d; generation stops as soon as the target rank (full chart
-    dimension by default) is reached.  Rank is monotone in both the depth
-    and the field set.
+    like r^d; each word is built when it is evaluated, and generation
+    stops as soon as the target rank (full chart dimension by default) is
+    reached.  Rank is monotone in both the depth and the field set.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -100,27 +100,34 @@ def bracket_generate_rank(
     words_generated = 0
     depth_achieved = 1
     rank, tol = 0, 0.0
-
-    def current_rank():
-        return matrix_rank(rows)
-
-    level = list(fields)
-    for depth in range(1, max_depth + 1):
-        if depth > 1:
-            level = [lie_bracket(x, w) for x in fields for w in level]
-        next_level = []
-        for w in level:
-            words_generated += 1
-            rows.append(w.at(point))
-            next_level.append(w)
-            new_rank, tol = current_rank()
-            if new_rank > rank:
-                rank = new_rank
-                depth_achieved = depth
-            if rank >= target_rank:
-                return RankReport(point, rank, depth_achieved, words_generated, tol)
-        level = next_level
+    for depth, w in _words(fields, max_depth):
+        words_generated += 1
+        rows.append(w.at(point))
+        new_rank, tol = matrix_rank(rows)
+        if new_rank > rank:
+            rank = new_rank
+            depth_achieved = depth
+        if rank >= target_rank:
+            break
     return RankReport(point, rank, depth_achieved, words_generated, tol)
+
+
+def _words(fields, max_depth: int):
+    """Yield ``(depth, word)``: the fields, then [X_i, w] depth by depth.
+
+    A word is bracketed only when the consumer asks for it, so a rank
+    that reaches its target early never builds the rest of the level.
+    """
+    level = list(fields)
+    for w in level:
+        yield 1, w
+    for depth in range(2, max_depth + 1):
+        prev, level = level, []
+        for x in fields:
+            for w in prev:
+                word = lie_bracket(x, w)
+                level.append(word)
+                yield depth, word
 
 
 def tangent_distribution_fields(

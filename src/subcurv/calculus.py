@@ -183,6 +183,34 @@ class Expr:
         return f"<expr {_repr_tree(self)}>"
 
 
+def _same_tree(a, b) -> bool:
+    """Structural equality of two trees, walked with an explicit stack."""
+    stack = []
+    while True:
+        if a is not b:
+            kind = type(a)
+            if kind is not type(b) or a._hash != b._hash:
+                return False
+            if kind is Pow:
+                if a.exponent != b.exponent:
+                    return False
+                a, b = a.base, b.base
+                continue
+            if kind is Const:
+                if a.value != b.value:
+                    return False
+            elif kind is Var:
+                if a.index != b.index:
+                    return False
+            elif len(a.children) != len(b.children):
+                return False
+            else:
+                stack.extend(zip(a.children, b.children))
+        if not stack:
+            return True
+        a, b = stack.pop()
+
+
 class Const(Expr):
     """Exact rational constant.
 
@@ -251,12 +279,7 @@ class Add(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Add)
-            and self._hash == other._hash
-            and self.children == other.children
-        )
+    __eq__ = _same_tree
 
     __hash__ = Expr.__hash__
 
@@ -276,12 +299,7 @@ class Mul(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mul)
-            and self._hash == other._hash
-            and self.children == other.children
-        )
+    __eq__ = _same_tree
 
     __hash__ = Expr.__hash__
 
@@ -300,12 +318,7 @@ class Pow(Expr):
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.exponent == other.exponent
-            and self.base == other.base
-        )
+    __eq__ = _same_tree
 
     __hash__ = Expr.__hash__
 
@@ -328,31 +341,38 @@ def _coerce(x) -> Expr:
 
 
 def _tree_cmp(a: Expr, b: Expr) -> int:
-    """Deterministic total order on canonical trees (hash-randomization free)."""
-    if a is b:
-        return 0
-    if a.rank != b.rank:
+    """Deterministic total order on canonical trees (hash-randomization free).
+
+    Lexicographic over (rank, payload, operands), walked with an explicit
+    stack; a power compares its base before its exponent, which waits on
+    the stack as a pair of fractions.
+    """
+    if a.rank != b.rank:  # the common case, settled without a stack
         return -1 if a.rank < b.rank else 1
-    if isinstance(a, Const):
-        if a.value != b.value:
-            return -1 if a.value < b.value else 1
-        return 0
-    if isinstance(a, Var):
-        return (a.index > b.index) - (a.index < b.index)
-    if isinstance(a, Pow):
-        c = _tree_cmp(a.base, b.base)
-        if c:
-            return c
-        if a.exponent != b.exponent:
-            return -1 if a.exponent < b.exponent else 1
-        return 0
-    ca, cb = a.children, b.children
-    if len(ca) != len(cb):
-        return -1 if len(ca) < len(cb) else 1
-    for x, y in zip(ca, cb):
-        c = _tree_cmp(x, y)
-        if c:
-            return c
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is Fraction:  # a deferred exponent comparison
+            if a != b:
+                return -1 if a < b else 1
+        elif a.rank != b.rank:
+            return -1 if a.rank < b.rank else 1
+        elif kind is Const:
+            if a.value != b.value:
+                return -1 if a.value < b.value else 1
+        elif kind is Var:
+            if a.index != b.index:
+                return -1 if a.index < b.index else 1
+        elif kind is Pow:
+            stack += ((a.exponent, b.exponent), (a.base, b.base))
+        else:
+            ca, cb = a.children, b.children
+            if len(ca) != len(cb):
+                return -1 if len(ca) < len(cb) else 1
+            stack.extend(reversed(tuple(zip(ca, cb))))
     return 0
 
 
@@ -510,6 +530,9 @@ def mul(*factors) -> Expr:
     return Mul(_sorted_children(flat))
 
 
+_MAX_CONST_BITS = 4096
+
+
 def pow_(base, exponent) -> Expr:
     """Power node; the exponent must be an exact rational.
 
@@ -531,7 +554,13 @@ def pow_(base, exponent) -> Expr:
         return base
     if isinstance(base, Const):
         if exponent.denominator == 1 and (base.value != 0 or exponent > 0):
-            return Const(base.value ** exponent.numerator)
+            b = base.value
+            log2 = (max(abs(b.numerator), b.denominator) - 1).bit_length()
+            if log2 * abs(exponent.numerator) > _MAX_CONST_BITS:
+                # far outside the float range; the exact power could take
+                # gigabytes (9^9^9)
+                raise OverflowError(f"constant power {b}^{exponent} too large")
+            return Const(b ** exponent.numerator)
         if base.value == 1:
             return ONE
     return Pow(base, exponent)
@@ -561,16 +590,18 @@ def sqrt_(e) -> Expr:
 _EMIT = object()  # fold stack marker: the node below it has its operands folded
 
 
-def _fold(root: Expr, handlers: Mapping[type, Callable]):
+def _fold(root: Expr, handlers: Mapping[type, Callable], memo: dict = None):
     """Iterative post-order fold over the DAG under ``root``.
 
     ``handlers[type(node)](node, kids)`` gets the folded values of the
     node's operands (the children of a sum or product, the base of a
     power, none for a leaf), left to right.  It runs once per
     structurally distinct node: the memo is keyed on the node itself, so
-    equal subtrees held by distinct objects share one result.
+    equal subtrees held by distinct objects share one result.  Passing
+    the same ``memo`` to several folds shares that work between them.
     """
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     stack = [root]
     while stack:
         node = stack.pop()
@@ -718,12 +749,16 @@ def _rp(base: float, fexp: float) -> float:
     return base ** fexp
 
 
-def compile_expr(e: Expr, nvars: int) -> Callable[[Sequence[float]], float]:
+def compile_expr(
+    e: Union[Expr, Sequence[Expr]], nvars: int
+) -> Callable[[Sequence[float]], float]:
     """Compile to a Python callable ``f(point) -> float``.
 
     Point semantics and error behaviour match :func:`evaluate` exactly;
     structurally equal subtrees are emitted once (the generated code is
-    linear in the number of distinct subtrees, not the tree size).
+    linear in the number of distinct subtrees, not the tree size).  Given
+    a sequence of expressions instead, the kernel returns the list of
+    their values, and subtrees shared between them are emitted once too.
     """
     lines = []
 
@@ -745,17 +780,19 @@ def compile_expr(e: Expr, nvars: int) -> Callable[[Sequence[float]], float]:
             return emit(f"{kids[0]} ** {q.numerator}")
         return emit(f"_rp({kids[0]}, {float(q)!r})")
 
-    result = _fold(
-        e,
-        {
-            # parenthesized, so that a negative base binds as in evaluate
-            Const: lambda node, _: f"({node._float!r})",
-            Var: name_var,
-            Add: lambda node, kids: emit(" + ".join(kids)),
-            Mul: lambda node, kids: emit(" * ".join(kids)),
-            Pow: emit_pow,
-        },
-    )
+    handlers = {
+        # parenthesized, so that a negative base binds as in evaluate
+        Const: lambda node, _: f"({node._float!r})",
+        Var: name_var,
+        Add: lambda node, kids: emit(" + ".join(kids)),
+        Mul: lambda node, kids: emit(" * ".join(kids)),
+        Pow: emit_pow,
+    }
+    memo: dict = {}
+    if isinstance(e, Expr):
+        result = _fold(e, handlers, memo)
+    else:
+        result = "[" + ", ".join([_fold(c, handlers, memo) for c in e]) + "]"
     body = "\n".join(lines)
     src = f"def _f(p):\n{body}\n    return {result}\n"
     namespace = {"_rp": _rp}
@@ -777,6 +814,11 @@ def compile_expr(e: Expr, nvars: int) -> Callable[[Sequence[float]], float]:
 # ---------------------------------------------------------------------------
 
 _NUM_CHARS = set("0123456789")
+
+# Bounds on numeric literals: an exact Fraction of 1e5000000 takes seconds
+# to build and then overflows the float every constant carries.
+_MAX_LITERAL = 400
+_MAX_EXPONENT = 400
 
 
 class _Token:
@@ -801,7 +843,7 @@ def _tokenize(source: str):
             i += 1
             continue
         if ch in _NUM_CHARS or (ch == "." and i + 1 < n and source[i + 1] in _NUM_CHARS):
-            j = i
+            j, exponent = i, ""
             while j < n and source[j] in _NUM_CHARS:
                 j += 1
             if j < n and source[j] == ".":
@@ -816,7 +858,11 @@ def _tokenize(source: str):
                     k += 1
                     while k < n and source[k] in _NUM_CHARS:
                         k += 1
-                    j = k
+                    exponent, j = source[j + 1 : k], k
+            if j - i > _MAX_LITERAL:
+                raise ParseError(f"numeric literal longer than {_MAX_LITERAL} characters", i)
+            if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ParseError(f"decimal exponent beyond +-{_MAX_EXPONENT}", i)
             tokens.append(_Token("num", source[i:j], i))
             i = j
             continue
@@ -942,7 +988,13 @@ def parse_expr(source: str, coords: CoordSystem) -> Expr:
     ``^`` is right-associative and its exponent must fold to a rational
     constant.
     """
-    return _Parser(_tokenize(source), coords).parse()
+    parser = _Parser(_tokenize(source), coords)
+    try:
+        return parser.parse()
+    except OverflowError:
+        # a folded constant left the float range (2^100000, 1e300*1e300)
+        offset = parser.tokens[parser.pos - 1].offset
+        raise ParseError("constant outside the float range", offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -990,39 +1042,43 @@ def _negated_term(t: Expr):
 def unparse(e: Expr, coords: CoordSystem) -> str:
     """Render to the expression grammar; ``parse(unparse(e))`` rebuilds ``e``
     for canonical trees."""
+    memo: dict = {}  # node -> its text without enclosing parentheses
 
-    def u(node: Expr, parent_level: int) -> str:
-        if isinstance(node, Const):
-            s = _unparse_const(node.value)
-        elif isinstance(node, Var):
-            s = coords.names[node.index]
-        elif isinstance(node, Add):
-            parts = [u(node.children[0], 1)]
-            for c in node.children[1:]:
-                negated, core = _negated_term(c)
-                # the subtrahend binds like a product operand
-                parts.append(" - " + u(core, 2) if negated else " + " + u(core, 1))
-            s = "".join(parts)
-        elif isinstance(node, Mul):
-            negated, core = _negated_term(node)
-            if negated:
-                s = "-" + u(core, 2)
-            else:
-                s = "*".join(u(c, 3) for c in node.children)
-        elif isinstance(node, Pow):
-            b = u(node.base, 4)
-            q = node.exponent
-            if q.denominator == 1 and q >= 0:
-                s = f"{b}^{q.numerator}"
-            else:
-                s = f"{b}^({_unparse_const(q)})"
-        else:
-            raise TypeError(f"unknown node {type(node).__name__}")
-        if _needs_parens(node, parent_level):
-            return f"({s})"
-        return s
+    def text(node: Expr, parent_level: int) -> str:
+        # operands are folded before their parent; the absolute value of a
+        # negated term is a new node, folded here on first use
+        s = memo[node] if node in memo else _fold(node, handlers, memo)
+        return f"({s})" if _needs_parens(node, parent_level) else s
 
-    return u(e, 1)
+    def u_add(node, _):
+        parts = [text(node.children[0], 1)]
+        for c in node.children[1:]:
+            negated, core = _negated_term(c)
+            # the subtrahend binds like a product operand
+            parts.append(" - " + text(core, 2) if negated else " + " + text(core, 1))
+        return "".join(parts)
+
+    def u_mul(node, _):
+        negated, core = _negated_term(node)
+        if negated:
+            return "-" + text(core, 2)
+        return "*".join(text(c, 3) for c in node.children)
+
+    def u_pow(node, _):
+        b = text(node.base, 4)
+        q = node.exponent
+        if q.denominator == 1 and q >= 0:
+            return f"{b}^{q.numerator}"
+        return f"{b}^({_unparse_const(q)})"
+
+    handlers = {
+        Const: lambda node, _: _unparse_const(node.value),
+        Var: lambda node, _: coords.names[node.index],
+        Add: u_add,
+        Mul: u_mul,
+        Pow: u_pow,
+    }
+    return _fold(e, handlers, memo)
 
 
 def _repr_tree(e: Expr, depth: int = 0) -> str:

@@ -37,6 +37,7 @@ from .core import (
     default_eps_sing,
     p_mean_curvature,
     p_mean_curvature_expr,
+    probe_validate,
     conorm_sq_expr,
 )
 from .brackets import bracket_generate_rank, tangent_distribution_fields, two_form_rank
@@ -62,6 +63,16 @@ EXIT_FRAMES = 4
 
 class ConfigError(Exception):
     """Malformed configuration; message carries the line number."""
+
+
+class _Value(str):
+    """A config value that remembers the line it was read from (``lineno``)."""
+
+
+def _at(value) -> str:
+    """``"line N: "`` for a value read from config text, else ``""``."""
+    lineno = getattr(value, "lineno", None)
+    return f"line {lineno}: " if lineno is not None else ""
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +108,7 @@ class ConfigDocument:
         try:
             expr = ca.parse_expr(raw["expr"], coords)
         except CalculusError as exc:
-            raise ConfigError(f"function {name!r}: {exc}") from exc
+            raise ConfigError(f"{_at(raw['expr'])}function {name!r}: {exc}") from exc
         box = _parse_box(raw["box"], len(coords)) if "box" in raw else None
         return ScalarField(expr, coords, box)
 
@@ -157,7 +168,8 @@ def parse_config(text: str) -> ConfigDocument:
             raise ConfigError(f"line {lineno}: empty key")
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        current[key] = value
+        current[key] = _Value(value)
+        current[key].lineno = lineno
     return doc
 
 
@@ -179,7 +191,7 @@ def _parse_expr_list(value: str, coords: CoordSystem, where: str) -> list:
         try:
             out.append(ca.parse_expr(part, coords))
         except CalculusError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            raise ConfigError(f"{_at(value)}{where}: {exc}") from exc
     return out
 
 
@@ -188,26 +200,50 @@ def _parse_box(value: str, expected: Optional[int] = None):
     for part in value.split(","):
         part = part.strip()
         if ":" not in part:
-            raise ConfigError(f"box interval {part!r} must be lo:hi")
+            raise ConfigError(f"{_at(value)}box interval {part!r} must be lo:hi")
         lo, hi = part.split(":", 1)
         try:
             intervals.append((float(lo), float(hi)))
         except ValueError as exc:
-            raise ConfigError(f"bad box interval {part!r}") from exc
+            raise ConfigError(f"{_at(value)}bad box interval {part!r}") from exc
     if expected is not None and len(intervals) != expected:
         raise ConfigError(
-            f"box has {len(intervals)} intervals, chart needs {expected}"
+            f"{_at(value)}box has {len(intervals)} intervals, chart needs {expected}"
         )
     return tuple(intervals)
 
 
-def _require_int(raw: dict, key: str, where: str) -> int:
+_REQUIRED = object()
+
+
+def _grid_counts(text: str):
+    counts = tuple(int(c) for c in text.split(","))
+    if min(counts) < 1:
+        raise ValueError("grid counts must be >= 1")
+    return counts if "," in text else counts[0]
+
+
+_KINDS = {
+    int: "an integer",
+    float: "a number",
+    Fraction: "a rational number",
+    _grid_counts: "one positive integer per axis, or one for all",
+}
+
+
+def _number(raw: dict, key: str, where: str, convert=float, default=_REQUIRED):
+    """``convert(raw[key])``; a bad value is a config error naming its line."""
     if key not in raw:
-        raise ConfigError(f"{where}: missing {key}")
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing {key}")
+        return default
     try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {key} must be an integer") from exc
+        return convert(raw[key])
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"{_at(raw[key])}{where}: {key} must be {_KINDS[convert]}, "
+            f"got {raw[key]!r}"
+        ) from None
 
 
 def _build_structure(raw: dict) -> SubriemannianStructure:
@@ -224,11 +260,11 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
         except ValueError as exc:
             raise ConfigError(f"[structure]: bad size in kind {raw['kind']!r}") from exc
     if kind == "heisenberg":
-        return standard_structure(_require_int(raw, "n", "[structure]"))
+        return standard_structure(_number(raw, "n", "[structure]", int))
     if kind == "cylinder":
-        return cylinder_structure(_require_int(raw, "n", "[structure]"))
+        return cylinder_structure(_number(raw, "n", "[structure]", int))
     if kind == "graph_F":
-        m = _require_int(raw, "m", "[structure]")
+        m = _number(raw, "m", "[structure]", int)
         if "F" not in raw:
             raise ConfigError("[structure]: graph_F needs F = expr, expr, ...")
         chart = CoordSystem(tuple(f"x{j + 1}" for j in range(m)))
@@ -258,7 +294,7 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             try:
                 entry = ca.parse_expr(value, coords)
             except CalculusError as exc:
-                raise ConfigError(f"[structure] {key}: {exc}") from exc
+                raise ConfigError(f"{_at(value)}[structure] {key}: {exc}") from exc
             cometric[l][k] = entry
             if cometric[k][l] is None:
                 cometric[k][l] = entry
@@ -270,17 +306,28 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             try:
                 density = ca.parse_expr(raw["density"], coords)
             except CalculusError as exc:
-                raise ConfigError(f"[structure] density: {exc}") from exc
+                raise ConfigError(f"{_at(raw['density'])}[structure] density: {exc}") from exc
         else:
             density = ca.ONE
-        degeneracy = int(raw.get("degeneracy", 0))
+        degeneracy = _number(raw, "degeneracy", "[structure]", int, 0)
         box = _parse_box(raw["box"], n) if "box" in raw else None
         try:
-            return SubriemannianStructure(
+            S = SubriemannianStructure(
                 coords, cometric, density, degeneracy=degeneracy, domain_box=box
             )
         except ValueError as exc:
             raise ConfigError(f"[structure]: {exc}") from exc
+        if box is not None:
+            try:
+                issues = probe_validate(S)
+            except EvaluationError as exc:
+                raise ConfigError(
+                    f"{_at(raw['box'])}[structure]: cometric or density "
+                    f"undefined on the box: {exc}"
+                ) from None
+            if issues:
+                raise ConfigError(f"[structure]: {issues[0]}")
+        return S
     raise ConfigError(f"[structure]: unknown kind {kind!r}")
 
 
@@ -290,7 +337,9 @@ def _build_operator(doc: ConfigDocument, raw: dict):
         raise ConfigError("[scenario]: missing operator")
     if name == "generic":
         S = doc.structure()
-        p = Fraction(raw.get("p", "0"))
+        p = _number(raw, "p", "[scenario]", Fraction, Fraction(0))
+        if p < 0:
+            raise ConfigError(f"{_at(raw['p'])}[scenario]: p must be >= 0")
         graph_dir = S.dim - 1
         if "graph_dir" in raw:
             try:
@@ -307,11 +356,11 @@ def _build_operator(doc: ConfigDocument, raw: dict):
         m = S.dim - 1
         return smp.GraphHFOperator(S.null_coform[:m], m)
     if name == "intrinsic":
-        return smp.IntrinsicOperator(_require_int(raw, "n", "[scenario]"))
+        return smp.IntrinsicOperator(_number(raw, "n", "[scenario]", int))
     if name == "la_graph":
-        return smp.LaGraphOperator(_require_int(raw, "n", "[scenario]"))
+        return smp.LaGraphOperator(_number(raw, "n", "[scenario]", int))
     if name == "radial_cylinder":
-        return smp.RadialCylinderOperator(_require_int(raw, "n", "[scenario]"))
+        return smp.RadialCylinderOperator(_number(raw, "n", "[scenario]", int))
     raise ConfigError(f"[scenario]: unknown operator {name!r}")
 
 
@@ -332,16 +381,12 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
         box = u.box
     else:
         raise ConfigError("[scenario]: no box (set box= or give u a box)")
-    grid_raw = raw.get("grid", "65")
-    if "," in grid_raw:
-        grid = tuple(int(v.strip()) for v in grid_raw.split(","))
-    else:
-        grid = int(grid_raw)
+    where = "[scenario]"
     tol = smp.Tolerances(
-        eps_touch=float(raw.get("eps_touch", 1e-6)),
-        eps_order=float(raw.get("eps_order", 1e-9)),
-        eps_h=float(raw.get("eps_h", 1e-7)),
-        eps_sing=float(raw["eps_sing"]) if "eps_sing" in raw else None,
+        eps_touch=_number(raw, "eps_touch", where, float, 1e-6),
+        eps_order=_number(raw, "eps_order", where, float, 1e-9),
+        eps_h=_number(raw, "eps_h", where, float, 1e-7),
+        eps_sing=_number(raw, "eps_sing", where, float, None),
     )
     try:
         return smp.ComparisonScenario(
@@ -350,12 +395,12 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
             u.expr,
             v.expr,
             box=box,
-            grid_counts=grid,
+            grid_counts=_number(raw, "grid", where, _grid_counts, 65),
             tolerances=tol,
-            T=float(raw.get("T", 0.5)),
-            step=float(raw.get("step", 1e-3)),
-            max_propagation_starts=int(raw.get("max_propagation_starts", 8)),
-            rank_depth=int(raw.get("rank_depth", 2)),
+            T=_number(raw, "T", where, float, 0.5),
+            step=_number(raw, "step", where, float, 1e-3),
+            max_propagation_starts=_number(raw, "max_propagation_starts", where, int, 8),
+            rank_depth=_number(raw, "rank_depth", where, int, 2),
             description=raw.get("description", ""),
         )
     except ValueError as exc:

@@ -113,16 +113,25 @@ class ScalarField:
 class VectorFieldExpr:
     """Vector field with symbolic coefficients in a fixed chart."""
 
-    __slots__ = ("coords", "components")
+    __slots__ = ("coords", "components", "_kernel")
 
     def __init__(self, coords: CoordSystem, components: Sequence[Expr]):
-        components = tuple(ca.simplify(c) for c in components)
+        # smart-constructor trees are already canonical (simplify is the
+        # identity on them), so components are stored as given
+        components = tuple(components)
         if len(components) != len(coords):
             raise ValueError(
                 f"{len(components)} components for {len(coords)} coordinates"
             )
         self.coords = coords
         self.components = components
+        self._kernel = None
+
+    def kernel(self):
+        """Compiled ``f(point) -> [X^1(point), ..., X^n(point)]``, built once."""
+        if self._kernel is None:
+            self._kernel = ca.compile_expr(self.components, len(self.coords))
+        return self._kernel
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) = sum_k X^k d_k f."""
@@ -574,11 +583,23 @@ def probe_validate(
     issues = []
     grid = GridSpec.from_box(box, samples_per_axis)
     expected_rank = S.dim - S.degeneracy
+    # principal_minors orders its minors by size, then index set
+    minor_sets = [
+        rows
+        for k in range(1, S.dim + 1)
+        for rows in itertools.combinations(range(S.dim), k)
+    ]
     for _, pt in grid.points():
         g = S.cometric_at(pt)
-        minors = principal_minors(g)
-        if any(m < -psd_tol for m in minors):
-            issues.append(f"cometric not PSD at {pt}: minors {minors}")
+        for rows, m in zip(minor_sets, principal_minors(g)):
+            if m < -psd_tol:
+                entries = ", ".join(
+                    f"cometric.{l}.{k}" for i, l in enumerate(rows) for k in rows[i:]
+                )
+                issues.append(
+                    f"cometric not PSD at {pt}: principal minor of {entries} is {m!r}"
+                )
+                break
         a = ca.evaluate(S.volume_density, pt)
         if not a > 0:
             issues.append(f"volume density {a} not positive at {pt}")

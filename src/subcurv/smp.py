@@ -616,38 +616,40 @@ class IntegrationResult:
 
 
 def integrate_field(
-    X: VectorFieldExpr, x0: Sequence[float], T: float, step: float
+    X: VectorFieldExpr, x0: Sequence[float], T: float, step: float, stop=None
 ) -> IntegrationResult:
     """Classical 4th-order integration of dx/dt = X(x) over [0, T].
 
     Negative T integrates backwards.  Evaluation failure aborts with the
-    partial trajectory flagged.
+    partial trajectory flagged.  ``stop(point)``, when given, is called
+    on the start point and on each new point; the first point for which
+    it returns true ends the trajectory, flagged incomplete.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     n = len(X.coords)
-    fns = [ca.compile_expr(c, n) for c in X.components]
-
-    def rhs(p):
-        return [f(p) for f in fns]
-
+    rhs = X.kernel()
     nsteps = max(1, math.ceil(abs(T) / step)) if T != 0 else 0
     h = T / nsteps if nsteps else 0.0
     pts = [tuple(float(c) for c in x0)]
+    if stop is not None and stop(pts[0]):
+        return IntegrationResult(pts, False, "stopped at step 0")
     x = list(pts[0])
-    try:
-        for _ in range(nsteps):
+    for k in range(1, nsteps + 1):
+        try:
             k1 = rhs(x)
             k2 = rhs([x[i] + 0.5 * h * k1[i] for i in range(n)])
             k3 = rhs([x[i] + 0.5 * h * k2[i] for i in range(n)])
             k4 = rhs([x[i] + h * k3[i] for i in range(n)])
-            x = [
-                x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(n)
-            ]
-            pts.append(tuple(x))
-    except (EvaluationError, OverflowError) as exc:
-        return IntegrationResult(pts, False, f"integration aborted: {exc}")
+        except (EvaluationError, OverflowError) as exc:
+            return IntegrationResult(pts, False, f"integration aborted: {exc}")
+        x = [
+            x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in range(n)
+        ]
+        pts.append(tuple(x))
+        if stop is not None and stop(pts[-1]):
+            return IntegrationResult(pts, False, f"stopped at step {k}")
     return IntegrationResult(pts, True)
 
 
@@ -683,9 +685,10 @@ def propagate_max(
     """Propagate a touching point along tangent fields, both directions.
 
     The fields live on the ambient structure; each trajectory starts at
-    the graph lift of ``start``, is clipped to the chart box, and |v - u|
-    is tracked along the chart projection.  Success for a trajectory
-    means it stays within eps_touch.
+    the graph lift of ``start``, ends at its first point whose chart
+    projection leaves the box, and |v - u| is tracked along the chart
+    projection.  Success for a trajectory means it stays within
+    eps_touch.
     """
     if probe is None:
         probe = scenario.operator.rank_probe()
@@ -713,18 +716,21 @@ def _propagate(engine, probe, fields, start, T=None, step=None, include_brackets
     out = []
     for fi, X in enumerate(fields):
         for direction in (1.0, -1.0):
-            traj = integrate_field(X, lifted, direction * T, step)
-            max_dev = 0.0
-            first_violation = None
-            exited = not traj.completed
-            used = 0
-            for si, pt in enumerate(traj.points):
+            devs = []  # |v - u| at each trajectory point inside the box
+
+            def leaves_box(pt, devs=devs):
                 chart_pt = probe.project(pt)
                 if not _in_box(chart_pt, sc.box):
-                    exited = True
-                    break
-                used = si
-                dev = abs(v_fn(chart_pt) - u_fn(chart_pt))
+                    return True
+                devs.append(abs(v_fn(chart_pt) - u_fn(chart_pt)))
+                return False
+
+            # stops at the first point outside the box, so an incomplete
+            # trajectory either left the box or hit an evaluation failure
+            traj = integrate_field(X, lifted, direction * T, step, stop=leaves_box)
+            max_dev = 0.0
+            first_violation = None
+            for si, dev in enumerate(devs):
                 if dev > max_dev:
                     max_dev = dev
                 if dev > eps and first_violation is None:
@@ -736,8 +742,8 @@ def _propagate(engine, probe, fields, start, T=None, step=None, include_brackets
                     direction=int(direction),
                     max_deviation=max_dev,
                     first_violation_step=first_violation,
-                    steps_used=used,
-                    exited_box=exited,
+                    steps_used=max(len(devs) - 1, 0),
+                    exited_box=not traj.completed,
                     ok=max_dev <= eps,
                 )
             )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from subcurv import brackets
 from subcurv import calculus as ca
 from subcurv.calculus import CoordSystem
 from subcurv.core import MissingFrames, VectorFieldExpr
@@ -122,6 +123,27 @@ class TestBracketGenerateRank:
         rep = bracket_generate_rank(S.frame_fields, (0.1, 0.2, 0.3), max_depth=4)
         assert rep.words_generated <= 2 + 4  # stops inside depth 2
         assert rep.pivot_tol > 0
+
+
+    @pytest.mark.parametrize(
+        "fields, target, depth_two_words",
+        [
+            # rank 5 after the four frames and 3 of their 16 brackets
+            (standard_structure(2).frame_fields, 5, 3),
+            # rank-deficient: every word of depth 2 is needed
+            ([field(XY, "1", "0"), field(XY, "2", "0")], 2, 4),
+        ],
+    )
+    def test_brackets_built_only_when_consumed(self, monkeypatch, fields, target, depth_two_words):
+        built = []
+        real = brackets.lie_bracket
+        monkeypatch.setattr(
+            brackets, "lie_bracket", lambda x, y: built.append(1) or real(x, y)
+        )
+        rep = bracket_generate_rank(fields, (0.3, -0.2, 0.1, 0.4, 0.5)[: len(fields[0].coords)],
+                                    max_depth=2, target_rank=target)
+        assert rep.depth == 2 or rep.rank < target
+        assert len(built) == rep.words_generated - len(fields) == depth_two_words
 
 
 class TestTangentDistribution:

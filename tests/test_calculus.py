@@ -115,6 +115,21 @@ class TestParser:
         assert info.value.offset == 100  # the 101st parenthesis
         assert parse_expr("(" * 100 + "x1" + ")" * 100, XZ) == ca.var(0)
 
+    def test_literal_bounds(self):
+        # an exact 1e5000000 took seconds to build before overflowing
+        with pytest.raises(ParseError, match="exponent beyond") as info:
+            parse_expr("x1 + 1e5000000", XZ)
+        assert info.value.offset == 5
+        with pytest.raises(ParseError, match="longer than") as info:
+            parse_expr("2*" + "7" * 500, XZ)
+        assert info.value.offset == 2
+        assert parse_expr("1e-400", XZ) == ca.const(Fraction(1, 10 ** 400))
+
+    @pytest.mark.parametrize("src", ["2^100000", "1e300*1e300", "10^1000000", "9^9^9"])
+    def test_constant_overflow_is_parse_error(self, src):
+        with pytest.raises(ParseError, match="outside the float range"):
+            parse_expr(src, XZ)
+
     def test_scientific_notation(self):
         assert evaluate(parse_expr("1e-3 + x1", XZ), (0.0, 0.0)) == 1e-3
 
@@ -362,9 +377,38 @@ class TestFold:
             e = ca.pow_(ca.add(e, ca.ONE), -1)
         pt = (1.0, 2.0)
         assert compile_expr(e, 2)(pt) == evaluate(e, pt)
+        assert compile_expr([e, e], 2)(pt) == [evaluate(e, pt)] * 2
         assert free_vars(e) == {0}
         assert differentiate(e, 1) == ca.ZERO
-        assert hash(simplify(e)) == hash(e)
+        assert simplify(e) == e
         moved = substitute(e, {0: ca.var(1)})
         assert free_vars(moved) == {1}
         assert evaluate(moved, (2.0, 1.0)) == evaluate(e, pt)
+        # ordering two deep trees that differ only at the bottom
+        assert moved != e and ca.add(moved, e) == ca.add(e, moved)
+        text = unparse(e, XZ)
+        assert text == "(1 + " * 3000 + "x1" + ")^(-1)" * 3000
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr_trees)
+    def test_smart_constructor_trees_are_fixed_points(self, e):
+        # VectorFieldExpr stores components without simplifying them
+        assert simplify(e) == e
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(expr_trees, min_size=1, max_size=4), st.floats(-3, 3), st.floats(-3, 3))
+    def test_vector_kernel_is_bitwise_per_component(self, exprs, x, z):
+        pt = (x, z)
+        singles = [compile_expr(e, 2) for e in exprs]
+        vector = compile_expr(exprs, 2)
+        expected = [_outcome(f, pt) for f in singles]
+        errors = [o for o in expected if isinstance(o, type)]
+        if errors:
+            # the first failing component raises first
+            assert _outcome(lambda p: vector(p)[0], pt) == errors[0]
+        else:
+            assert [struct.pack("<d", v) for v in vector(pt)] == expected
+        if len(exprs) == 1:
+            # one expression: the same emitter, the same body
+            body = vector.source.rsplit("    return ", 1)[0]
+            assert singles[0].source.rsplit("    return ", 1)[0] == body

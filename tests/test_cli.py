@@ -1,5 +1,6 @@
 """Command-line front end: config parsing, commands, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ from subcurv.cli import (
     ConfigError,
     dumps_report,
     format_number,
+    main,
     parse_config,
     scenario_to_config,
+    write_scenario_csv,
 )
 
 HEIS1 = """
@@ -53,6 +56,28 @@ box = -1:1, -1:1
 [function lin]
 expr = x
 box = -1:1, -1:1
+"""
+
+
+# A small scenario: v's expr is on line 11 and grid on line 18.
+SCENARIO = """
+[structure]
+kind = heisenberg
+n = 1
+
+[function u]
+expr = x1^2 + y1^2
+box = 0.5:1.5, -0.5:0.5
+
+[function v]
+expr = x1^2 + y1^2 + 1
+box = 0.5:1.5, -0.5:0.5
+
+[scenario]
+operator = generic
+u = u
+v = v
+grid = 5
 """
 
 
@@ -380,3 +405,87 @@ class TestExitCodeContract:
         flat = cfg("flat.cfg", CUSTOM_FLAT)
         assert run_cli(["rank", "--config", flat, "--surface", "lin",
                         "--at", "0,0"]).returncode == 4
+
+    def test_scenario_template_runs(self, cfg, capsys):
+        path = cfg("ok.cfg", SCENARIO)
+        assert main(["scenario", "run", "--config", path, "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize(
+        "old, new, line, needle",
+        [
+            ("grid = 5", "grid = 0", 18, "grid must be"),
+            ("grid = 5", "grid = abc", 18, "grid must be"),
+            ("grid = 5", "grid = 5, 0", 18, "grid must be"),
+            ("grid = 5", "grid = 5\neps_touch = abc", 19, "eps_touch must be a number"),
+            ("grid = 5", "grid = 5\np = 1/0", 19, "p must be a rational"),
+            ("grid = 5", "grid = 5\np = -1", 19, "p must be >= 0"),
+            ("grid = 5", "grid = 5\nrank_depth = two", 19, "rank_depth must be an integer"),
+            ("y1^2 + 1\n", "y1^2 + 2^100000\n", 11, "outside the float range"),
+            ("y1^2 + 1\n", "y1^2 + 10^1000000\n", 11, "outside the float range"),
+            ("y1^2 + 1\n", "y1^2 + 1e5000000\n", 11, "exponent beyond"),
+        ],
+        ids=["grid-zero", "grid-abc", "grid-axis-zero", "eps-touch-abc",
+             "p-zero-denominator", "p-negative", "rank-depth-word",
+             "power-overflow", "power-too-large-to-build", "literal-exponent"],
+    )
+    def test_bad_value_is_config_error_naming_its_line(self, cfg, capsys, old, new, line, needle):
+        assert old in SCENARIO
+        path = cfg("bad.cfg", SCENARIO.replace(old, new))
+        assert main(["scenario", "run", "--config", path, "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and needle in err
+
+    def test_indefinite_custom_cometric_is_config_error(self, cfg, capsys):
+        # |dphi|*^2 = 1 - 4 < 0 used to be clamped and reported as a
+        # singular point (exit 3)
+        bad = CUSTOM_FLAT.replace("cometric.1.1 = 1", "cometric.1.1 = -1")
+        bad += "\n[function phi]\nexpr = x + 2*y\nbox = -1:1, -1:1\n"
+        path = cfg("indefinite.cfg", bad)
+        assert main(["curvature", "--config", path, "--function", "phi",
+                     "--at", "0.1,0.2"]) == 2
+        err = capsys.readouterr().err
+        assert "not PSD" in err and "cometric.1.1 is" in err
+
+    def test_custom_structure_undefined_on_its_box(self, cfg, capsys):
+        bad = CUSTOM_FLAT.replace("density = 1", "density = 1/x")
+        path = cfg("hole.cfg", bad)
+        assert main(["curvature", "--config", path, "--function", "lin",
+                     "--at", "0.5,0.5"]) == 2
+        assert "line 8: [structure]: cometric or density undefined" in capsys.readouterr().err
+
+
+# sha256 of the report JSON and of the CSV of each builtin, as written by
+# the commit before lazy bracket words, early-exit RK4 and vector kernels
+# (``scenario run NAME --out R --csv C``); those changes keep every byte.
+GOLDEN = {
+    "cylinder-sphere-paraboloid": (
+        "b9a7999d332c259daa9f6555f8fb865a6f0829de1ede1a7370b406e3f65f29cf",
+        "6c674da627c1b3d7981218bef2e718d727ed3eaf627e701db5807aed004b57c6",
+    ),
+    "h1-counterexample": (
+        "4eac59c6e732a249c8bded1d1538a92188bdadc9e7d19dd50ed701da78e42b71",
+        "0fee234cab5c1634430864e43b235bff642d1f933df36c0e7526a8a4fc494abe",
+    ),
+    "hyperplane-z": (
+        "60f467ec30592ae31e4de50c0d2f2541fab53d5973e008aaf4dcc4ac5836eb4d",
+        "c1eb30c2f7cb8ca09cbe11775aac068dbd8ce277aaa22df77763b63fdb937b4d",
+    ),
+    "translate-coincide": (
+        "ce518e076c560ff794e05d4a6b6bab8cbdee69b453d0df72f128e731def0a508",
+        "b27f43d7f048ea0269dbdb29864016faa9d55facf94e15ea2fdb9fadbf14633b",
+    ),
+    "vertical-hyperplane": (
+        "413ba35394f5bd315472e938d2d6d103f53a8c36fd32faf9b9e06daa28c807ce",
+        "e2af932d414d4b984fa828a0450cf9b550667a4df2c46e55b106318617db1f7c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_builtin_report_and_csv_bytes_are_golden(name):
+    sc = smp.builtin_scenario(name)
+    report = smp.run_scenario(sc)
+    json_bytes = (dumps_report(report.as_dict()) + "\n").encode("utf-8")
+    csv_bytes = write_scenario_csv(report, sc.operator.chart.names).encode("utf-8")
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (json_bytes, csv_bytes))
+    assert digests == GOLDEN[name]

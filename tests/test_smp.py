@@ -5,6 +5,7 @@ import math
 import pytest
 
 from subcurv import calculus as ca
+from subcurv import smp
 from subcurv.core import ScalarField, SingularPoint, VectorFieldExpr
 from subcurv.brackets import tangent_distribution_fields
 from subcurv.heisenberg import graph_coords, standard_drift
@@ -145,7 +146,38 @@ class TestIntegrateField:
         assert out.endpoint == (-1.0, 0.0)
 
 
+    def test_stop_ends_trajectory_at_first_stopping_point(self):
+        X = VectorFieldExpr(CS2, [ca.ONE, ca.ZERO])
+        seen = []
+        out = integrate_field(
+            X, (0.0, 0.0), 1.0, 1.0 / 128, stop=lambda p: seen.append(p) or p[0] > 0.1
+        )
+        assert not out.completed and out.note == "stopped at step 13"
+        assert seen == out.points and len(out) == 14
+        assert out.points[-2][0] <= 0.1 < out.endpoint[0]
+        start = integrate_field(X, (0.0, 0.0), 1.0, 1.0 / 128, stop=lambda p: True)
+        assert start.points == [(0.0, 0.0)] and not start.completed
+
+
 class TestPropagateMax:
+    def test_trajectories_end_at_box_exit(self, monkeypatch):
+        computed = []
+        real = smp.integrate_field
+
+        def counting(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            computed.append(len(traj.points) - 1)
+            return traj
+
+        monkeypatch.setattr(smp, "integrate_field", counting)
+        report = run_scenario(builtin_scenario("vertical-hyperplane")).as_dict()
+        runs = report["propagation"]
+        assert len(runs) == len(computed) == 96
+        exits = [(r, k) for r, k in zip(runs, computed) if r["exited_box"]]
+        assert exits
+        for r, k in exits:
+            assert k <= r["steps_used"] + 1
+
     def test_counterexample_axis_orbit_holds(self):
         sc = builtin_scenario("h1-counterexample")
         probe = sc.operator.rank_probe()
