@@ -642,7 +642,10 @@ def simplify(e: Expr) -> Expr:
 
     Canonicalizes arbitrary (e.g. hand-assembled) trees: nested
     sums/products flatten, constants fold, like terms and powers merge.
-    Idempotent on its own output.
+    Idempotent on its own output, and the identity on anything the parser
+    or the smart constructors built, so the rest of the library never
+    calls it: a tree assembled from ``Add``/``Mul``/``Pow`` by hand must
+    go through ``simplify`` before it is handed to any other function.
     """
     return _fold(e, _REBUILD)
 
@@ -950,7 +953,6 @@ class _Parser:
         if self.peek().kind == "^":
             tok = self.next()
             exp_tree = self.nested(self.unary, tok)  # right-associative
-            exp_tree = simplify(exp_tree)
             if not isinstance(exp_tree, Const):
                 raise ParseError(
                     "exponent does not fold to a rational constant", tok.offset

@@ -13,14 +13,16 @@ digits and keys and arrays have fixed order.  ``scenario run --jobs N``
 is accepted for compatibility; runs are sequential, so the output never
 depends on it.
 
-Exit codes: 0 success, 2 configuration error, 3 evaluation error,
-4 missing frame metadata.
+Exit codes: 0 success, 2 configuration error (a bad SUBCURV_EPS_SING
+included), 3 evaluation error (a value outside the float range
+included), 4 missing frame metadata.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,6 +37,7 @@ from .core import (
     SubriemannianStructure,
     VectorFieldExpr,
     default_eps_sing,
+    masked_curvature,
     p_mean_curvature,
     p_mean_curvature_expr,
     probe_validate,
@@ -96,7 +99,11 @@ class ConfigDocument:
         if self.structure_raw is None:
             raise ConfigError("no [structure] section")
         if self._structure_cache is None:
-            self._structure_cache = _build_structure(self.structure_raw)
+            try:
+                self._structure_cache = _build_structure(self.structure_raw)
+            except ValueError as exc:
+                # a parameter the constructors refuse: n = 0, an asymmetric cometric
+                raise ConfigError(f"[structure]: {exc}") from None
         return self._structure_cache
 
     def function(self, name: str, coords: CoordSystem) -> ScalarField:
@@ -110,7 +117,10 @@ class ConfigDocument:
         except CalculusError as exc:
             raise ConfigError(f"{_at(raw['expr'])}function {name!r}: {exc}") from exc
         box = _parse_box(raw["box"], len(coords)) if "box" in raw else None
-        return ScalarField(expr, coords, box)
+        try:
+            return ScalarField(expr, coords, box)
+        except ValueError as exc:
+            raise ConfigError(f"{_at(raw.get('box'))}function {name!r}: {exc}") from None
 
     def field(self, name: str, coords: CoordSystem) -> VectorFieldExpr:
         if name not in self.fields_raw:
@@ -203,7 +213,7 @@ def _parse_box(value: str, expected: Optional[int] = None):
             raise ConfigError(f"{_at(value)}box interval {part!r} must be lo:hi")
         lo, hi = part.split(":", 1)
         try:
-            intervals.append((float(lo), float(hi)))
+            intervals.append((_real(lo), _real(hi)))
         except ValueError as exc:
             raise ConfigError(f"{_at(value)}bad box interval {part!r}") from exc
     if expected is not None and len(intervals) != expected:
@@ -216,6 +226,13 @@ def _parse_box(value: str, expected: Optional[int] = None):
 _REQUIRED = object()
 
 
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _grid_counts(text: str):
     counts = tuple(int(c) for c in text.split(","))
     if min(counts) < 1:
@@ -225,13 +242,13 @@ def _grid_counts(text: str):
 
 _KINDS = {
     int: "an integer",
-    float: "a number",
+    _real: "a number",
     Fraction: "a rational number",
     _grid_counts: "one positive integer per axis, or one for all",
 }
 
 
-def _number(raw: dict, key: str, where: str, convert=float, default=_REQUIRED):
+def _number(raw: dict, key: str, where: str, convert=_real, default=_REQUIRED):
     """``convert(raw[key])``; a bad value is a config error naming its line."""
     if key not in raw:
         if default is _REQUIRED:
@@ -311,12 +328,9 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             density = ca.ONE
         degeneracy = _number(raw, "degeneracy", "[structure]", int, 0)
         box = _parse_box(raw["box"], n) if "box" in raw else None
-        try:
-            S = SubriemannianStructure(
-                coords, cometric, density, degeneracy=degeneracy, domain_box=box
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[structure]: {exc}") from exc
+        S = SubriemannianStructure(
+            coords, cometric, density, degeneracy=degeneracy, domain_box=box
+        )
         if box is not None:
             try:
                 issues = probe_validate(S)
@@ -368,27 +382,27 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
     raw = doc.scenario_raw
     if raw is None:
         raise ConfigError("no [scenario] section")
-    operator = _build_operator(doc, raw)
-    chart = operator.chart
-    for key in ("u", "v"):
-        if key not in raw:
-            raise ConfigError(f"[scenario]: missing {key}")
-    u = doc.function(raw["u"], chart)
-    v = doc.function(raw["v"], chart)
-    if "box" in raw:
-        box = _parse_box(raw["box"], len(chart))
-    elif u.box is not None:
-        box = u.box
-    else:
-        raise ConfigError("[scenario]: no box (set box= or give u a box)")
-    where = "[scenario]"
-    tol = smp.Tolerances(
-        eps_touch=_number(raw, "eps_touch", where, float, 1e-6),
-        eps_order=_number(raw, "eps_order", where, float, 1e-9),
-        eps_h=_number(raw, "eps_h", where, float, 1e-7),
-        eps_sing=_number(raw, "eps_sing", where, float, None),
-    )
     try:
+        operator = _build_operator(doc, raw)
+        chart = operator.chart
+        for key in ("u", "v"):
+            if key not in raw:
+                raise ConfigError(f"[scenario]: missing {key}")
+        u = doc.function(raw["u"], chart)
+        v = doc.function(raw["v"], chart)
+        if "box" in raw:
+            box = _parse_box(raw["box"], len(chart))
+        elif u.box is not None:
+            box = u.box
+        else:
+            raise ConfigError("[scenario]: no box (set box= or give u a box)")
+        where = "[scenario]"
+        tol = smp.Tolerances(
+            eps_touch=_number(raw, "eps_touch", where, _real, 1e-6),
+            eps_order=_number(raw, "eps_order", where, _real, 1e-9),
+            eps_h=_number(raw, "eps_h", where, _real, 1e-7),
+            eps_sing=_number(raw, "eps_sing", where, _real, None),
+        )
         return smp.ComparisonScenario(
             raw.get("name", "config-scenario"),
             operator,
@@ -397,8 +411,8 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
             box=box,
             grid_counts=_number(raw, "grid", where, _grid_counts, 65),
             tolerances=tol,
-            T=_number(raw, "T", where, float, 0.5),
-            step=_number(raw, "step", where, float, 1e-3),
+            T=_number(raw, "T", where, _real, 0.5),
+            step=_number(raw, "step", where, _real, 1e-3),
             max_propagation_starts=_number(raw, "max_propagation_starts", where, int, 8),
             rank_depth=_number(raw, "rank_depth", where, int, 2),
             description=raw.get("description", ""),
@@ -441,28 +455,29 @@ def scenario_to_config(sc: smp.ComparisonScenario) -> str:
         lines.append(f"n = {op.n}")
     lines.append("u = u")
     lines.append("v = v")
-    lines.append("box = " + ", ".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in sc.box))
+    lines.append(
+        "box = " + ", ".join(f"{format_number(lo)}:{format_number(hi)}" for lo, hi in sc.box)
+    )
     lines.append("grid = " + ", ".join(str(c) for c in sc.grid_counts))
-    t = sc.tolerances
-    lines.append(f"eps_touch = {_fmt(t.eps_touch)}")
-    lines.append(f"eps_order = {_fmt(t.eps_order)}")
-    lines.append(f"eps_h = {_fmt(t.eps_h)}")
-    lines.append(f"eps_sing = {_fmt(t.eps_sing)}")
-    lines.append(f"T = {_fmt(sc.T)}")
-    lines.append(f"step = {_fmt(sc.step)}")
+    for key, value in (*sc.tolerances.as_dict().items(), ("T", sc.T), ("step", sc.step)):
+        lines.append(f"{key} = {format_number(value)}")
     lines.append(f"max_propagation_starts = {sc.max_propagation_starts}")
     lines.append(f"rank_depth = {sc.rank_depth}")
     return "\n".join(lines) + "\n"
 
 
 def _structure_config_lines(S: SubriemannianStructure) -> list:
-    # builtin structures round-trip through their construction parameters
+    # a builtin structure round-trips through its construction parameters
+    # when it equals the builtin (canonical trees compare structurally)
     dim = S.dim
-    if S.coords.names[-1] == "z" and dim % 2 == 1:
+    if dim >= 3 and dim % 2 == 1:
         n = (dim - 1) // 2
-        if S.volume_density == ca.ONE:
-            return ["kind = heisenberg", f"n = {n}"]
-        return ["kind = cylinder", f"n = {n}"]
+        for kind, factory in (("heisenberg", standard_structure), ("cylinder", cylinder_structure)):
+            B = factory(n)
+            if (S.coords, S.cometric, S.volume_density, S.frame_fields) == (
+                B.coords, B.cometric, B.volume_density, B.frame_fields
+            ):
+                return [f"kind = {kind}", f"n = {n}"]
     lines = ["kind = custom", "coords = " + ", ".join(S.coords.names)]
     for l in range(dim):
         for k in range(l, dim):
@@ -488,10 +503,6 @@ def format_number(x) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite number in report: {x}")
     return f"{x:.17g}"
-
-
-def _fmt(x: float) -> str:
-    return format_number(x)
 
 
 def dumps_report(obj, indent: int = 0) -> str:
@@ -572,7 +583,7 @@ def cmd_curvature(args) -> int:
     doc = load_config(args.config)
     S = doc.structure()
     phi = doc.function(args.function, S.coords)
-    p = Fraction(args.p)
+    p = args.p
     if args.at is not None:
         point = _parse_point(args.at, S.dim)
         value = p_mean_curvature(S, phi, p, point)
@@ -583,19 +594,11 @@ def cmd_curvature(args) -> int:
     if box is None:
         raise ConfigError("grid mode needs a box on the function or structure")
     grid = GridSpec.from_box(box, args.grid)
-    h_expr = p_mean_curvature_expr(S, phi, p)
-    h_fn = ca.compile_expr(h_expr, S.dim)
+    h_fn = ca.compile_expr(p_mean_curvature_expr(S, phi, p), S.dim)
     sing_fn = ca.compile_expr(conorm_sq_expr(S, phi), S.dim)
-    eps_sq = default_eps_sing() ** 2
-    rows = []
-    for _, pt in grid.points():
-        if sing_fn(pt) < eps_sq:
-            rows.append((pt, None))
-            continue
-        try:
-            rows.append((pt, h_fn(pt)))
-        except (EvaluationError, OverflowError):
-            rows.append((pt, None))
+    points = [pt for _, pt in grid.points()]
+    values = masked_curvature(h_fn, sing_fn, points, default_eps_sing() ** 2)
+    rows = list(zip(points, values))
     if args.format == "csv":
         lines = [",".join(list(S.coords.names) + ["H"])]
         for pt, h in rows:
@@ -702,6 +705,21 @@ def cmd_scenario(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(convert, minimum):
+    """argparse type: ``convert(text)``, refused (exit 2) below ``minimum``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subcurv",
@@ -715,9 +733,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curvature", help="evaluate a curvature operator")
     c.add_argument("--config", required=True)
     c.add_argument("--function", required=True)
-    c.add_argument("--p", default="0", help="curvature exponent (rational)")
+    c.add_argument("--p", type=_at_least(Fraction, 0), default="0",
+                   help="curvature exponent (rational)")
     c.add_argument("--at", help="comma-separated evaluation point")
-    c.add_argument("--grid", type=int, default=17, help="grid points per axis")
+    c.add_argument("--grid", type=_at_least(int, 1), default=17,
+                   help="grid points per axis")
     c.add_argument("--out", default=None)
     c.add_argument("--format", choices=("json", "csv"), default="json")
     c.set_defaults(func=cmd_curvature)
@@ -727,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--fields", nargs="*", default=None)
     r.add_argument("--surface", default=None)
     r.add_argument("--at", default=None)
-    r.add_argument("--depth", type=int, default=4)
+    r.add_argument("--depth", type=_at_least(int, 1), default=4)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_rank)
 
@@ -746,6 +766,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        default_eps_sing()  # a bad SUBCURV_EPS_SING fails before any work
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -758,6 +783,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_FRAMES
     except (SingularPoint, EvaluationError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except OverflowError as exc:
+        # a constant folded while building the operator, or a value at a
+        # point, left the float range
+        print(f"evaluation error: outside the float range ({exc})", file=sys.stderr)
         return EXIT_EVAL
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "conorm",
     "p_mean_curvature_expr",
     "p_mean_curvature",
+    "masked_curvature",
     "singular_scan",
     "probe_validate",
 ]
@@ -71,9 +72,12 @@ def default_eps_sing() -> float:
     raw = os.environ.get("SUBCURV_EPS_SING")
     if raw is None:
         return DEFAULT_EPS_SING
-    value = float(raw)
-    if value <= 0:
-        raise ValueError("SUBCURV_EPS_SING must be positive")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"SUBCURV_EPS_SING must be a positive number, got {raw!r}")
     return value
 
 
@@ -185,9 +189,12 @@ class SubriemannianStructure:
     """Cometric + volume density on a coordinate chart.
 
     ``cometric[l][k]`` is the symbolic inner product of the coordinate
-    differentials dx^l and dx^k; it must be symmetric (checked up to
-    canonical form) and pointwise positive semidefinite (checked by
-    sampling through :func:`probe_validate`, never symbolically).
+    differentials dx^l and dx^k; it must be symmetric (checked by
+    structural equality of the canonical entries) and pointwise positive
+    semidefinite (checked by sampling through :func:`probe_validate`,
+    never symbolically).  Entries are stored as given: trees built by the
+    parser or the smart constructors are canonical, and hand-built
+    ``Add``/``Mul``/``Pow`` trees must go through ``ca.simplify`` first.
     ``degeneracy`` is the advisory dimension of ker G.
     """
 
@@ -213,9 +220,7 @@ class SubriemannianStructure:
         null_coform: Optional[Sequence[Expr]] = None,
     ):
         n = len(coords)
-        cometric = tuple(
-            tuple(ca.simplify(entry) for entry in row) for row in cometric
-        )
+        cometric = tuple(tuple(row) for row in cometric)
         if len(cometric) != n or any(len(row) != n for row in cometric):
             raise ValueError(f"cometric must be {n}x{n}")
         for l in range(n):
@@ -230,14 +235,14 @@ class SubriemannianStructure:
                 if x.coords != coords:
                     raise ValueError("frame field chart mismatch")
         if null_coform is not None:
-            null_coform = tuple(ca.simplify(c) for c in null_coform)
+            null_coform = tuple(null_coform)
             if len(null_coform) != n:
                 raise ValueError("null coform needs one component per coordinate")
         if domain_box is not None:
             domain_box = tuple((float(lo), float(hi)) for lo, hi in domain_box)
         self.coords = coords
         self.cometric = cometric
-        self.volume_density = ca.simplify(volume_density)
+        self.volume_density = volume_density
         self.degeneracy = degeneracy
         self.frame_fields = frame_fields
         self.domain_box = domain_box
@@ -269,7 +274,7 @@ def raise_covector(S: SubriemannianStructure, omega: Sequence[Expr]) -> list:
     """G(omega): the vector with components v^l = sum_k g^{lk} omega_k."""
     if len(omega) != S.dim:
         raise ValueError(f"covector has {len(omega)} components, chart has {S.dim}")
-    omega = [ca.simplify(w) if isinstance(w, Expr) else ca.const(w) for w in omega]
+    omega = [w if isinstance(w, Expr) else ca.const(w) for w in omega]
     return [
         ca.add(*[ca.mul(S.cometric[l][k], omega[k]) for k in range(S.dim)])
         for l in range(S.dim)
@@ -363,6 +368,25 @@ def p_mean_curvature(
     if nrm < eps:
         raise SingularPoint(f"singular point: |dphi|* = {nrm:.3e} < {eps:g}")
     return ca.evaluate(p_mean_curvature_expr(S, phi, p), point)
+
+
+def masked_curvature(h_fn, sing_fn, points, eps_sq: float) -> list:
+    """Compiled H at each point, ``None`` where no curvature value exists.
+
+    A point is masked when the compiled squared norm ``sing_fn`` is below
+    ``eps_sq`` (a NaN norm is not), or when ``h_fn`` raises a domain or
+    overflow error or returns a non-finite value.
+    """
+    out = []
+    for pt in points:
+        h = None
+        if not sing_fn(pt) < eps_sq:
+            try:
+                h = h_fn(pt)
+            except (ca.EvaluationError, OverflowError):
+                pass
+        out.append(h if h is not None and math.isfinite(h) else None)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,7 @@ def drift_graph_structure(F: Sequence[Expr], m: int) -> SubriemannianStructure:
         comps[m] = ca.neg(F[j])
         frames.append(VectorFieldExpr(coords, comps))
     cometric = _frame_cometric(frames, dim)
-    coform = [ca.simplify(f) for f in F] + [ca.ONE]
+    coform = list(F) + [ca.ONE]
     return SubriemannianStructure(
         coords,
         cometric,

@@ -1,14 +1,21 @@
 """Strong-maximum-principle comparison harness.
 
 A scenario pairs two graphs u, v over a chart with a curvature operator
-and tolerances.  The harness measures: ordering (v >= u, relabelling the
-pair when the data comes in the opposite orientation), the touching set,
-the curvature gap max(H(v) - H(u)) over jointly nonsingular grid points,
-singular fractions, the bracket-closure rank of the tangent distribution
-at touching points, and propagation of the touching along integral
-curves of tangent fields.  Classification is a pure function of those
-measurements; the harness never asserts a theorem, only instance-level
-consistency.
+and tolerances.  The harness measures: ordering (v >= u), the touching
+set, the curvature gap max(H(v) - H(u)) over jointly nonsingular grid
+points, singular fractions, the bracket-closure rank of the tangent
+distribution at touching points, and propagation of the touching along
+integral curves of tangent fields.  Classification is a pure function of
+those measurements; the harness never asserts a theorem, only
+instance-level consistency.
+
+The pair is oriented once, when the grid is swept: if the data comes in
+with the larger graph labelled u, the engine relabels its own copies of
+the two graphs, their kernels and the per-point rows, and every later
+measurement (rank and propagation included) reads the lower graph as u.
+Exchanging u and v therefore changes only the report's ``swapped`` flag.
+A grid point carries no curvature value where the graph is singular or
+H cannot be evaluated there (:func:`core.masked_curvature`).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .core import (
     conorm_sq_expr,
     default_eps_sing,
     grid_clusters,
+    masked_curvature,
     newton_refiner,
     p_mean_curvature_expr,
 )
@@ -165,7 +173,7 @@ class GraphHFOperator:
     def __init__(self, F: Sequence[Expr], m: int):
         if len(F) != m:
             raise ValueError("drift component count must match the chart")
-        self.F = [ca.simplify(f) for f in F]
+        self.F = list(F)
         self.m = m
         self.chart = graph_coords(m)
 
@@ -340,14 +348,15 @@ class ComparisonScenario:
         self.name = name
         self.operator = operator
         chart = operator.chart
-        self.u = ScalarField(ca.simplify(u), chart, box)
-        self.v = ScalarField(ca.simplify(v), chart, box)
+        self.u = ScalarField(u, chart, box)
+        self.v = ScalarField(v, chart, box)
         self.box = tuple((float(lo), float(hi)) for lo, hi in box)
         if isinstance(grid_counts, int):
             grid_counts = tuple(grid_counts for _ in self.box)
         self.grid_counts = tuple(int(c) for c in grid_counts)
         if len(self.grid_counts) != len(self.box):
             raise ValueError("one grid count per box axis")
+        self.grid()  # a degenerate axis with more than one point fails here
         self.tolerances = tolerances or Tolerances()
         self.T = float(T)
         self.step = float(step)
@@ -355,6 +364,8 @@ class ComparisonScenario:
             raise ValueError("step must be positive")
         self.max_propagation_starts = int(max_propagation_starts)
         self.rank_depth = int(rank_depth)
+        if self.rank_depth < 1:
+            raise ValueError("rank_depth must be >= 1")
         self.description = description
 
     def grid(self) -> GridSpec:
@@ -389,148 +400,84 @@ class ScenarioReport:
 
 
 class _ScenarioEngine:
-    """Compiles the scenario once and caches per-grid-point measurements."""
+    """Compiles and sweeps the scenario once, in the orientation v >= u.
+
+    Everything is measured in ``__init__``.  When the data arrives with
+    the larger graph labelled u, the engine relabels its own expressions,
+    kernels and rows once (the scenario is never changed), so every
+    measurement below reads one orientation: ``u_expr``/``u_fn``/
+    ``sing_u_fn`` always belong to the lower graph.
+    """
 
     def __init__(self, scenario: ComparisonScenario):
         self.sc = scenario
         op = scenario.operator
-        chart = op.chart
-        self.nvars = len(chart)
-        self.tol = scenario.tolerances
+        self.nvars = nvars = len(op.chart)
+        self.tol = tol = scenario.tolerances
+        self.grid = scenario.grid()
+        self.indices, self.points = zip(*self.grid.points())
         u_expr, v_expr = scenario.u.expr, scenario.v.expr
         hu, sing_u = op.build(u_expr)
         hv, sing_v = op.build(v_expr)
-        self.u_fn = ca.compile_expr(u_expr, self.nvars)
-        self.v_fn = ca.compile_expr(v_expr, self.nvars)
-        self.hu_fn = ca.compile_expr(hu, self.nvars)
-        self.hv_fn = ca.compile_expr(hv, self.nvars)
-        self.sing_u_fn = ca.compile_expr(sing_u, self.nvars)
-        self.sing_v_fn = ca.compile_expr(sing_v, self.nvars)
-        self.grid = scenario.grid()
-        self.indices, self.points = zip(*self.grid.points())
-        self._rows = None
-        self._swapped = False
-        self._ordering = None
-
-    # -- raw sweep -----------------------------------------------------
-
-    def rows(self):
-        """Per-point rows (du, hu, hv, sing_u, sing_v), swap-normalized."""
-        if self._rows is not None:
-            return self._rows
-        eps_sq = self.tol.eps_sing ** 2
-
-        def measure(pt):
-            du = self.v_fn(pt) - self.u_fn(pt)
-            su = self.sing_u_fn(pt) < eps_sq
-            sv = self.sing_v_fn(pt) < eps_sq
-            hu = hv = None
-            if not su:
-                try:
-                    hu = self.hu_fn(pt)
-                except (EvaluationError, OverflowError):
-                    hu = None
-                if hu is None or not math.isfinite(hu):
-                    hu, su = None, True
-            if not sv:
-                try:
-                    hv = self.hv_fn(pt)
-                except (EvaluationError, OverflowError):
-                    hv = None
-                if hv is None or not math.isfinite(hv):
-                    hv, sv = None, True
-            return (du, hu, hv, su, sv)
-
-        raw = [measure(pt) for pt in self.points]
-        du_min = min(r[0] for r in raw)
-        du_max = max(r[0] for r in raw)
-        eps = self.tol.eps_order
-        if du_min >= -eps:
-            self._swapped = False
-            holds = True
-        elif du_max <= eps:
-            # data arrived with the larger graph labelled u: relabel
-            self._swapped = True
-            holds = True
-            raw = [(-du, hv, hu, sv, su) for (du, hu, hv, su, sv) in raw]
-            du_min, du_max = -du_max, -du_min
-        else:
-            self._swapped = False
-            holds = False
-        k_min = min(range(len(raw)), key=lambda k: raw[k][0])
-        self._ordering = {
-            "min_v_minus_u": raw[k_min][0],
+        u_fn = ca.compile_expr(u_expr, nvars)
+        v_fn = ca.compile_expr(v_expr, nvars)
+        sing_u_fn = ca.compile_expr(sing_u, nvars)
+        sing_v_fn = ca.compile_expr(sing_v, nvars)
+        eps_sq = tol.eps_sing ** 2
+        du = [v_fn(pt) - u_fn(pt) for pt in self.points]
+        h_u = masked_curvature(ca.compile_expr(hu, nvars), sing_u_fn, self.points, eps_sq)
+        h_v = masked_curvature(ca.compile_expr(hv, nvars), sing_v_fn, self.points, eps_sq)
+        eps = tol.eps_order
+        du_min, du_max = min(du), max(du)
+        holds = du_min >= -eps or du_max <= eps
+        # data that arrived with the larger graph labelled u is relabelled
+        self.swapped = not du_min >= -eps and du_max <= eps
+        if self.swapped:
+            u_expr, v_expr, u_fn, v_fn = v_expr, u_expr, v_fn, u_fn
+            sing_u_fn, sing_v_fn, h_u, h_v = sing_v_fn, sing_u_fn, h_v, h_u
+            du = [-d for d in du]
+        self.u_expr, self.v_expr, self.u_fn, self.v_fn = u_expr, v_expr, u_fn, v_fn
+        self.sing_u_fn, self.sing_v_fn = sing_u_fn, sing_v_fn
+        # per-point rows (v - u, H_u, H_v, u masked, v masked)
+        self.rows = [(d, a, b, a is None, b is None) for d, a, b in zip(du, h_u, h_v)]
+        k_min = min(range(len(du)), key=du.__getitem__)
+        self.ordering = {
+            "min_v_minus_u": du[k_min],
             "argmin": list(self.points[k_min]),
             "holds": holds,
         }
-        self._rows = raw
-        return raw
-
-    @property
-    def swapped(self) -> bool:
-        self.rows()
-        return self._swapped
-
-    @property
-    def ordering(self) -> dict:
-        self.rows()
-        return self._ordering
-
-    def eff_u_expr(self) -> Expr:
-        return self.sc.v.expr if self.swapped else self.sc.u.expr
-
-    def eff_v_expr(self) -> Expr:
-        return self.sc.u.expr if self.swapped else self.sc.v.expr
-
-    def eff_u_fn(self):
-        return self.v_fn if self.swapped else self.u_fn
-
-    def eff_v_fn(self):
-        return self.u_fn if self.swapped else self.v_fn
 
     # -- measurements ----------------------------------------------------
 
     def touching(self):
         """Grid points with |v-u| <= eps_touch, Newton-refined."""
-        rows = self.rows()
+        rows = self.rows
         eps = self.tol.eps_touch
         hit_ids = [k for k, r in enumerate(rows) if abs(r[0]) <= eps]
-        diff = ca.sub(self.eff_v_expr(), self.eff_u_expr())
+        diff = ca.sub(self.v_expr, self.u_expr)
         refine = newton_refiner(diff, self.nvars, self.grid)
         diff_fn = ca.compile_expr(diff, self.nvars)
         out = []
         for k in hit_ids:
             pt = self.points[k]
             refined, converged = refine(pt)
-            if converged and abs(diff_fn(refined)) <= eps and _in_box(refined, self.sc.box):
-                out.append(
-                    {
-                        "index": list(self.indices[k]),
-                        "point": list(pt),
-                        "refined_point": [float(c) for c in refined],
-                        "value": diff_fn(refined),
-                        "refined": True,
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "index": list(self.indices[k]),
-                        "point": list(pt),
-                        "refined_point": list(pt),
-                        "value": rows[k][0],
-                        "refined": False,
-                    }
-                )
+            ok = converged and abs(diff_fn(refined)) <= eps and _in_box(refined, self.sc.box)
+            out.append(
+                {
+                    "index": list(self.indices[k]),
+                    "point": list(pt),
+                    "refined_point": [float(c) for c in refined] if ok else list(pt),
+                    "value": diff_fn(refined) if ok else rows[k][0],
+                    "refined": ok,
+                }
+            )
         return out
 
     def gap(self):
         """max H(v) - H(u) over jointly nonsingular grid points."""
-        rows = self.rows()
-        best = None
-        best_k = None
+        best = best_k = None
         evaluated = 0
-        for k, (du, hu, hv, su, sv) in enumerate(rows):
+        for k, (_, hu, hv, su, sv) in enumerate(self.rows):
             if su or sv:
                 continue
             evaluated += 1
@@ -543,29 +490,18 @@ class _ScenarioEngine:
             "points_evaluated": evaluated,
         }
 
-    def singular_fractions(self):
-        rows = self.rows()
-        n = len(rows)
-        fu = sum(1 for r in rows if r[3]) / n
-        fv = sum(1 for r in rows if r[4]) / n
-        return fu, fv
-
-    def singular_clusters(self):
-        """Connected singular-cell clusters (grid adjacency) per field."""
-        rows = self.rows()
-        out = []
-        for col in (3, 4):
-            cells = [self.indices[k] for k, r in enumerate(rows) if r[col]]
-            out.append(len(grid_clusters(cells)))
-        return tuple(out)
+    def singular(self, col: int):
+        """Fraction and connected clusters (grid adjacency) of the cells
+        masked in row column ``col`` (3 for u, 4 for v)."""
+        cells = [self.indices[k] for k, r in enumerate(self.rows) if r[col]]
+        return len(cells) / len(self.rows), len(grid_clusters(cells))
 
     def table(self):
         """Per-point CSV table rows: coords, v-u, H_u, H_v, sing flags."""
-        rows = self.rows()
-        out = []
-        for pt, (du, hu, hv, su, sv) in zip(self.points, rows):
-            out.append(list(pt) + [du, hu, hv, int(su), int(sv)])
-        return out
+        return [
+            list(pt) + [du, hu, hv, int(su), int(sv)]
+            for pt, (du, hu, hv, su, sv) in zip(self.points, self.rows)
+        ]
 
 
 def _in_box(pt, box) -> bool:
@@ -708,8 +644,7 @@ def _propagate(engine, probe, fields, start, T=None, step=None, include_brackets
             for j in range(i + 1, len(fields)):
                 extra.append(lie_bracket(fields[i], fields[j]))
         fields = fields + extra
-    u_fn = engine.eff_u_fn()
-    v_fn = engine.eff_v_fn()
+    u_fn, v_fn = engine.u_fn, engine.v_fn
     eps = engine.tol.eps_touch
     u0 = u_fn(tuple(start))
     lifted = probe.lift(tuple(start), u0)
@@ -832,21 +767,12 @@ def variation_check(
 
 def _coincide_check(engine, touching):
     """Every touching point's 5-cell index ball stays within eps_touch."""
-    rows = engine.rows()
+    rows = engine.rows
     eps = engine.tol.eps_touch
     if all(abs(r[0]) <= eps for r in rows):
         return True, None
     shape = engine.grid.shape
-    strides = []
-    acc = 1
-    for c in reversed(shape):
-        strides.append(acc)
-        acc *= c
-    strides = list(reversed(strides))
-
-    def flat(idx):
-        return sum(i * s for i, s in zip(idx, strides))
-
+    position = {idx: k for k, idx in enumerate(engine.indices)}
     radius = 5
     for t in touching:
         idx = t["index"]
@@ -855,7 +781,7 @@ def _coincide_check(engine, touching):
             for i, c in zip(idx, shape)
         ]
         for nb in itertools.product(*ranges):
-            if abs(rows[flat(nb)][0]) > eps:
+            if abs(rows[position[nb]][0]) > eps:
                 return False, list(nb)
     return True, None
 
@@ -895,11 +821,10 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     runs sequentially in this process.
     """
     engine = _ScenarioEngine(scenario)
-    rows = engine.rows()
     touching = engine.touching()
     gap = engine.gap()
-    frac_u, frac_v = engine.singular_fractions()
-    clusters_u, clusters_v = engine.singular_clusters()
+    frac_u, clusters_u = engine.singular(3)
+    frac_v, clusters_v = engine.singular(4)
     coincides, separation_witness = (
         _coincide_check(engine, touching) if touching else (False, None)
     )
@@ -909,27 +834,20 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     probe = scenario.operator.rank_probe()
     rank_data = None
     propagation = []
-    singular_touch = False
-    if touching:
-        eps_sq = engine.tol.eps_sing ** 2
-        for t in touching:
-            pt = tuple(t["point"])
-            if engine.sing_u_fn(pt) < eps_sq or engine.sing_v_fn(pt) < eps_sq:
-                singular_touch = True
-                break
+    eps_sq = engine.tol.eps_sing ** 2
+    touch_pts = [tuple(t["point"]) for t in touching]
+    singular_touch = any(
+        engine.sing_u_fn(pt) < eps_sq or engine.sing_v_fn(pt) < eps_sq
+        for pt in touch_pts
+    )
     if probe is not None and touching:
-        u_eff = engine.eff_u_expr()
-        phi = probe.phi(u_eff)
-        fields = tangent_distribution_fields(probe.structure, phi)
-        u_fn = engine.eff_u_fn()
-        rank_point = None
-        for t in touching:
-            pt = tuple(t["point"])
-            if engine.sing_u_fn(pt) >= engine.tol.eps_sing ** 2:
-                rank_point = pt
-                break
+        # the rank hypothesis is checked on the lower graph, at regular points
+        fields = tangent_distribution_fields(probe.structure, probe.phi(engine.u_expr))
+        rank_point = next(
+            (pt for pt in touch_pts if engine.sing_u_fn(pt) >= eps_sq), None
+        )
         if rank_point is not None:
-            lifted = probe.lift(rank_point, u_fn(rank_point))
+            lifted = probe.lift(rank_point, engine.u_fn(rank_point))
             report = bracket_generate_rank(
                 fields,
                 lifted,
@@ -945,9 +863,9 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
                 "point": list(rank_point),
             }
             starts = [
-                tuple(t["point"])
-                for t in touching[: scenario.max_propagation_starts]
-                if engine.sing_u_fn(tuple(t["point"])) >= engine.tol.eps_sing ** 2
+                pt
+                for pt in touch_pts[: scenario.max_propagation_starts]
+                if engine.sing_u_fn(pt) >= eps_sq
             ]
             for start in starts:
                 propagation.extend(

@@ -1,23 +1,31 @@
 """Command-line front end: config parsing, commands, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from subcurv import calculus as ca
 from subcurv import smp
+from subcurv.calculus import CoordSystem
 from subcurv.cli import (
     ConfigError,
     dumps_report,
     format_number,
     main,
     parse_config,
+    scenario_from_config,
     scenario_to_config,
     write_scenario_csv,
 )
+from subcurv.core import SubriemannianStructure
 
 HEIS1 = """
 [structure]
@@ -91,6 +99,14 @@ def run_cli(args, env=None):
         text=True,
         env=e,
     )
+
+
+def run_main_quietly(argv) -> tuple:
+    """``main(argv)`` in this process: (exit code, what it wrote to stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 @pytest.fixture
@@ -420,12 +436,14 @@ class TestExitCodeContract:
             ("grid = 5", "grid = 5\np = 1/0", 19, "p must be a rational"),
             ("grid = 5", "grid = 5\np = -1", 19, "p must be >= 0"),
             ("grid = 5", "grid = 5\nrank_depth = two", 19, "rank_depth must be an integer"),
+            ("grid = 5", "grid = 5\nT = nan", 19, "T must be a number"),
+            ("grid = 5", "grid = 5\neps_h = inf", 19, "eps_h must be a number"),
             ("y1^2 + 1\n", "y1^2 + 2^100000\n", 11, "outside the float range"),
             ("y1^2 + 1\n", "y1^2 + 10^1000000\n", 11, "outside the float range"),
             ("y1^2 + 1\n", "y1^2 + 1e5000000\n", 11, "exponent beyond"),
         ],
         ids=["grid-zero", "grid-abc", "grid-axis-zero", "eps-touch-abc",
-             "p-zero-denominator", "p-negative", "rank-depth-word",
+             "p-zero-denominator", "p-negative", "rank-depth-word", "T-nan", "eps-h-inf",
              "power-overflow", "power-too-large-to-build", "literal-exponent"],
     )
     def test_bad_value_is_config_error_naming_its_line(self, cfg, capsys, old, new, line, needle):
@@ -452,6 +470,86 @@ class TestExitCodeContract:
         assert main(["curvature", "--config", path, "--function", "lin",
                      "--at", "0.5,0.5"]) == 2
         assert "line 8: [structure]: cometric or density undefined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["--at", "0.7,0.1,0.2"], ["--grid", "3", "--out", os.devnull]],
+        ids=["at", "grid"],
+    )
+    def test_constant_overflow_while_building_the_operator(self, cfg, command):
+        # (4e300)^2 leaves the float range while |dphi|*^2 is built
+        text = HEIS1.replace("expr = -z", "expr = 1e300*x1^4")
+        path = cfg("big.cfg", text)
+        code, err = run_main_quietly(["curvature", "--config", path, "--function", "negz"]
+                                     + command)
+        assert code == 3 and "outside the float range" in err
+
+    def test_constant_overflow_while_building_the_scenario(self, cfg):
+        path = cfg("big.cfg", SCENARIO.replace("expr = x1^2 + y1^2\n", "expr = 1e200*x1^2\n", 1))
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 3 and "outside the float range" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0"])
+    def test_bad_eps_sing_environment_is_config_error(self, cfg, monkeypatch, value):
+        monkeypatch.setenv("SUBCURV_EPS_SING", value)
+        path = cfg("h1.cfg", HEIS1)
+        code, err = run_main_quietly(["curvature", "--config", path, "--function", "negz",
+                                      "--at", "0.5,0.5,0.5"])
+        assert code == 2 and "SUBCURV_EPS_SING" in err
+
+    @pytest.mark.parametrize(
+        "old, new, needle",
+        [
+            ("n = 1", "n = 0", "n must be >= 1"),
+            ("grid = 5", "grid = 5\nrank_depth = 0", "rank_depth must be >= 1"),
+            ("grid = 5", "grid = 5\nbox = 0:0, -0.5:0.5", "degenerate axis"),
+            ("box = 0.5:1.5", "box = 1.5:0.5", "empty interval"),
+        ],
+        ids=["structure-n-zero", "rank-depth-zero", "degenerate-axis",
+             "empty-function-box"],
+    )
+    def test_refused_parameter_is_config_error(self, cfg, old, new, needle):
+        path = cfg("bad.cfg", SCENARIO.replace(old, new, 1))
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 2 and needle in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["curvature", "--p", "abc"], ["curvature", "--p", "1/0"], ["curvature", "--p", "-1"],
+         ["curvature", "--grid", "0"], ["rank", "--depth", "0"]],
+        ids=["p-word", "p-zero-denominator", "p-negative", "grid-zero", "depth-zero"],
+    )
+    def test_bad_command_line_number_is_usage_error(self, cfg, argv, capsys):
+        path = cfg("h1.cfg", HEIS1)
+        rest = ["--function", "negz"] if argv[0] == "curvature" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", path] + rest)
+        assert exc.value.code == 2 and "Traceback" not in capsys.readouterr().err
+
+    def test_custom_structure_of_heisenberg_dimension_round_trips(self):
+        # diag(1, 1, 0) on (x1, y1, z) with density 1 shares the Heisenberg
+        # group's coordinates and density but not its cometric
+        coords = CoordSystem(("x1", "y1", "z"))
+        one, zero = ca.ONE, ca.ZERO
+        S = SubriemannianStructure(
+            coords, [[one, zero, zero], [zero, one, zero], [zero, zero, zero]], one,
+            degeneracy=1,
+        )
+        op = smp.GenericOperator(S, 0, 2)
+        sc = smp.ComparisonScenario(
+            "custom", op, ca.parse_expr("x1^2 + x1*y1", op.chart),
+            ca.parse_expr("x1^2 + x1*y1 + 1", op.chart),
+            box=((0.5, 1.5), (-0.5, 0.5)), grid_counts=5,
+        )
+        text = scenario_to_config(sc)
+        assert "kind = custom" in text
+
+        def outputs(scenario):
+            report = smp.run_scenario(scenario)
+            return (dumps_report(report.as_dict()),
+                    write_scenario_csv(report, scenario.operator.chart.names))
+
+        assert outputs(scenario_from_config(parse_config(text))) == outputs(sc)
 
 
 # sha256 of the report JSON and of the CSV of each builtin, as written by
@@ -489,3 +587,95 @@ def test_builtin_report_and_csv_bytes_are_golden(name):
     csv_bytes = write_scenario_csv(report, sc.operator.chart.names).encode("utf-8")
     digests = tuple(hashlib.sha256(b).hexdigest() for b in (json_bytes, csv_bytes))
     assert digests == GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# Fuzz of parse_config + main: every config ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+
+def _mostly(valid, bad):
+    """Draw a valid value three times as often as a bad one."""
+    return st.sampled_from(list(valid) * 3 + list(bad))
+
+
+# (structure section, operator lines, chart coordinates, scenario box)
+_FAMILIES = [
+    ("kind = heisenberg\nn = {n}", "generic", ("x1", "y1"), "0.5:1.5, -0.5:0.5"),
+    ("kind = cylinder\nn = {n}", "generic\np = {p}", ("x1", "y1"), "0.5:1.5, -0.5:0.5"),
+    ("kind = heisenberg({n})", "generic\ngraph_dir = {g}", ("x1", "y1"), "0.5:1.5, -0.5:0.5"),
+    ("kind = graph_F\nm = {m}\nF = x2, -x1", "graph_HF", ("x1", "x2"), "0.5:1.5, -0.5:0.5"),
+    ("kind = heisenberg\nn = 1", "intrinsic\nn = {n}", ("eta2", "tau"), "-0.5:0.5, -0.5:0.5"),
+    ("kind = heisenberg\nn = 1", "la_graph\nn = {n}", ("eta2", "tau"), "-0.5:0.5, -0.5:0.5"),
+    ("kind = heisenberg\nn = 1", "radial_cylinder\nn = {n}", ("r", "r"), "0.5:1.5"),
+    ("kind = custom\ncoords = x1, y1, z\ncometric.0.0 = 1\ncometric.1.1 = {c}\n"
+     "density = {c}", "generic", ("x1", "y1"), "0.5:1.5, -0.5:0.5"),
+    ("kind = custom\ncoords = x1, y1, z\ncometric.0.0 = {c}\ncometric.0.2 = y1\n"
+     "cometric.1.1 = 1\ncometric.2.2 = {c}\nbox = {box}", "generic", ("x1", "y1"),
+     "0.5:1.5, -0.5:0.5"),
+    ("kind = nonsense", "generic", ("x1", "y1"), "0:1, 0:1"),
+]
+_NUMBERS = (["1", "0.5", "1e-3"], ["0", "-1", "abc", "1/0", "nan", "inf", "1e400", "1, 2"])
+_EXPRS = _mostly(
+    ["{a}^2 + {b}^2", "{a}*{b} - {a}", "{a}*{b}", "{a}^2 + {b}^2 + 1", "{a} + 1", "0",
+     "1/{a}", "sqrt({a} - 1)"],
+    ["1e200*{a}^2", "1e300*{a}^4", "2^100000", "({a}", "q + 1", "{a}^{b}", "10^400*{a}",
+     "1e-300*{a}^(-9)"],
+)
+# at most 3 grid points per axis keeps every run small
+_SCENARIO_KEYS = {
+    "grid": _mostly(["1", "2", "3", "3, 2"], ["0", "abc", "-3", "2.5", "4, 0"]),
+    "eps_touch": _mostly(*_NUMBERS),
+    "eps_order": _mostly(*_NUMBERS),
+    "eps_h": _mostly(*_NUMBERS),
+    "eps_sing": _mostly(*_NUMBERS),
+    "T": _mostly(["0.01", "-0.01", "0"], ["abc", "nan", "inf", "1e400"]),
+    "step": _mostly(["0.005", "0.02"], ["0", "-1", "abc", "nan"]),
+    "rank_depth": _mostly(["1", "2"], ["0", "-1", "x"]),
+    "max_propagation_starts": _mostly(["0", "1", "2"], ["-1", "x"]),
+    "box": _mostly(["0.5:1.5, -0.5:0.5", "-0.5:0.5, -0.5:0.5"],
+                   ["1:0, 0:1", "nan:1, 0:1", "0:1", "a:b, 0:1", "0:0, 0:1", "0:inf, 0:1"]),
+}
+
+
+@st.composite
+def config_texts(draw):
+    structure, operator, (a, b), box = draw(st.sampled_from(_FAMILIES))
+    fill = dict(
+        n=draw(_mostly(["1"], ["2", "0", "-1", "abc", "1e400"])),
+        m=draw(_mostly(["2"], ["1", "0", "abc"])),
+        p=draw(_mostly(["0", "1", "1/2"], ["-1", "1/0", "x"])),
+        g=draw(_mostly(["z"], ["x1", "q"])),
+        c=draw(_mostly(["1", "1 + x1^2"], ["-1", "0", "1/x1", "sqrt(x1)"])),
+        box=draw(_mostly(["0.5:1, -1:1, -1:1"], ["0:1, -1:1, -1:1", "1:0, 0:1, 0:1"])),
+    )
+    lines = ["[structure]", structure.format(**fill), ""]
+    for name in ("u", "v"):
+        lines += [f"[function {name}]", "expr = " + draw(_EXPRS).format(a=a, b=b)]
+        if draw(st.booleans()):
+            lines.append("box = " + draw(_SCENARIO_KEYS["box"]))
+        lines.append("")
+    values = {"box": box, "grid": "3", "T": "0.01", "step": "0.005"}
+    for key in draw(st.lists(st.sampled_from(sorted(_SCENARIO_KEYS)), max_size=4)):
+        values[key] = draw(_SCENARIO_KEYS[key])
+    lines += ["[scenario]", "operator = " + operator.format(**fill), "u = u", "v = v"]
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_COMMANDS = [
+    ["scenario", "run", "--config", "{cfg}", "--out", os.devnull, "--csv", os.devnull],
+    ["curvature", "--config", "{cfg}", "--function", "u", "--at", "0.7, 0.1, 0.2"],
+    ["curvature", "--config", "{cfg}", "--function", "v", "--grid", "3", "--out", os.devnull],
+    ["rank", "--config", "{cfg}", "--depth", "2", "--out", os.devnull],
+]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(text=config_texts(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path, text, command):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(text)
+    code, err = run_main_quietly([arg.format(cfg=path) for arg in command])
+    assert code in (0, 2, 3, 4), err

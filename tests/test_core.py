@@ -13,6 +13,7 @@ from subcurv.core import (
     SubriemannianStructure,
     conorm,
     covector_pairing,
+    masked_curvature,
     p_mean_curvature,
     p_mean_curvature_expr,
     probe_validate,
@@ -261,3 +262,32 @@ class TestValidation:
         assert pts[1] == (0.0, 0.5)
         assert pts[3] == (1.0, 0.0)
         assert grid.npoints == 6
+
+
+class TestMaskedCurvature:
+    def test_singular_failing_and_nonfinite_points_map_to_none(self):
+        calls = []
+
+        def sing(pt):
+            return {0: 0.0, 5: math.nan}.get(pt[0], 1.0)
+
+        def h(pt):
+            calls.append(pt[0])
+            if pt[0] == 2:
+                raise ca.DivisionByZero("0.0 raised to integer power -1")
+            if pt[0] == 3:
+                raise OverflowError("out of range")
+            return {4: math.inf, 5: 7.0, 6: math.nan, 7: -math.inf}.get(pt[0], 1.5)
+
+        points = [(k,) for k in range(9)]
+        values = masked_curvature(h, sing, points, 1e-14)
+        # a NaN norm is not below eps^2, so point 5 keeps its value
+        assert values == [None, 1.5, None, None, None, 7.0, None, None, 1.5]
+        assert calls == [1, 2, 3, 4, 5, 6, 7, 8]  # H is never called where singular
+
+    def test_compiled_kernels(self):
+        x = ca.var(0)
+        h = ca.compile_expr(ca.pow_(x, -1), 1)
+        sing = ca.compile_expr(ca.pow_(x, 2), 1)
+        assert masked_curvature(h, sing, [(0.0,), (1e-9,), (2.0,)], 1e-14) == [None, None, 0.5]
+        assert masked_curvature(h, sing, [(0.0,)], 0.0) == [None]  # 1/0 raises

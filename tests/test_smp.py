@@ -6,6 +6,7 @@ import pytest
 
 from subcurv import calculus as ca
 from subcurv import smp
+from subcurv.cli import write_scenario_csv
 from subcurv.core import ScalarField, SingularPoint, VectorFieldExpr
 from subcurv.brackets import tangent_distribution_fields
 from subcurv.heisenberg import graph_coords, standard_drift
@@ -361,3 +362,46 @@ class TestRunScenario:
         d = run_scenario(sc).as_dict()
         assert d["touching_count"] == 0
         assert d["classification"] == "smp-consistent"
+
+
+def swapped(sc):
+    """The same scenario with u and v exchanged."""
+    return ComparisonScenario(
+        sc.name, sc.operator, sc.v.expr, sc.u.expr, box=sc.box,
+        grid_counts=sc.grid_counts, tolerances=sc.tolerances, T=sc.T,
+        step=sc.step, max_propagation_starts=sc.max_propagation_starts,
+        rank_depth=sc.rank_depth, description=sc.description,
+    )
+
+
+def lo_hi_pair():
+    # touching zero-curvature graphs with lo below hi; the rank hypothesis
+    # fails at the touching points of the lower graph
+    return flat_scenario("x1*x2 - x1", "x1*x2", box=((0.0, 1.0), (-0.5, 0.5)), grid=9)
+
+
+class TestSwapInvariance:
+    """The verdict does not depend on which graph the input calls u."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda name=name: builtin_scenario(name) for name in builtin_names()] + [lo_hi_pair],
+        ids=builtin_names() + ["lo-hi"],
+    )
+    def test_exchanging_u_and_v_changes_only_swapped(self, make):
+        sc = make()
+        a, b = run_scenario(sc), run_scenario(swapped(sc))
+        da, db = dict(a.as_dict()), dict(b.as_dict())
+        flags = da.pop("swapped"), db.pop("swapped")
+        # an ordered pair of distinct graphs is relabelled on exactly one side
+        assert flags == (False, False) if sc.u.expr == sc.v.expr else flags[0] != flags[1]
+        assert da == db
+        names = sc.operator.chart.names
+        assert write_scenario_csv(a, names) == write_scenario_csv(b, names)
+
+    @pytest.mark.parametrize("orient", [lambda sc: sc, swapped], ids=["in-order", "swapped"])
+    def test_rank_and_propagation_are_checked_on_the_lower_graph(self, orient):
+        d = run_scenario(orient(lo_hi_pair())).as_dict()
+        assert d["classification"] == "counterexample-detected;rank-condition-failed"
+        assert d["rank"]["rank"] == 1 and d["rank"]["expected"] == 2
+        assert len(d["propagation"]) == 16
