@@ -138,15 +138,49 @@ _RANK_MUL = 3
 _RANK_ADD = 4
 
 
+def _same_tree(a, b) -> bool:
+    """Structural equality of two trees, walked with an explicit stack."""
+    stack = []
+    while True:
+        if a is not b:
+            kind = type(a)
+            if kind is not type(b) or a._hash != b._hash:
+                return False
+            if kind is Pow:
+                if a.exponent != b.exponent:
+                    return False
+                a, b = a.base, b.base
+                continue
+            if kind is Const:
+                if a.value != b.value:
+                    return False
+            elif kind is Var:
+                if a.index != b.index:
+                    return False
+            elif len(a.children) != len(b.children):
+                return False
+            else:
+                stack.extend(zip(a.children, b.children))
+        if not stack:
+            return True
+        a, b = stack.pop()
+
+
 class Expr:
-    """Base class of all expression nodes.  Instances are immutable."""
+    """Base class of all expression nodes.  Instances are immutable;
+    equality is structural and the hash is computed once, at build time."""
 
     __slots__ = ("_hash",)
 
     rank: int = -1
 
+    __eq__ = _same_tree
+
     def __hash__(self):
         return self._hash
+
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
     # Arithmetic sugar; numbers are coerced to constants.
     def __add__(self, other):
@@ -183,34 +217,6 @@ class Expr:
         return f"<expr {_repr_tree(self)}>"
 
 
-def _same_tree(a, b) -> bool:
-    """Structural equality of two trees, walked with an explicit stack."""
-    stack = []
-    while True:
-        if a is not b:
-            kind = type(a)
-            if kind is not type(b) or a._hash != b._hash:
-                return False
-            if kind is Pow:
-                if a.exponent != b.exponent:
-                    return False
-                a, b = a.base, b.base
-                continue
-            if kind is Const:
-                if a.value != b.value:
-                    return False
-            elif kind is Var:
-                if a.index != b.index:
-                    return False
-            elif len(a.children) != len(b.children):
-                return False
-            else:
-                stack.extend(zip(a.children, b.children))
-        if not stack:
-            return True
-        a, b = stack.pop()
-
-
 class Const(Expr):
     """Exact rational constant.
 
@@ -234,14 +240,6 @@ class Const(Expr):
         object.__setattr__(self, "_float", float(value))
         object.__setattr__(self, "_hash", hash((_RANK_CONST, value)))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    __hash__ = Expr.__hash__
-
 
 class Var(Expr):
     """Coordinate variable referenced by index into the enclosing chart."""
@@ -254,14 +252,6 @@ class Var(Expr):
             raise ValueError("variable index must be nonnegative")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_hash", hash((_RANK_VAR, index)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.index == other.index
-
-    __hash__ = Expr.__hash__
 
 
 class Add(Expr):
@@ -276,13 +266,6 @@ class Add(Expr):
             self, "_hash", hash((_RANK_ADD,) + tuple(c._hash for c in children))
         )
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    __eq__ = _same_tree
-
-    __hash__ = Expr.__hash__
-
 
 class Mul(Expr):
     """N-ary product with canonically ordered children."""
@@ -296,13 +279,6 @@ class Mul(Expr):
             self, "_hash", hash((_RANK_MUL,) + tuple(c._hash for c in children))
         )
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    __eq__ = _same_tree
-
-    __hash__ = Expr.__hash__
-
 
 class Pow(Expr):
     """Power with an exact rational exponent."""
@@ -314,13 +290,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "_hash", hash((_RANK_POW, base._hash, exponent)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
-    __eq__ = _same_tree
-
-    __hash__ = Expr.__hash__
 
 
 ZERO = Const(0)

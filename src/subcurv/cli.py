@@ -31,6 +31,7 @@ from . import calculus as ca
 from .calculus import CalculusError, CoordSystem, EvaluationError
 from .core import (
     GridSpec,
+    IndefiniteCometric,
     MissingFrames,
     ScalarField,
     SingularPoint,
@@ -772,10 +773,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KeyError as exc:
+    except (ConfigError, KeyError, IndefiniteCometric) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingFrames as exc:

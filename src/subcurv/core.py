@@ -29,6 +29,7 @@ __all__ = [
     "GeometryError",
     "SingularPoint",
     "MissingFrames",
+    "IndefiniteCometric",
     "DEFAULT_EPS_SING",
     "default_eps_sing",
     "ScalarField",
@@ -62,6 +63,13 @@ class SingularPoint(GeometryError):
 
 class MissingFrames(GeometryError):
     """Operation requires frame_fields metadata the structure lacks."""
+
+
+class IndefiniteCometric(GeometryError):
+    """A squared covector norm is below -PSD_TOL: the cometric is not PSD."""
+
+
+PSD_TOL = 1e-10  # negative squared norms and minors down to -PSD_TOL are roundoff
 
 
 DEFAULT_EPS_SING = 1e-7
@@ -307,18 +315,23 @@ def conorm_sq_expr(S: SubriemannianStructure, phi) -> Expr:
     return pairing_expr(S, grad, grad)
 
 
+def _conorm_sq_at(S: SubriemannianStructure, phi, point: Sequence[float]) -> float:
+    val = ca.evaluate(conorm_sq_expr(S, phi), point)
+    if val < -PSD_TOL:
+        raise IndefiniteCometric(
+            f"cometric not PSD at {tuple(point)}: |dphi|*^2 is {val!r}"
+        )
+    return val
+
+
 def conorm(S: SubriemannianStructure, phi, point: Sequence[float]) -> float:
     """|dphi|* at a point; 0.0 exactly at singular points.
 
     The square is evaluated symbolically and the square root is taken
     numerically, so degenerate points return 0 rather than tripping the
-    fractional-power domain guard.
+    fractional-power domain guard.  Negative roundoff clamps to 0.
     """
-    val = ca.evaluate(conorm_sq_expr(S, phi), point)
-    if val < 0.0:
-        # PSD cometric: any negative value is pure roundoff
-        val = 0.0
-    return math.sqrt(val)
+    return math.sqrt(max(_conorm_sq_at(S, phi, point), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +375,12 @@ def p_mean_curvature(
     point: Sequence[float],
     eps_sing: Optional[float] = None,
 ) -> float:
-    """Evaluate H_{phi,p}; raises :class:`SingularPoint` when |dphi|* < eps."""
+    """Evaluate H_{phi,p}; raises :class:`SingularPoint` when
+    |dphi|*^2 < eps^2 (the rule of :func:`masked_curvature`)."""
     eps = default_eps_sing() if eps_sing is None else eps_sing
-    nrm = conorm(S, phi, point)
-    if nrm < eps:
-        raise SingularPoint(f"singular point: |dphi|* = {nrm:.3e} < {eps:g}")
+    sq = _conorm_sq_at(S, phi, point)
+    if sq < eps ** 2:
+        raise SingularPoint(f"singular point: |dphi|*^2 = {sq:.3e} < {eps ** 2:g}")
     return ca.evaluate(p_mean_curvature_expr(S, phi, p), point)
 
 
@@ -442,12 +456,6 @@ class GridSpec:
         values = [self.axis_values(i) for i in range(len(self.axes))]
         for idx in itertools.product(*[range(len(v)) for v in values]):
             yield idx, tuple(values[i][k] for i, k in enumerate(idx))
-
-    def spacing(self) -> tuple:
-        out = []
-        for lo, hi, count in self.axes:
-            out.append((hi - lo) / (count - 1) if count > 1 else 0.0)
-        return tuple(out)
 
     def as_dict(self) -> dict:
         return {"axes": [[lo, hi, count] for lo, hi, count in self.axes]}
@@ -593,7 +601,7 @@ def probe_validate(
     S: SubriemannianStructure,
     box: Optional[Box] = None,
     samples_per_axis: int = 3,
-    psd_tol: float = 1e-10,
+    psd_tol: float = PSD_TOL,
 ) -> list:
     """Check PSD-ness, positive density, and frame rank on a probe grid.
 

@@ -357,9 +357,9 @@ def graph_operator_HF(
     m = len(F)
     eps = default_eps_sing() if eps_sing is None else eps_sing
     h, norm_sq = graph_HF_exprs(F, u_expr, m)
-    nrm = ca.evaluate(norm_sq, point) ** 0.5
-    if nrm < eps:
-        raise SingularPoint(f"singular point: |grad u + F| = {nrm:.3e} < {eps:g}")
+    sq = ca.evaluate(norm_sq, point)
+    if sq < eps ** 2:
+        raise SingularPoint(f"singular point: |grad u + F|^2 = {sq:.3e} < {eps ** 2:g}")
     return ca.evaluate(h, point)
 
 
@@ -497,8 +497,8 @@ def la_graph_curvature(
     eps = default_eps_sing() if eps_sing is None else eps_sing
     h, d_sq = la_graph_exprs(u_expr, n)
     d = ca.evaluate(d_sq, point)
-    if d < eps * eps:
-        raise SingularPoint(f"singular point: D^2 = {d:.3e} < {eps * eps:g}")
+    if d < eps ** 2:
+        raise SingularPoint(f"singular point: D^2 = {d:.3e} < {eps ** 2:g}")
     return ca.evaluate(h, point)
 
 

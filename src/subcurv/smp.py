@@ -16,6 +16,11 @@ measurement (rank and propagation included) reads the lower graph as u.
 Exchanging u and v therefore changes only the report's ``swapped`` flag.
 A grid point carries no curvature value where the graph is singular or
 H cannot be evaluated there (:func:`core.masked_curvature`).
+
+Each operator carries its own map to the ambient manifold where the rank
+condition is checked: ``structure`` (None when there is none),
+``expected_rank``, ``phi(u)`` (the defining function of the graph there),
+``lift(chart_pt, u_val)`` and ``project(pt)``.
 """
 
 from __future__ import annotations
@@ -114,7 +119,8 @@ class GenericOperator:
 
     The defining function is u - x^g (compatible with shifting the graph
     coordinate); H and the squared covector norm are restricted to the
-    graph by substituting x^g = u, then reindexed to the chart.
+    graph by substituting x^g = u, then reindexed to the chart.  The
+    ambient manifold is the structure itself.
     """
 
     kind = "generic"
@@ -131,32 +137,33 @@ class GenericOperator:
             n for i, n in enumerate(structure.coords.names) if i != self.graph_dir
         ]
         self.chart = CoordSystem(names)
+        self.expected_rank = structure.dim - 1
 
-    def _lift(self, u: Expr) -> Expr:
+    def phi(self, u: Expr) -> Expr:
         g = self.graph_dir
-        mapping = {
-            k: ca.var(k if k < g else k + 1)
-            for k in range(self.structure.dim - 1)
-        }
-        return ca.substitute(u, mapping)
+        up = {k: ca.var(k if k < g else k + 1) for k in range(self.structure.dim - 1)}
+        return ca.sub(ca.substitute(u, up), ca.var(g))
+
+    def lift(self, chart_pt, u_val: float):
+        pt = list(chart_pt)
+        pt.insert(self.graph_dir, u_val)
+        return tuple(pt)
+
+    def project(self, pt):
+        g = self.graph_dir
+        return tuple(pt[:g]) + tuple(pt[g + 1 :])
 
     def build(self, u: Expr):
         S = self.structure
         g = self.graph_dir
-        u_lift = self._lift(u)
-        phi = ca.sub(u_lift, ca.var(g))
+        phi = self.phi(u)
         h_full = p_mean_curvature_expr(S, phi, self.p)
         sing_full = conorm_sq_expr(S, phi)
-        on_graph = {g: u_lift}
+        on_graph = {g: ca.add(phi, ca.var(g))}  # x^g = u
         down = {k: ca.var(k - 1) for k in range(g + 1, S.dim)}
         h = ca.substitute(ca.substitute(h_full, on_graph), down)
         sing = ca.substitute(ca.substitute(sing_full, on_graph), down)
         return h, sing
-
-    def rank_probe(self):
-        if self.structure.frame_fields is None:
-            return None
-        return _GenericProbe(self)
 
     def params(self) -> dict:
         return {
@@ -166,31 +173,39 @@ class GenericOperator:
 
 
 class GraphHFOperator:
-    """div((grad u + F)/|grad u + F|) for graphs over R^m with drift F."""
+    """div((grad u + F)/|grad u + F|) for graphs over R^m with drift F;
+    the ambient manifold is the drift-graph structure on R^(m+1)."""
 
     kind = "graph_HF"
 
     def __init__(self, F: Sequence[Expr], m: int):
-        if len(F) != m:
-            raise ValueError("drift component count must match the chart")
+        self.structure = drift_graph_structure(F, m)
         self.F = list(F)
         self.m = m
         self.chart = graph_coords(m)
+        self.expected_rank = m
+
+    def phi(self, u: Expr) -> Expr:
+        return ca.sub(u, ca.var(self.m))
+
+    def lift(self, chart_pt, u_val: float):
+        return tuple(chart_pt) + (u_val,)
+
+    def project(self, pt):
+        return tuple(pt[:-1])
 
     def build(self, u: Expr):
         return graph_HF_exprs(self.F, u, self.m)
-
-    def rank_probe(self):
-        return _GraphHFProbe(self)
 
     def params(self) -> dict:
         return {"F": [ca.unparse(f, self.chart) for f in self.F]}
 
 
 class IntrinsicOperator:
-    """Intrinsic-graph curvature on the (eta, tau) chart."""
+    """Intrinsic-graph curvature on the (eta, tau) chart (no ambient map)."""
 
     kind = "intrinsic"
+    structure = None
 
     def __init__(self, n: int):
         self.n = n
@@ -199,115 +214,28 @@ class IntrinsicOperator:
     def build(self, u: Expr):
         return intrinsic_graph_exprs(u, self.n)
 
-    def rank_probe(self):
-        return None
-
     def params(self) -> dict:
         return {"n": self.n}
 
 
 class LaGraphOperator:
-    """Curvature of graphs transversal to x1-translations, (eta, tau) chart."""
+    """Curvature of graphs transversal to x1-translations, (eta, tau) chart.
+    Ambient: the standard group chart, tau = z + x^1 eta^(n+1), graph x^1."""
 
     kind = "la_graph"
 
     def __init__(self, n: int):
         self.n = n
         self.chart = intrinsic_chart(n)
-
-    def build(self, u: Expr):
-        return la_graph_exprs(u, self.n)
-
-    def rank_probe(self):
-        return _LaGraphProbe(self.n)
-
-    def params(self) -> dict:
-        return {"n": self.n}
-
-
-class RadialCylinderOperator:
-    """Rotationally symmetric graphs z = u(r) on the punctured cylinder."""
-
-    kind = "radial_cylinder"
-
-    def __init__(self, n: int):
-        self.n = n
-        self.chart = CoordSystem(("r",))
-
-    def build(self, u: Expr):
-        h = radial_curvature_expr(u, self.n)
-        du = ca.differentiate(u, 0)
-        sing = ca.add(ca.pow_(du, 2), ca.pow_(ca.var(0), 2))
-        return h, sing
-
-    def rank_probe(self):
-        return None
-
-    def params(self) -> dict:
-        return {"n": self.n}
-
-
-# ---------------------------------------------------------------------------
-# Rank / propagation probes: chart <-> ambient-structure plumbing
-# ---------------------------------------------------------------------------
-
-
-class _GraphHFProbe:
-    def __init__(self, op: GraphHFOperator):
-        self.structure = drift_graph_structure(op.F, op.m)
-        self.expected_rank = op.m
-
-    def phi(self, u: Expr) -> Expr:
-        return ca.sub(u, ca.var(self.structure.dim - 1))
-
-    def lift(self, chart_pt, u_val: float):
-        return tuple(chart_pt) + (u_val,)
-
-    def project(self, pt):
-        return tuple(pt[:-1])
-
-
-class _GenericProbe:
-    def __init__(self, op: GenericOperator):
-        self.structure = op.structure
-        self.expected_rank = op.structure.dim - 1
-        self._op = op
-
-    def phi(self, u: Expr) -> Expr:
-        return ca.sub(self._op._lift(u), ca.var(self._op.graph_dir))
-
-    def lift(self, chart_pt, u_val: float):
-        g = self._op.graph_dir
-        pt = list(chart_pt)
-        pt.insert(g, u_val)
-        return tuple(pt)
-
-    def project(self, pt):
-        g = self._op.graph_dir
-        return tuple(pt[:g]) + tuple(pt[g + 1 :])
-
-
-class _LaGraphProbe:
-    """Chart (eta^2..eta^2n, tau) against the standard group chart, where
-    tau = z + x^1 * eta^(n+1) and the graph coordinate is x^1."""
-
-    def __init__(self, n: int):
-        self.n = n
         self.structure = standard_structure(n)
         self.expected_rank = 2 * n
 
-    def _chart_to_std(self):
-        n = self.n
-        mapping = {}
-        for c in range(2 * n - 1):  # eta^(c+2) -> std coordinate index c+1
-            mapping[c] = ca.var(c + 1)
-        mapping[2 * n - 1] = ca.add(
-            ca.var(2 * n), ca.mul(ca.var(0), ca.var(n))
-        )
-        return mapping
-
     def phi(self, u: Expr) -> Expr:
-        return ca.sub(ca.substitute(u, self._chart_to_std()), ca.var(0))
+        n = self.n
+        # eta^(c+2) -> std coordinate c+1; tau -> z + x^1 * y^1
+        up = {c: ca.var(c + 1) for c in range(2 * n - 1)}
+        up[2 * n - 1] = ca.add(ca.var(2 * n), ca.mul(ca.var(0), ca.var(n)))
+        return ca.sub(ca.substitute(u, up), ca.var(0))
 
     def lift(self, chart_pt, u_val: float):
         n = self.n
@@ -320,6 +248,33 @@ class _LaGraphProbe:
         n = self.n
         tau = pt[2 * n] + pt[0] * pt[n]
         return tuple(pt[1 : 2 * n]) + (tau,)
+
+    def build(self, u: Expr):
+        return la_graph_exprs(u, self.n)
+
+    def params(self) -> dict:
+        return {"n": self.n}
+
+
+class RadialCylinderOperator:
+    """Rotationally symmetric graphs z = u(r) on the punctured cylinder
+    (no ambient map)."""
+
+    kind = "radial_cylinder"
+    structure = None
+
+    def __init__(self, n: int):
+        self.n = n
+        self.chart = CoordSystem(("r",))
+
+    def build(self, u: Expr):
+        h = radial_curvature_expr(u, self.n)
+        du = ca.differentiate(u, 0)
+        sing = ca.add(ca.pow_(du, 2), ca.pow_(ca.var(0), 2))
+        return h, sing
+
+    def params(self) -> dict:
+        return {"n": self.n}
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +379,8 @@ class _ScenarioEngine:
         sing_u_fn = ca.compile_expr(sing_u, nvars)
         sing_v_fn = ca.compile_expr(sing_v, nvars)
         eps_sq = tol.eps_sing ** 2
-        du = [v_fn(pt) - u_fn(pt) for pt in self.points]
+        u_vals = _graph_values(u_fn, "u", self.points)
+        du = [b - a for a, b in zip(u_vals, _graph_values(v_fn, "v", self.points))]
         h_u = masked_curvature(ca.compile_expr(hu, nvars), sing_u_fn, self.points, eps_sq)
         h_v = masked_curvature(ca.compile_expr(hv, nvars), sing_v_fn, self.points, eps_sq)
         eps = tol.eps_order
@@ -502,6 +458,20 @@ class _ScenarioEngine:
             list(pt) + [du, hu, hv, int(su), int(sv)]
             for pt, (du, hu, hv, su, sv) in zip(self.points, self.rows)
         ]
+
+
+def _graph_values(fn, name: str, points) -> list:
+    """The graph's values on the grid; a domain hole names the graph and
+    the chart point."""
+    out = []
+    try:
+        for pt in points:
+            out.append(fn(pt))
+    except EvaluationError as exc:
+        raise EvaluationError(
+            f"graph {name} undefined at chart point {pt}: {exc}"
+        ) from None
+    return out
 
 
 def _in_box(pt, box) -> bool:
@@ -615,7 +585,6 @@ def propagate_max(
     fields: Sequence[VectorFieldExpr],
     T: Optional[float] = None,
     step: Optional[float] = None,
-    probe=None,
     include_brackets: bool = False,
 ) -> list:
     """Propagate a touching point along tangent fields, both directions.
@@ -626,16 +595,16 @@ def propagate_max(
     projection.  Success for a trajectory means it stays within
     eps_touch.
     """
-    if probe is None:
-        probe = scenario.operator.rank_probe()
-        if probe is None:
-            raise ValueError("scenario operator exposes no ambient probe")
+    S = scenario.operator.structure
+    if S is None or S.frame_fields is None:
+        raise ValueError("scenario operator has no ambient structure with frames")
     engine = _ScenarioEngine(scenario)
-    return _propagate(engine, probe, list(fields), start, T, step, include_brackets)
+    return _propagate(engine, list(fields), start, T, step, include_brackets)
 
 
-def _propagate(engine, probe, fields, start, T=None, step=None, include_brackets=False):
+def _propagate(engine, fields, start, T=None, step=None, include_brackets=False):
     sc = engine.sc
+    op = sc.operator
     T = sc.T if T is None else float(T)
     step = sc.step if step is None else float(step)
     if include_brackets:
@@ -647,14 +616,14 @@ def _propagate(engine, probe, fields, start, T=None, step=None, include_brackets
     u_fn, v_fn = engine.u_fn, engine.v_fn
     eps = engine.tol.eps_touch
     u0 = u_fn(tuple(start))
-    lifted = probe.lift(tuple(start), u0)
+    lifted = op.lift(tuple(start), u0)
     out = []
     for fi, X in enumerate(fields):
         for direction in (1.0, -1.0):
             devs = []  # |v - u| at each trajectory point inside the box
 
             def leaves_box(pt, devs=devs):
-                chart_pt = probe.project(pt)
+                chart_pt = op.project(pt)
                 if not _in_box(chart_pt, sc.box):
                     return True
                 devs.append(abs(v_fn(chart_pt) - u_fn(chart_pt)))
@@ -830,8 +799,10 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     )
     separates = bool(touching) and not coincides
 
-    # rank verdict at the first touching point (grid order), if a probe exists
-    probe = scenario.operator.rank_probe()
+    # rank verdict at the first touching point (grid order), when the
+    # operator's ambient structure has frames
+    op = scenario.operator
+    S = op.structure
     rank_data = None
     propagation = []
     eps_sq = engine.tol.eps_sing ** 2
@@ -840,26 +811,26 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         engine.sing_u_fn(pt) < eps_sq or engine.sing_v_fn(pt) < eps_sq
         for pt in touch_pts
     )
-    if probe is not None and touching:
+    if touching and S is not None and S.frame_fields is not None:
         # the rank hypothesis is checked on the lower graph, at regular points
-        fields = tangent_distribution_fields(probe.structure, probe.phi(engine.u_expr))
+        fields = tangent_distribution_fields(S, op.phi(engine.u_expr))
         rank_point = next(
             (pt for pt in touch_pts if engine.sing_u_fn(pt) >= eps_sq), None
         )
         if rank_point is not None:
-            lifted = probe.lift(rank_point, engine.u_fn(rank_point))
+            lifted = op.lift(rank_point, engine.u_fn(rank_point))
             report = bracket_generate_rank(
                 fields,
                 lifted,
                 max_depth=scenario.rank_depth,
-                target_rank=probe.expected_rank,
+                target_rank=op.expected_rank,
             )
             rank_data = {
                 "rank": report.rank,
                 "depth": report.depth,
                 "words_generated": report.words_generated,
                 "pivot_tol": report.pivot_tol,
-                "expected": probe.expected_rank,
+                "expected": op.expected_rank,
                 "point": list(rank_point),
             }
             starts = [
@@ -870,7 +841,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
             for start in starts:
                 propagation.extend(
                     r.as_dict()
-                    for r in _propagate(engine, probe, fields, start)
+                    for r in _propagate(engine, fields, start)
                 )
 
     measurements = {
@@ -878,8 +849,8 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         "scenario": scenario.name,
         "description": scenario.description,
         "operator": {
-            "kind": scenario.operator.kind,
-            **scenario.operator.params(),
+            "kind": op.kind,
+            **op.params(),
         },
         "grid": engine.grid.as_dict(),
         "tolerances": engine.tol.as_dict(),

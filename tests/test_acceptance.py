@@ -275,9 +275,9 @@ def test_criterion_10_propagation():
     with criterion(10, "touching propagates along the tangent orbit (1e-9)"):
         cs = graph_coords(2)
         sc = smp.builtin_scenario("h1-counterexample")
-        probe = sc.operator.rank_probe()
+        op = sc.operator
         u_small = ca.parse_expr("x1*x2", cs)
-        fields = tangent_distribution_fields(probe.structure, probe.phi(u_small))
+        fields = tangent_distribution_fields(op.structure, op.phi(u_small))
         results = smp.propagate_max(sc, (1.0, 0.0), fields, T=1.0, step=1e-3)
         assert results
         for r in results:
@@ -292,7 +292,7 @@ def test_criterion_10_propagation():
             box=((0.5, 1.5), (-0.4, 0.4)),
             grid_counts=17,
         )
-        X2 = VectorFieldExpr(probe.structure.coords, [ca.ZERO, ca.ONE, ca.ZERO])
+        X2 = VectorFieldExpr(op.structure.coords, [ca.ZERO, ca.ONE, ca.ZERO])
         for r in smp.propagate_max(bad, (1.0, 0.0), [X2], T=0.5, step=1e-3):
             assert not r.ok
             assert r.first_violation_step is not None

@@ -464,6 +464,30 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "not PSD" in err and "cometric.1.1 is" in err
 
+    def test_indefinite_cometric_without_a_box_is_config_error_naming_the_point(
+        self, cfg, capsys
+    ):
+        # no box, so nothing probes the cometric at load: the norm itself
+        # must refuse |dphi|*^2 = 1 - 4 instead of clamping it to 0
+        bad = CUSTOM_FLAT.replace("cometric.1.1 = 1", "cometric.1.1 = -1")
+        bad = bad.replace("box = -1:1, -1:1\n", "") + "\n[function phi]\nexpr = x + 2*y\n"
+        path = cfg("indefinite.cfg", bad)
+        assert main(["curvature", "--config", path, "--function", "phi",
+                     "--at", "0.1,0.2"]) == 2
+        err = capsys.readouterr().err
+        assert "not PSD at (0.1, 0.2)" in err and "|dphi|*^2 is -3" in err
+
+    @pytest.mark.parametrize("graph", ["u", "v"])
+    def test_domain_hole_in_a_graph_names_the_graph_and_the_point(self, cfg, graph):
+        # sqrt(y1) over y1 in [-0.5, 0.5]: the first grid point is a hole
+        text = SCENARIO.replace("expr = x1^2 + y1^2\n", "expr = x1^2 + sqrt(y1)\n", 1)
+        if graph == "v":
+            text = text.replace("u = u\nv = v", "u = v\nv = u")
+        path = cfg("hole.cfg", text)
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 3
+        assert f"graph {graph} undefined at chart point (0.5, -0.5)" in err
+
     def test_custom_structure_undefined_on_its_box(self, cfg, capsys):
         bad = CUSTOM_FLAT.replace("density = 1", "density = 1/x")
         path = cfg("hole.cfg", bad)

@@ -9,6 +9,7 @@ from subcurv import calculus as ca
 from subcurv.calculus import CoordSystem
 from subcurv.core import (
     GridSpec,
+    IndefiniteCometric,
     SingularPoint,
     SubriemannianStructure,
     conorm,
@@ -78,6 +79,21 @@ class TestConorm:
         S = standard_structure(1)
         phi = ca.neg(ca.var(2))
         assert conorm(S, phi, (0.0, 0.0, 0.4)) == 0.0
+
+    def test_negative_square_beyond_roundoff_raises(self):
+        # diag(1, -1): |d(x + 2y)|*^2 = -3; a square of -1e-12 is roundoff
+        coords = CoordSystem(("x", "y"))
+        one, zero = ca.ONE, ca.ZERO
+        S = SubriemannianStructure(coords, [[one, zero], [zero, ca.const(-1)]], one)
+        phi = ca.parse_expr("x + 2*y", coords)
+        with pytest.raises(IndefiniteCometric, match=r"at \(0\.1, 0\.2\)"):
+            conorm(S, phi, (0.1, 0.2))
+        with pytest.raises(IndefiniteCometric):
+            p_mean_curvature(S, phi, 0, (0.1, 0.2))
+        tiny = SubriemannianStructure(
+            coords, [[ca.const(-1e-12), zero], [zero, zero]], one
+        )
+        assert conorm(tiny, ca.var(0), (0.1, 0.2)) == 0.0
 
     def test_symmetric_under_sign_flip(self, rng):
         S = standard_structure(1)

@@ -3,16 +3,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcurv import calculus as ca
 from subcurv import smp
 from subcurv.cli import write_scenario_csv
 from subcurv.core import ScalarField, SingularPoint, VectorFieldExpr
 from subcurv.brackets import tangent_distribution_fields
-from subcurv.heisenberg import graph_coords, standard_drift
+from subcurv.heisenberg import cylinder_structure, graph_coords, standard_drift
 from subcurv.smp import (
     ComparisonScenario,
+    GenericOperator,
     GraphHFOperator,
+    LaGraphOperator,
     RadialCylinderOperator,
     builtin_names,
     builtin_scenario,
@@ -181,9 +185,9 @@ class TestPropagateMax:
 
     def test_counterexample_axis_orbit_holds(self):
         sc = builtin_scenario("h1-counterexample")
-        probe = sc.operator.rank_probe()
+        op = sc.operator
         u_small = ca.parse_expr("x1*x2", CS2)
-        fields = tangent_distribution_fields(probe.structure, probe.phi(u_small))
+        fields = tangent_distribution_fields(op.structure, op.phi(u_small))
         results = propagate_max(sc, (1.0, 0.0), fields, T=1.0, step=1e-3)
         assert results
         for r in results:
@@ -192,9 +196,9 @@ class TestPropagateMax:
 
     def test_identical_graphs_hold_everywhere(self):
         sc = flat_scenario("x1*x2", "x1*x2", grid=9)
-        probe = sc.operator.rank_probe()
+        op = sc.operator
         fields = tangent_distribution_fields(
-            probe.structure, probe.phi(sc.u.expr)
+            op.structure, op.phi(sc.u.expr)
         )
         for start in [(1.0, 0.0), (0.7, 0.2), (1.2, -0.3)]:
             for r in propagate_max(sc, start, fields):
@@ -202,9 +206,9 @@ class TestPropagateMax:
 
     def test_constructed_violation_detected_quickly(self):
         sc = flat_scenario("x1*x2", "x1*x2 + x2^2", grid=17)
-        probe = sc.operator.rank_probe()
+        op = sc.operator
         X2 = VectorFieldExpr(
-            probe.structure.coords, [ca.ZERO, ca.ONE, ca.ZERO]
+            op.structure.coords, [ca.ZERO, ca.ONE, ca.ZERO]
         )
         results = propagate_max(sc, (1.0, 0.0), [X2], T=0.5, step=1e-3)
         for r in results:
@@ -214,18 +218,46 @@ class TestPropagateMax:
 
     def test_depth_two_brackets_can_be_included(self):
         sc = builtin_scenario("vertical-hyperplane")
-        probe = sc.operator.rank_probe()
+        op = sc.operator
         fields = tangent_distribution_fields(
-            probe.structure, probe.phi(sc.u.expr)
+            op.structure, op.phi(sc.u.expr)
         )
         start = (0.1, 0.2, -0.1, 0.0)
-        plain = propagate_max(sc, start, fields, T=0.05, step=1e-2, probe=probe)
+        plain = propagate_max(sc, start, fields, T=0.05, step=1e-2)
         with_brackets = propagate_max(
-            sc, start, fields, T=0.05, step=1e-2, probe=probe,
+            sc, start, fields, T=0.05, step=1e-2,
             include_brackets=True,
         )
         assert len(with_brackets) > len(plain)
         assert all(r.ok for r in with_brackets)
+
+
+# (operator, u on its chart, box of the chart)
+AMBIENT_CASES = {
+    "generic-z": (lambda: GenericOperator(cylinder_structure(1), 0, graph_dir=2),
+                  "x1^2 + y1^2", ((0.3, 1.3), (-1.0, 1.0))),
+    "generic-x1": (lambda: GenericOperator(cylinder_structure(1), 0, graph_dir=0),
+                   "y1*z + z^2 + 1", ((-1.0, 1.0), (-1.0, 1.0))),
+    "graph-HF": (lambda: GraphHFOperator(standard_drift(2), 2),
+                 "x1*x2 + x2^2", ((0.5, 1.5), (-0.4, 0.4))),
+    "la-graph": (lambda: LaGraphOperator(2),
+                 "eta3*tau + eta2^2 - 3/10", ((-0.5, 0.5),) * 4),
+}
+
+
+class TestAmbientMaps:
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_lift_projects_back_onto_the_graph(self, case, data):
+        make, u_src, box = AMBIENT_CASES[case]
+        op = make()
+        u = ca.parse_expr(u_src, op.chart)
+        pt = data.draw(st.tuples(*[st.floats(lo, hi) for lo, hi in box]))
+        lifted = op.lift(pt, ca.evaluate(u, pt))
+        assert len(lifted) == op.structure.dim
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(op.project(lifted), pt, strict=True))
+        assert abs(ca.evaluate(op.phi(u), lifted)) <= 1e-12
 
 
 class TestVariationCheck:
