@@ -663,26 +663,33 @@ def gradient(e: Expr, nvars: int) -> list:
     return [differentiate(e, i) for i in range(nvars)]
 
 
-def _pow_float(base: float, exponent: Fraction) -> float:
-    if exponent.denominator == 1:
-        n = exponent.numerator
-        if base == 0.0 and n < 0:
-            raise DivisionByZero(f"0.0 raised to integer power {n}")
-        return base ** n
+def _frac_pow(base: float, fexp: float) -> float:
+    """The power rule of :func:`evaluate` and the compiled kernels for a
+    non-integer exponent: the base must be positive."""
     if base <= 0.0:
-        raise NonSmoothPoint(
-            f"non-integer power {exponent} of non-positive base {base!r}"
-        )
-    return base ** float(exponent)
+        raise NonSmoothPoint(f"non-integer power {fexp!r} of non-positive base {base!r}")
+    return base ** fexp
+
+
+def _zero_pow(n: int):
+    """The same rule for zero raised to a negative integer: no value."""
+    raise DivisionByZero(f"zero raised to negative integer power {n}")
+
+
+def _eval_pow(node, kids):
+    q, base = node.exponent, kids[0]
+    if q.denominator != 1:
+        return _frac_pow(base, float(q))
+    return base ** q.numerator if base or q >= 0 else _zero_pow(q.numerator)
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
     """Evaluate at a coordinate tuple; IEEE double, deterministic.
 
-    Sums and products combine their operands left to right, exactly as
-    the kernels of :func:`compile_expr` do.  Raises :class:`NonSmoothPoint`
-    for a non-integer power of a non-positive base and
-    :class:`DivisionByZero` for a negative integer power of zero.
+    Sums and products combine their operands left to right and powers
+    follow :func:`_frac_pow` and :func:`_zero_pow`, exactly as in the
+    kernels of :func:`compile_expr`, so both raise :class:`NonSmoothPoint`
+    and :class:`DivisionByZero` at the same points with the same message.
     """
     return _fold(
         e,
@@ -691,7 +698,7 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
             Var: lambda node, _: float(point[node.index]),
             Add: lambda node, kids: reduce(operator.add, kids),
             Mul: lambda node, kids: reduce(operator.mul, kids),
-            Pow: lambda node, kids: _pow_float(kids[0], node.exponent),
+            Pow: _eval_pow,
         },
     )
 
@@ -714,23 +721,17 @@ def free_vars(e: Expr) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _rp(base: float, fexp: float) -> float:
-    # runtime helper for compiled fractional powers
-    if base <= 0.0:
-        raise NonSmoothPoint(f"non-integer power of non-positive base {base!r}")
-    return base ** fexp
-
-
 def compile_expr(
     e: Union[Expr, Sequence[Expr]], nvars: int
 ) -> Callable[[Sequence[float]], float]:
-    """Compile to a Python callable ``f(point) -> float``.
+    """Compile to a generated function ``f(point) -> float`` (text in
+    ``f.source``) whose values and errors match :func:`evaluate` exactly.
 
-    Point semantics and error behaviour match :func:`evaluate` exactly;
-    structurally equal subtrees are emitted once (the generated code is
-    linear in the number of distinct subtrees, not the tree size).  Given
-    a sequence of expressions instead, the kernel returns the list of
-    their values, and subtrees shared between them are emitted once too.
+    Both use the same power helpers; a negative integer power stays inline
+    as ``t ** -n if t else _zero_pow(-n)``.  Structurally equal subtrees
+    are emitted once, so the code is linear in the number of distinct
+    subtrees.  Given a sequence of expressions, the kernel returns the
+    list of their values and emits shared subtrees once too.
     """
     lines = []
 
@@ -747,10 +748,11 @@ def compile_expr(
         return f"p[{node.index}]"
 
     def emit_pow(node, kids):
-        q = node.exponent
-        if q.denominator == 1:
-            return emit(f"{kids[0]} ** {q.numerator}")
-        return emit(f"_rp({kids[0]}, {float(q)!r})")
+        b, q = kids[0], node.exponent
+        if q.denominator != 1:
+            return emit(f"_frac_pow({b}, {float(q)!r})")
+        zero = f" if {b} else _zero_pow({q.numerator})" if q < 0 else ""
+        return emit(f"{b} ** {q.numerator}{zero}")
 
     handlers = {
         # parenthesized, so that a negative base binds as in evaluate
@@ -767,16 +769,9 @@ def compile_expr(
         result = "[" + ", ".join([_fold(c, handlers, memo) for c in e]) + "]"
     body = "\n".join(lines)
     src = f"def _f(p):\n{body}\n    return {result}\n"
-    namespace = {"_rp": _rp}
+    namespace = {"_frac_pow": _frac_pow, "_zero_pow": _zero_pow}
     exec(compile(src, "<compiled-expr>", "exec"), namespace)
-    raw = namespace["_f"]
-
-    def f(point, _raw=raw):
-        try:
-            return _raw(point)
-        except ZeroDivisionError:
-            raise DivisionByZero("zero raised to a negative integer power") from None
-
+    f = namespace["_f"]
     f.source = src  # useful when debugging generated kernels
     return f
 

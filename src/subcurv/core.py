@@ -32,6 +32,8 @@ __all__ = [
     "IndefiniteCometric",
     "DEFAULT_EPS_SING",
     "default_eps_sing",
+    "is_singular",
+    "require_regular",
     "ScalarField",
     "VectorFieldExpr",
     "SubriemannianStructure",
@@ -87,6 +89,27 @@ def default_eps_sing() -> float:
     if not 0 < value < math.inf:
         raise ValueError(f"SUBCURV_EPS_SING must be a positive number, got {raw!r}")
     return value
+
+
+def is_singular(sq: float, point: Sequence[float], eps_sq: float) -> bool:
+    """The squared-norm rule of every path: below ``-PSD_TOL`` the cometric is
+    indefinite and this raises, naming ``point``; below ``eps_sq`` the point
+    is singular; a NaN norm is neither.  Sweeps test ``sq < eps_sq`` first
+    and call this only then, so a regular point costs no call."""
+    if sq < -PSD_TOL:
+        raise IndefiniteCometric(
+            f"cometric not PSD at {tuple(point)}: |dphi|*^2 is {sq!r}"
+        )
+    return sq < eps_sq
+
+
+def require_regular(sq: float, point: Sequence[float], eps_sing: Optional[float] = None):
+    """Raise :class:`SingularPoint` where :func:`is_singular` holds."""
+    eps_sq = (default_eps_sing() if eps_sing is None else eps_sing) ** 2
+    if is_singular(sq, point, eps_sq):
+        raise SingularPoint(
+            f"singular point at {tuple(point)}: |dphi|*^2 = {sq:.3e} < {eps_sq:g}"
+        )
 
 
 Box = Tuple[Tuple[float, float], ...]
@@ -315,23 +338,16 @@ def conorm_sq_expr(S: SubriemannianStructure, phi) -> Expr:
     return pairing_expr(S, grad, grad)
 
 
-def _conorm_sq_at(S: SubriemannianStructure, phi, point: Sequence[float]) -> float:
-    val = ca.evaluate(conorm_sq_expr(S, phi), point)
-    if val < -PSD_TOL:
-        raise IndefiniteCometric(
-            f"cometric not PSD at {tuple(point)}: |dphi|*^2 is {val!r}"
-        )
-    return val
-
-
 def conorm(S: SubriemannianStructure, phi, point: Sequence[float]) -> float:
     """|dphi|* at a point; 0.0 exactly at singular points.
 
     The square is evaluated symbolically and the square root is taken
     numerically, so degenerate points return 0 rather than tripping the
-    fractional-power domain guard.  Negative roundoff clamps to 0.
+    fractional-power domain guard.  Negative roundoff clamps to 0 and an
+    indefinite cometric raises, by :func:`is_singular`.
     """
-    return math.sqrt(max(_conorm_sq_at(S, phi, point), 0.0))
+    sq = ca.evaluate(conorm_sq_expr(S, phi), point)
+    return 0.0 if is_singular(sq, point, 0.0) else math.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +391,24 @@ def p_mean_curvature(
     point: Sequence[float],
     eps_sing: Optional[float] = None,
 ) -> float:
-    """Evaluate H_{phi,p}; raises :class:`SingularPoint` when
-    |dphi|*^2 < eps^2 (the rule of :func:`masked_curvature`)."""
-    eps = default_eps_sing() if eps_sing is None else eps_sing
-    sq = _conorm_sq_at(S, phi, point)
-    if sq < eps ** 2:
-        raise SingularPoint(f"singular point: |dphi|*^2 = {sq:.3e} < {eps ** 2:g}")
+    """Evaluate H_{phi,p}; raises :class:`SingularPoint` where
+    :func:`is_singular` holds."""
+    require_regular(ca.evaluate(conorm_sq_expr(S, phi), point), point, eps_sing)
     return ca.evaluate(p_mean_curvature_expr(S, phi, p), point)
 
 
 def masked_curvature(h_fn, sing_fn, points, eps_sq: float) -> list:
     """Compiled H at each point, ``None`` where no curvature value exists.
 
-    A point is masked when the compiled squared norm ``sing_fn`` is below
-    ``eps_sq`` (a NaN norm is not), or when ``h_fn`` raises a domain or
+    A point is masked where the squared-norm rule :func:`is_singular` holds
+    for the compiled ``sing_fn``, or where ``h_fn`` raises a domain or
     overflow error or returns a non-finite value.
     """
     out = []
     for pt in points:
         h = None
-        if not sing_fn(pt) < eps_sq:
+        sq = sing_fn(pt)
+        if not (sq < eps_sq and is_singular(sq, pt, eps_sq)):
             try:
                 h = h_fn(pt)
             except (ca.EvaluationError, OverflowError):
@@ -578,17 +592,14 @@ def singular_scan(
     hits = []
     for idx, pt in grid.points():
         val = sq_fn(pt)
-        if val >= threshold:
+        if not (val < threshold and is_singular(val, pt, threshold)):
             continue
         refined_pt, converged = refine(pt)
-        if converged:
-            res_sq = sq_fn(refined_pt)
-            if res_sq < threshold:
-                residual = math.sqrt(max(res_sq, 0.0))
-                hits.append(SingularHit(idx, pt, tuple(refined_pt), residual, True))
-                continue
-        residual = math.sqrt(max(val, 0.0))
-        hits.append(SingularHit(idx, pt, pt, residual, False))
+        if converged and is_singular(res_sq := sq_fn(refined_pt), refined_pt, threshold):
+            residual = math.sqrt(max(res_sq, 0.0))
+            hits.append(SingularHit(idx, pt, tuple(refined_pt), residual, True))
+        else:
+            hits.append(SingularHit(idx, pt, pt, math.sqrt(max(val, 0.0)), False))
     return SingularScanResult(grid, eps, hits)
 
 

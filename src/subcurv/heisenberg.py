@@ -18,10 +18,9 @@ from . import calculus as ca
 from .calculus import CoordSystem, Expr
 from .core import (
     ScalarField,
-    SingularPoint,
     SubriemannianStructure,
     VectorFieldExpr,
-    default_eps_sing,
+    require_regular,
 )
 
 __all__ = [
@@ -354,12 +353,8 @@ def graph_operator_HF(
 ) -> float:
     """Evaluate div((grad u + F)/|grad u + F|) at a nonsingular point."""
     u_expr = u.expr if isinstance(u, ScalarField) else u
-    m = len(F)
-    eps = default_eps_sing() if eps_sing is None else eps_sing
-    h, norm_sq = graph_HF_exprs(F, u_expr, m)
-    sq = ca.evaluate(norm_sq, point)
-    if sq < eps ** 2:
-        raise SingularPoint(f"singular point: |grad u + F|^2 = {sq:.3e} < {eps ** 2:g}")
+    h, norm_sq = graph_HF_exprs(F, u_expr, len(F))
+    require_regular(ca.evaluate(norm_sq, point), point, eps_sing)
     return ca.evaluate(h, point)
 
 
@@ -494,11 +489,8 @@ def la_graph_curvature(
     eps_sing: Optional[float] = None,
 ) -> float:
     u_expr = u.expr if isinstance(u, ScalarField) else u
-    eps = default_eps_sing() if eps_sing is None else eps_sing
     h, d_sq = la_graph_exprs(u_expr, n)
-    d = ca.evaluate(d_sq, point)
-    if d < eps ** 2:
-        raise SingularPoint(f"singular point: D^2 = {d:.3e} < {eps ** 2:g}")
+    require_regular(ca.evaluate(d_sq, point), point, eps_sing)
     return ca.evaluate(h, point)
 
 

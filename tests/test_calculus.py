@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcurv import calculus as ca
@@ -321,11 +321,12 @@ expr_trees = st.recursive(
 
 
 def _outcome(fn, *args):
-    """Bit pattern of the float result, or the type of the error raised."""
+    """Bit pattern of the float result, or the type and message of the
+    error raised."""
     try:
         return struct.pack("<d", fn(*args))
     except (EvaluationError, OverflowError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def _distinct_operators(e) -> set:
@@ -348,7 +349,10 @@ def _distinct_operators(e) -> set:
 class TestFold:
     @settings(max_examples=300, deadline=None)
     @given(expr_trees, st.floats(-3, 3), st.floats(-3, 3))
+    @example(ca.pow_(ca.var(0), -3), -0.0, 1.0)  # both raise DivisionByZero
+    @example(ca.sqrt_(ca.var(1)), 1.0, -2.0)  # both raise NonSmoothPoint
     def test_compiled_kernel_is_bitwise_evaluate(self, e, x, z):
+        # a value matches bit for bit, an error by type and message
         pt = (x, z)
         assert _outcome(compile_expr(e, 2), pt) == _outcome(evaluate, e, pt)
 
@@ -358,6 +362,13 @@ class TestFold:
         s = simplify(e)
         assert simplify(s) == s
         assert substitute(e, {}) == s
+
+    def test_kernel_is_the_generated_function(self):
+        # no wrapper frame between the caller and the generated code
+        e = ca.add(ca.pow_(ca.var(0), -2), ca.sqrt_(ca.var(1)))
+        f = compile_expr(e, 2)
+        assert f.__code__.co_filename == "<compiled-expr>"
+        assert "_zero_pow(-2)" in f.source and "_frac_pow(" in f.source
 
     def test_kernel_emits_each_distinct_subtree_once(self):
         def branch():
@@ -402,7 +413,7 @@ class TestFold:
         singles = [compile_expr(e, 2) for e in exprs]
         vector = compile_expr(exprs, 2)
         expected = [_outcome(f, pt) for f in singles]
-        errors = [o for o in expected if isinstance(o, type)]
+        errors = [o for o in expected if isinstance(o, tuple)]
         if errors:
             # the first failing component raises first
             assert _outcome(lambda p: vector(p)[0], pt) == errors[0]

@@ -465,17 +465,40 @@ class TestExitCodeContract:
         assert "not PSD" in err and "cometric.1.1 is" in err
 
     def test_indefinite_cometric_without_a_box_is_config_error_naming_the_point(
-        self, cfg, capsys
+        self, cfg, capsys, tmp_path
     ):
         # no box, so nothing probes the cometric at load: the norm itself
         # must refuse |dphi|*^2 = 1 - 4 instead of clamping it to 0
         bad = CUSTOM_FLAT.replace("cometric.1.1 = 1", "cometric.1.1 = -1")
-        bad = bad.replace("box = -1:1, -1:1\n", "") + "\n[function phi]\nexpr = x + 2*y\n"
+        bad = bad.replace("box = -1:1, -1:1\n", "")
+        bad += "\n[function phi]\nexpr = x + 2*y\nbox = -1:1, -1:1\n"
         path = cfg("indefinite.cfg", bad)
         assert main(["curvature", "--config", path, "--function", "phi",
                      "--at", "0.1,0.2"]) == 2
         err = capsys.readouterr().err
         assert "not PSD at (0.1, 0.2)" in err and "|dphi|*^2 is -3" in err
+        # the grid and the scenario sweep use the same rule: the graph
+        # x = 2y has |dphi|*^2 = 1 - 4 at every chart point
+        bad += (
+            "\n[function u]\nexpr = 2*y\nbox = -1:1\n"
+            "\n[function v]\nexpr = 2*y + 1\n"
+            "\n[scenario]\noperator = generic\ngraph_dir = x\nu = u\nv = v\ngrid = 3\n"
+        )
+        path = cfg("indefinite-grid.cfg", bad)
+        out, csv = tmp_path / "out", tmp_path / "out.csv"
+        grid = ["curvature", "--config", path, "--function", "phi", "--grid", "2",
+                "--out", str(out)]
+        runs = [
+            (grid + ["--format", "json"], "(-1.0, -1.0)"),
+            (grid + ["--format", "csv"], "(-1.0, -1.0)"),
+            (["scenario", "run", "--config", path, "--out", str(out), "--csv", str(csv)],
+             "(-1.0,)"),
+        ]
+        for argv, point in runs:
+            code, err = run_main_quietly(argv)
+            assert code == 2, argv
+            assert f"not PSD at {point}: |dphi|*^2 is -3" in err
+            assert not out.exists() and not csv.exists()
 
     @pytest.mark.parametrize("graph", ["u", "v"])
     def test_domain_hole_in_a_graph_names_the_graph_and_the_point(self, cfg, graph):

@@ -31,6 +31,14 @@ from subcurv.heisenberg import (
 from conftest import assert_close, random_polynomial
 
 
+def indefinite_structure():
+    """diag(1, -1) on (x, y), where |d(x + 2y)|*^2 = 1 - 4 = -3."""
+    coords = CoordSystem(("x", "y"))
+    one, zero = ca.ONE, ca.ZERO
+    S = SubriemannianStructure(coords, [[one, zero], [zero, ca.const(-1)]], one)
+    return S, ca.parse_expr("x + 2*y", coords)
+
+
 def euclidean_structure(names=("x1", "x2")):
     coords = CoordSystem(names)
     n = len(coords)
@@ -81,11 +89,9 @@ class TestConorm:
         assert conorm(S, phi, (0.0, 0.0, 0.4)) == 0.0
 
     def test_negative_square_beyond_roundoff_raises(self):
-        # diag(1, -1): |d(x + 2y)|*^2 = -3; a square of -1e-12 is roundoff
-        coords = CoordSystem(("x", "y"))
-        one, zero = ca.ONE, ca.ZERO
-        S = SubriemannianStructure(coords, [[one, zero], [zero, ca.const(-1)]], one)
-        phi = ca.parse_expr("x + 2*y", coords)
+        # |d(x + 2y)|*^2 = -3; a square of -1e-12 is roundoff
+        S, phi = indefinite_structure()
+        coords, one, zero = S.coords, ca.ONE, ca.ZERO
         with pytest.raises(IndefiniteCometric, match=r"at \(0\.1, 0\.2\)"):
             conorm(S, phi, (0.1, 0.2))
         with pytest.raises(IndefiniteCometric):
@@ -231,6 +237,12 @@ class TestSingularScan:
         for hit in result.hits:
             assert abs(hit.grid_point[0]) <= 0.05 / 2.0 + 1e-12
 
+    def test_indefinite_cometric_raises_naming_the_point(self):
+        S, phi = indefinite_structure()
+        grid = GridSpec([(-1.0, 1.0, 3), (-1.0, 1.0, 3)])
+        with pytest.raises(IndefiniteCometric, match=r"not PSD at \(-1\.0, -1\.0\)"):
+            singular_scan(S, phi, grid, eps_sing=0.1)
+
     def test_every_hit_below_threshold(self):
         S = standard_structure(1)
         phi = ca.neg(ca.var(2))
@@ -307,3 +319,13 @@ class TestMaskedCurvature:
         sing = ca.compile_expr(ca.pow_(x, 2), 1)
         assert masked_curvature(h, sing, [(0.0,), (1e-9,), (2.0,)], 1e-14) == [None, None, 0.5]
         assert masked_curvature(h, sing, [(0.0,)], 0.0) == [None]  # 1/0 raises
+
+    def test_roundoff_norm_is_singular_and_nan_norm_is_not(self):
+        norms = {(0,): 1.0, (1,): -1e-12, (2,): math.nan}
+        values = masked_curvature(lambda pt: 2.0, norms.get, list(norms), 1e-14)
+        assert values == [2.0, None, 2.0]
+
+    def test_indefinite_norm_raises_naming_the_point(self):
+        norms = {(0,): 1.0, (3,): -3.0}
+        with pytest.raises(IndefiniteCometric, match=r"not PSD at \(3,\): .* is -3\.0"):
+            masked_curvature(lambda pt: 2.0, norms.get, list(norms), 1e-14)
