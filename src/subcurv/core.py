@@ -68,7 +68,16 @@ class MissingFrames(GeometryError):
 
 
 class IndefiniteCometric(GeometryError):
-    """A squared covector norm is below -PSD_TOL: the cometric is not PSD."""
+    """The squared covector norm ``sq`` is below -PSD_TOL at ``point``, on the
+    graph named ``graph`` when there is one: the cometric is not PSD."""
+
+    def __init__(self, point, sq, graph=None):
+        self.point, self.sq, self.graph = tuple(point), sq, graph
+        super().__init__(self.point, sq, graph)
+
+    def __str__(self):
+        on = f"graph {self.graph}: " if self.graph else ""
+        return f"{on}cometric not PSD at {self.point}: |dphi|*^2 is {self.sq!r}"
 
 
 PSD_TOL = 1e-10  # negative squared norms and minors down to -PSD_TOL are roundoff
@@ -97,9 +106,7 @@ def is_singular(sq: float, point: Sequence[float], eps_sq: float) -> bool:
     is singular; a NaN norm is neither.  Sweeps test ``sq < eps_sq`` first
     and call this only then, so a regular point costs no call."""
     if sq < -PSD_TOL:
-        raise IndefiniteCometric(
-            f"cometric not PSD at {tuple(point)}: |dphi|*^2 is {sq!r}"
-        )
+        raise IndefiniteCometric(point, sq)
     return sq < eps_sq
 
 
@@ -608,13 +615,12 @@ def singular_scan(
 # ---------------------------------------------------------------------------
 
 
-def probe_validate(
-    S: SubriemannianStructure,
-    box: Optional[Box] = None,
-    samples_per_axis: int = 3,
-    psd_tol: float = PSD_TOL,
-) -> list:
-    """Check PSD-ness, positive density, and frame rank on a probe grid.
+PROBE_SAMPLES_PER_AXIS = 3
+
+
+def probe_validate(S: SubriemannianStructure, box: Optional[Box] = None) -> list:
+    """Check PSD-ness (minors down to -PSD_TOL), positive density, and frame
+    rank on a grid of ``PROBE_SAMPLES_PER_AXIS`` points per axis.
 
     Returns a list of human-readable issues (empty when all checks pass).
     Sampling, not symbolic certification: the goal is to catch
@@ -624,7 +630,7 @@ def probe_validate(
     if box is None:
         raise ValueError("no probe box: structure has no domain_box")
     issues = []
-    grid = GridSpec.from_box(box, samples_per_axis)
+    grid = GridSpec.from_box(box, PROBE_SAMPLES_PER_AXIS)
     expected_rank = S.dim - S.degeneracy
     # principal_minors orders its minors by size, then index set
     minor_sets = [
@@ -635,7 +641,7 @@ def probe_validate(
     for _, pt in grid.points():
         g = S.cometric_at(pt)
         for rows, m in zip(minor_sets, principal_minors(g)):
-            if m < -psd_tol:
+            if m < -PSD_TOL:
                 entries = ", ".join(
                     f"cometric.{l}.{k}" for i, l in enumerate(rows) for k in rows[i:]
                 )

@@ -428,23 +428,40 @@ def _chart_frames(n: int, coords: CoordSystem, center_coeff: Expr) -> list:
     return fields
 
 
-def intrinsic_graph_exprs(u: Expr, n: int) -> tuple:
-    """(H, 1 + |W^u u|^2) for an intrinsic graph.
+def _translation_graph_exprs(u: Expr, n: int, sign: int) -> tuple:
+    """(H, D^2) for the graph x^1 = u(eta, tau) along x1-translations.
 
-    The middle field carries the coefficient -2u, with u substituted
-    before any differentiation: operator and argument share one tree, so
-    the quasilinear coefficient is differentiated exactly as a field on
-    the chart.
+    The chart is eta = (x^2..x^n, y^1..y^n) and tau = z + sign x^1 y^1:
+    sign +1 gives the graphs transversal to x1-translations, sign -1 the
+    intrinsic graphs.  The frames other than e_1 become the chart fields;
+    the middle one, e_1' = d_{eta^(n+1)} + (sign - 1) u d_tau, carries u
+    itself, substituted before any differentiation, so the quasilinear
+    coefficient is differentiated exactly as a field on the chart.  On
+    chart functions e_1 acts as (1 + sign) eta^(n+1) d_tau, so it meets
+    the graph in q_first = -1 + (1 + sign) eta^(n+1) u_tau; D^2 is
+    q_first^2 + |W u|^2 and H the divergence sum, whose e_1 term exists
+    only for sign +1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coords = intrinsic_chart(n)
-    fields = _chart_frames(n, coords, ca.mul(-2, u))
+    tau = 2 * n - 1
+    eta_n1 = ca.var(_eta_index(n + 1))
+    u_tau = ca.differentiate(u, tau)
+    fields = _chart_frames(n, intrinsic_chart(n), ca.mul(sign - 1, u))
+    q_first = ca.add(ca.const(-1), ca.mul(1 + sign, eta_n1, u_tau))
     applied = [x.apply(u) for x in fields]
-    d_sq = ca.add(ca.ONE, *[ca.pow_(q, 2) for q in applied])
+    d_sq = ca.add(ca.pow_(q_first, 2), *[ca.pow_(q, 2) for q in applied])
     inv_d = ca.pow_(d_sq, Fraction(-1, 2))
-    h = ca.add(*[x.apply(ca.mul(q, inv_d)) for x, q in zip(fields, applied)])
-    return h, d_sq
+    rest = [x.apply(ca.mul(q, inv_d)) for x, q in zip(fields, applied)]
+    if sign < 0:
+        return ca.add(*rest), d_sq
+    first = ca.mul(2, eta_n1, ca.differentiate(ca.mul(q_first, inv_d), tau))
+    return ca.add(first, *rest), d_sq
+
+
+def intrinsic_graph_exprs(u: Expr, n: int) -> tuple:
+    """(H, 1 + |W^u u|^2) for an intrinsic graph (tau = z - x^1 y^1)."""
+    return _translation_graph_exprs(u, n, -1)
 
 
 def intrinsic_graph_curvature(u, n: int, point: Sequence[float]) -> float:
@@ -454,32 +471,8 @@ def intrinsic_graph_curvature(u, n: int, point: Sequence[float]) -> float:
 
 
 def la_graph_exprs(u: Expr, n: int) -> tuple:
-    """(H, D^2) for a graph transversal to x1-translations.
-
-    D^2 = (-1 + 2 eta^(n+1) u_tau)^2 + |W u|^2 over the remaining fields,
-    which equals 1 - 4 eta^(n+1) u_tau + |W u|^2 identically; H is the
-    displayed divergence sum, whose first term differentiates only along
-    2 eta^(n+1) d_tau because nothing depends on the graph coordinate.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coords = intrinsic_chart(n)
-    dim = 2 * n
-    tau = dim - 1
-    eta_n1 = ca.var(_eta_index(n + 1))
-    u_tau = ca.differentiate(u, tau)
-
-    fields = _chart_frames(n, coords, ca.ZERO)  # middle field is plain d_{eta^(n+1)}
-    q_first = ca.add(ca.const(-1), ca.mul(2, eta_n1, u_tau))
-    applied = [x.apply(u) for x in fields]
-    d_sq = ca.add(ca.pow_(q_first, 2), *[ca.pow_(q, 2) for q in applied])
-    inv_d = ca.pow_(d_sq, Fraction(-1, 2))
-    # the graph-direction frame reduces to 2 eta^(n+1) d_tau on chart functions
-    first = ca.mul(
-        2, eta_n1, ca.differentiate(ca.mul(q_first, inv_d), tau)
-    )
-    rest = [x.apply(ca.mul(q, inv_d)) for x, q in zip(fields, applied)]
-    return ca.add(first, *rest), d_sq
+    """(H, D^2) for a graph transversal to x1-translations (tau = z + x^1 y^1)."""
+    return _translation_graph_exprs(u, n, 1)
 
 
 def la_graph_curvature(
@@ -498,11 +491,8 @@ def la_graph_curvature(
 # Radial graphs on the cylinder
 # ---------------------------------------------------------------------------
 
-RADIAL_COORD = CoordSystem(("r",))
-
-
-def radial_curvature_expr(u: Expr, n: int) -> Expr:
-    """Curvature of the rotationally symmetric cylinder graph z = u(r):
+def radial_curvature_expr(u: Expr, n: int) -> tuple:
+    """(H, u'^2 + r^2) for the rotationally symmetric cylinder graph z = u(r):
 
         H = (rho / r^(2n-1)) d/dr( u' r^(2n-1) / sqrt(u'^2 + r^2) )
             - (2n+1) r^2 (r u' - 2u) / (rho^3 sqrt(u'^2 + r^2))
@@ -524,11 +514,11 @@ def radial_curvature_expr(u: Expr, n: int) -> Expr:
         ca.pow_(rho4, Fraction(-3, 4)),
         inv_slope,
     )
-    return ca.sub(first, second)
+    return ca.sub(first, second), slope_sq
 
 
 def radial_cylinder_curvature(u: Expr, n: int, r0: float) -> float:
     """Evaluate the radial operator at r0 > 0."""
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    return ca.evaluate(radial_curvature_expr(u, n), (float(r0),))
+    return ca.evaluate(radial_curvature_expr(u, n)[0], (float(r0),))

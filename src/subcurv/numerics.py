@@ -48,22 +48,19 @@ def solve_linear(a, b) -> Optional[list]:
     return x
 
 
-def matrix_rank(rows: Sequence[Sequence[float]], pivot_tol: float = None):
+def matrix_rank(rows: Sequence[Sequence[float]]):
     """Numeric rank by row elimination with a scaled pivot threshold.
 
-    The default threshold is ``1e-9 *`` the largest row norm, which keeps
-    rank decisions stable under the roundoff amplification of iterated
-    bracket trees.  Returns ``(rank, threshold_used)``.
+    The threshold is ``1e-9 *`` the largest row norm, which keeps rank
+    decisions stable under the roundoff amplification of iterated bracket
+    trees.  Returns ``(rank, threshold_used)``.
     """
     work = [list(map(float, r)) for r in rows]
     if not work:
         return 0, 0.0
     ncols = len(work[0])
-    if pivot_tol is None:
-        row_norm = max(
-            (sum(v * v for v in r) ** 0.5 for r in work), default=0.0
-        )
-        pivot_tol = 1e-9 * row_norm
+    row_norm = max((sum(v * v for v in r) ** 0.5 for r in work), default=0.0)
+    pivot_tol = 1e-9 * row_norm
     if pivot_tol == 0.0:
         return 0, 0.0
     rank = 0
@@ -123,18 +120,22 @@ def principal_minors(matrix: Sequence[Sequence[float]]) -> list:
     ]
 
 
+NEWTON_MAX_ITER = 20
+NEWTON_GRAD_TOL = 1e-12
+NEWTON_STEP_TOL = 1e-14
+
+
 def newton_minimize(
     grad: Callable[[Sequence[float]], Sequence[float]],
     hess: Callable[[Sequence[float]], Sequence[Sequence[float]]],
     x0: Sequence[float],
     active: Sequence[int],
-    max_iter: int = 20,
-    grad_tol: float = 1e-12,
-    step_tol: float = 1e-14,
 ):
     """Newton iteration on the stationarity system, restricted to the
     ``active`` coordinate axes (the others stay frozen at their ``x0``
-    values).
+    values): at most ``NEWTON_MAX_ITER`` steps, converged once the active
+    gradient is below ``NEWTON_GRAD_TOL``, stopped once a step is below
+    ``NEWTON_STEP_TOL``.
 
     Returns ``(x, converged)``; a singular restricted Hessian (flat
     directions, e.g. a one-dimensional zero set) reports non-convergence
@@ -143,10 +144,10 @@ def newton_minimize(
     x = list(map(float, x0))
     if not active:
         return x, False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         g_full = grad(x)
         g = [g_full[i] for i in active]
-        if max(abs(v) for v in g) < grad_tol:
+        if max(abs(v) for v in g) < NEWTON_GRAD_TOL:
             return x, True
         h_full = hess(x)
         h = [[h_full[i][j] for j in active] for i in active]
@@ -155,11 +156,11 @@ def newton_minimize(
             return x, False
         for k, i in enumerate(active):
             x[i] -= step[k]
-        if max(abs(s) for s in step) < step_tol:
+        if max(abs(s) for s in step) < NEWTON_STEP_TOL:
             g_full = grad(x)
-            if max(abs(g_full[i]) for i in active) < grad_tol:
+            if max(abs(g_full[i]) for i in active) < NEWTON_GRAD_TOL:
                 return x, True
             return x, False
     g_full = grad(x)
-    converged = max(abs(g_full[i]) for i in active) < grad_tol
+    converged = max(abs(g_full[i]) for i in active) < NEWTON_GRAD_TOL
     return x, converged

@@ -18,9 +18,10 @@ A grid point carries no curvature value where the graph is singular or
 H cannot be evaluated there (:func:`core.masked_curvature`).
 
 Each operator carries its own map to the ambient manifold where the rank
-condition is checked: ``structure`` (None when there is none),
-``expected_rank``, ``phi(u)`` (the defining function of the graph there),
-``lift(chart_pt, u_val)`` and ``project(pt)``.
+condition is checked: ``structure``, ``expected_rank``, ``phi(u)`` (the
+defining function of the graph there), ``lift(chart_pt, u_val)`` and
+``project(pt)``.  ``lift`` raises ``ValueError`` outside the chart, and a
+scenario's box must lift at every corner.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from . import calculus as ca
 from .calculus import CoordSystem, Expr, EvaluationError
 from .core import (
     GridSpec,
+    IndefiniteCometric,
     ScalarField,
     SingularPoint,
     SubriemannianStructure,
@@ -201,28 +203,10 @@ class GraphHFOperator:
         return {"F": [ca.unparse(f, self.chart) for f in self.F]}
 
 
-class IntrinsicOperator:
-    """Intrinsic-graph curvature on the (eta, tau) chart (no ambient map)."""
-
-    kind = "intrinsic"
-    structure = None
-
-    def __init__(self, n: int):
-        self.n = n
-        self.chart = intrinsic_chart(n)
-
-    def build(self, u: Expr):
-        return intrinsic_graph_exprs(u, self.n)
-
-    def params(self) -> dict:
-        return {"n": self.n}
-
-
-class LaGraphOperator:
-    """Curvature of graphs transversal to x1-translations, (eta, tau) chart.
-    Ambient: the standard group chart, tau = z + x^1 eta^(n+1), graph x^1."""
-
-    kind = "la_graph"
+class _TranslationGraphOperator:
+    """Graphs x^1 = u(eta, tau) along x1-translations, on the (eta, tau)
+    chart with tau = z + sign x^1 eta^(n+1); the ambient manifold is the
+    standard group chart."""
 
     def __init__(self, n: int):
         self.n = n
@@ -232,46 +216,72 @@ class LaGraphOperator:
 
     def phi(self, u: Expr) -> Expr:
         n = self.n
-        # eta^(c+2) -> std coordinate c+1; tau -> z + x^1 * y^1
+        # eta^(c+2) -> std coordinate c+1; tau -> z + sign x^1 y^1
         up = {c: ca.var(c + 1) for c in range(2 * n - 1)}
-        up[2 * n - 1] = ca.add(ca.var(2 * n), ca.mul(ca.var(0), ca.var(n)))
+        up[2 * n - 1] = ca.add(ca.var(2 * n), ca.mul(self.sign, ca.var(0), ca.var(n)))
         return ca.sub(ca.substitute(u, up), ca.var(0))
 
     def lift(self, chart_pt, u_val: float):
         n = self.n
-        eta_n1 = chart_pt[n - 1]
-        tau = chart_pt[2 * n - 1]
-        z = tau - u_val * eta_n1
+        z = chart_pt[2 * n - 1] - self.sign * u_val * chart_pt[n - 1]
         return (u_val,) + tuple(chart_pt[: 2 * n - 1]) + (z,)
 
     def project(self, pt):
         n = self.n
-        tau = pt[2 * n] + pt[0] * pt[n]
+        tau = pt[2 * n] + self.sign * pt[0] * pt[n]
         return tuple(pt[1 : 2 * n]) + (tau,)
-
-    def build(self, u: Expr):
-        return la_graph_exprs(u, self.n)
 
     def params(self) -> dict:
         return {"n": self.n}
 
 
+class IntrinsicOperator(_TranslationGraphOperator):
+    """Intrinsic-graph curvature: tau = z - x^1 eta^(n+1)."""
+
+    kind = "intrinsic"
+    sign = -1
+
+    def build(self, u: Expr):
+        return intrinsic_graph_exprs(u, self.n)
+
+
+class LaGraphOperator(_TranslationGraphOperator):
+    """Curvature of graphs transversal to x1-translations: tau = z + x^1 eta^(n+1)."""
+
+    kind = "la_graph"
+    sign = 1
+
+    def build(self, u: Expr):
+        return la_graph_exprs(u, self.n)
+
+
 class RadialCylinderOperator:
-    """Rotationally symmetric graphs z = u(r) on the punctured cylinder
-    (no ambient map)."""
+    """Rotationally symmetric graphs z = u(r) on the punctured cylinder,
+    r = sqrt(sum of the 2n squared horizontal coordinates) > 0; the
+    ambient manifold is the cylinder structure."""
 
     kind = "radial_cylinder"
-    structure = None
 
     def __init__(self, n: int):
         self.n = n
         self.chart = CoordSystem(("r",))
+        self.structure = cylinder_structure(n)
+        self.expected_rank = 2 * n
+
+    def phi(self, u: Expr) -> Expr:
+        r = ca.sqrt_(ca.add(*[ca.pow_(ca.var(i), 2) for i in range(2 * self.n)]))
+        return ca.sub(ca.substitute(u, {0: r}), ca.var(2 * self.n))
+
+    def lift(self, chart_pt, u_val: float):
+        if not chart_pt[0] > 0:
+            raise ValueError(f"the radial chart needs r > 0, got r = {chart_pt[0]}")
+        return (chart_pt[0],) + (0.0,) * (2 * self.n - 1) + (u_val,)
+
+    def project(self, pt):
+        return (math.sqrt(sum(c * c for c in pt[: 2 * self.n])),)
 
     def build(self, u: Expr):
-        h = radial_curvature_expr(u, self.n)
-        du = ca.differentiate(u, 0)
-        sing = ca.add(ca.pow_(du, 2), ca.pow_(ca.var(0), 2))
-        return h, sing
+        return radial_curvature_expr(u, self.n)
 
     def params(self) -> dict:
         return {"n": self.n}
@@ -306,6 +316,8 @@ class ComparisonScenario:
         self.u = ScalarField(u, chart, box)
         self.v = ScalarField(v, chart, box)
         self.box = tuple((float(lo), float(hi)) for lo, hi in box)
+        for corner in itertools.product(*self.box):
+            operator.lift(corner, 0.0)  # raises where the box leaves the chart
         if isinstance(grid_counts, int):
             grid_counts = tuple(grid_counts for _ in self.box)
         self.grid_counts = tuple(int(c) for c in grid_counts)
@@ -367,22 +379,15 @@ class _ScenarioEngine:
     def __init__(self, scenario: ComparisonScenario):
         self.sc = scenario
         op = scenario.operator
-        self.nvars = nvars = len(op.chart)
+        self.nvars = len(op.chart)
         self.tol = tol = scenario.tolerances
         self.grid = scenario.grid()
         self.indices, self.points = zip(*self.grid.points())
         u_expr, v_expr = scenario.u.expr, scenario.v.expr
-        hu, sing_u = op.build(u_expr)
-        hv, sing_v = op.build(v_expr)
-        u_fn = ca.compile_expr(u_expr, nvars)
-        v_fn = ca.compile_expr(v_expr, nvars)
-        sing_u_fn = ca.compile_expr(sing_u, nvars)
-        sing_v_fn = ca.compile_expr(sing_v, nvars)
         eps_sq = tol.eps_sing ** 2
-        u_vals = _graph_values(u_fn, "u", self.points)
-        du = [b - a for a, b in zip(u_vals, _graph_values(v_fn, "v", self.points))]
-        h_u = masked_curvature(ca.compile_expr(hu, nvars), sing_u_fn, self.points, eps_sq)
-        h_v = masked_curvature(ca.compile_expr(hv, nvars), sing_v_fn, self.points, eps_sq)
+        u_fn, sing_u_fn, u_vals, h_u = _sweep_graph(op, "u", u_expr, self.points, eps_sq)
+        v_fn, sing_v_fn, v_vals, h_v = _sweep_graph(op, "v", v_expr, self.points, eps_sq)
+        du = [b - a for a, b in zip(u_vals, v_vals)]
         eps = tol.eps_order
         du_min, du_max = min(du), max(du)
         holds = du_min >= -eps or du_max <= eps
@@ -460,18 +465,28 @@ class _ScenarioEngine:
         ]
 
 
-def _graph_values(fn, name: str, points) -> list:
-    """The graph's values on the grid; a domain hole names the graph and
-    the chart point."""
-    out = []
+def _sweep_graph(op, name: str, expr: Expr, points, eps_sq: float):
+    """Kernel, norm kernel, grid values and masked H of one graph; a domain
+    hole names the graph and the chart point, an indefinite cometric the
+    graph and its ambient point (``op.lift``)."""
+    nvars = len(op.chart)
+    h, sing = op.build(expr)
+    fn = ca.compile_expr(expr, nvars)
+    sing_fn = ca.compile_expr(sing, nvars)
+    values = []
     try:
         for pt in points:
-            out.append(fn(pt))
+            values.append(fn(pt))
     except EvaluationError as exc:
         raise EvaluationError(
             f"graph {name} undefined at chart point {pt}: {exc}"
         ) from None
-    return out
+    try:
+        h_vals = masked_curvature(ca.compile_expr(h, nvars), sing_fn, points, eps_sq)
+    except IndefiniteCometric as exc:
+        pt = exc.point
+        raise IndefiniteCometric(op.lift(pt, fn(pt)), exc.sq, name) from None
+    return fn, sing_fn, values, h_vals
 
 
 def _in_box(pt, box) -> bool:
@@ -483,23 +498,17 @@ def _in_box(pt, box) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def touching_set(scenario: ComparisonScenario, jobs: int = 1) -> list:
+def touching_set(scenario: ComparisonScenario) -> list:
     """Points where the two graphs touch, with the ordering minimum.
 
     Returns the refined touching records; the ordering summary (min of
     v - u and its location) is available through :func:`run_scenario`.
-    ``jobs`` is accepted and never changes the result; the sweep runs
-    sequentially.
     """
     return _ScenarioEngine(scenario).touching()
 
 
-def curvature_gap(scenario: ComparisonScenario, jobs: int = 1) -> dict:
-    """max(H(v) - H(u)) over jointly nonsingular grid points + witness.
-
-    ``jobs`` is accepted and never changes the result; the sweep runs
-    sequentially.
-    """
+def curvature_gap(scenario: ComparisonScenario) -> dict:
+    """max(H(v) - H(u)) over jointly nonsingular grid points + witness."""
     return _ScenarioEngine(scenario).gap()
 
 
@@ -595,9 +604,8 @@ def propagate_max(
     projection.  Success for a trajectory means it stays within
     eps_touch.
     """
-    S = scenario.operator.structure
-    if S is None or S.frame_fields is None:
-        raise ValueError("scenario operator has no ambient structure with frames")
+    if scenario.operator.structure.frame_fields is None:
+        raise ValueError("scenario operator's ambient structure has no frames")
     engine = _ScenarioEngine(scenario)
     return _propagate(engine, list(fields), start, T, step, include_brackets)
 
@@ -802,7 +810,6 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     # rank verdict at the first touching point (grid order), when the
     # operator's ambient structure has frames
     op = scenario.operator
-    S = op.structure
     rank_data = None
     propagation = []
     eps_sq = engine.tol.eps_sing ** 2
@@ -811,9 +818,9 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         engine.sing_u_fn(pt) < eps_sq or engine.sing_v_fn(pt) < eps_sq
         for pt in touch_pts
     )
-    if touching and S is not None and S.frame_fields is not None:
+    if touching and op.structure.frame_fields is not None:
         # the rank hypothesis is checked on the lower graph, at regular points
-        fields = tangent_distribution_fields(S, op.phi(engine.u_expr))
+        fields = tangent_distribution_fields(op.structure, op.phi(engine.u_expr))
         rank_point = next(
             (pt for pt in touch_pts if engine.sing_u_fn(pt) >= eps_sq), None
         )

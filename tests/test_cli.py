@@ -478,7 +478,8 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "not PSD at (0.1, 0.2)" in err and "|dphi|*^2 is -3" in err
         # the grid and the scenario sweep use the same rule: the graph
-        # x = 2y has |dphi|*^2 = 1 - 4 at every chart point
+        # x = 2y has |dphi|*^2 = 1 - 4 at every chart point, and the sweep
+        # names the graph and its ambient point, chart y = -1 lifted to x = -2
         bad += (
             "\n[function u]\nexpr = 2*y\nbox = -1:1\n"
             "\n[function v]\nexpr = 2*y + 1\n"
@@ -489,16 +490,27 @@ class TestExitCodeContract:
         grid = ["curvature", "--config", path, "--function", "phi", "--grid", "2",
                 "--out", str(out)]
         runs = [
-            (grid + ["--format", "json"], "(-1.0, -1.0)"),
-            (grid + ["--format", "csv"], "(-1.0, -1.0)"),
+            (grid + ["--format", "json"], "error: cometric not PSD at (-1.0, -1.0)"),
+            (grid + ["--format", "csv"], "error: cometric not PSD at (-1.0, -1.0)"),
             (["scenario", "run", "--config", path, "--out", str(out), "--csv", str(csv)],
-             "(-1.0,)"),
+             "error: graph u: cometric not PSD at (-2.0, -1.0)"),
         ]
-        for argv, point in runs:
+        for argv, needle in runs:
             code, err = run_main_quietly(argv)
             assert code == 2, argv
-            assert f"not PSD at {point}: |dphi|*^2 is -3" in err
+            assert f"{needle}: |dphi|*^2 is -3" in err
             assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("box", ["-0.5:1", "0:1"])
+    def test_radial_box_reaching_r_nonpositive_is_config_error(self, cfg, box):
+        # the radial chart is r > 0; project(lift(r)) = |r| would measure
+        # propagation at the wrong radius
+        text = ("[function u]\nexpr = r^2/2 + 1/5\n\n[scenario]\noperator = radial_cylinder\n"
+                f"n = 1\nu = u\nv = u\nbox = {box}\ngrid = 5\n")
+        path = cfg("radial.cfg", text)
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 2
+        assert "[scenario]: the radial chart needs r > 0" in err
 
     @pytest.mark.parametrize("graph", ["u", "v"])
     def test_domain_hole_in_a_graph_names_the_graph_and_the_point(self, cfg, graph):

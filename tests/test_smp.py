@@ -1,6 +1,8 @@
 """Comparison harness: touching, gaps, propagation, classification."""
 
+import functools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,14 @@ from hypothesis import strategies as st
 from subcurv import calculus as ca
 from subcurv import smp
 from subcurv.cli import write_scenario_csv
-from subcurv.core import ScalarField, SingularPoint, VectorFieldExpr
+from subcurv.core import ScalarField, SingularPoint, VectorFieldExpr, p_mean_curvature_expr
 from subcurv.brackets import tangent_distribution_fields
 from subcurv.heisenberg import cylinder_structure, graph_coords, standard_drift
 from subcurv.smp import (
     ComparisonScenario,
     GenericOperator,
     GraphHFOperator,
+    IntrinsicOperator,
     LaGraphOperator,
     RadialCylinderOperator,
     builtin_names,
@@ -242,7 +245,20 @@ AMBIENT_CASES = {
                  "x1*x2 + x2^2", ((0.5, 1.5), (-0.4, 0.4))),
     "la-graph": (lambda: LaGraphOperator(2),
                  "eta3*tau + eta2^2 - 3/10", ((-0.5, 0.5),) * 4),
+    "intrinsic": (lambda: IntrinsicOperator(2),
+                  "eta3*tau + eta2^2 - 3/10", ((-0.5, 0.5),) * 4),
+    "radial": (lambda: RadialCylinderOperator(2),
+               "r^3/3 - r/2 + 1/5", ((0.6, 1.4),)),
 }
+
+
+@functools.cache
+def ambient_case(case):
+    """(operator, u, box, phi) of an AMBIENT_CASES entry, built once."""
+    make, u_src, box = AMBIENT_CASES[case]
+    op = make()
+    u = ca.parse_expr(u_src, op.chart)
+    return op, u, box, op.phi(u)
 
 
 class TestAmbientMaps:
@@ -250,14 +266,43 @@ class TestAmbientMaps:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_lift_projects_back_onto_the_graph(self, case, data):
-        make, u_src, box = AMBIENT_CASES[case]
-        op = make()
-        u = ca.parse_expr(u_src, op.chart)
+        op, u, box, phi = ambient_case(case)
         pt = data.draw(st.tuples(*[st.floats(lo, hi) for lo, hi in box]))
         lifted = op.lift(pt, ca.evaluate(u, pt))
         assert len(lifted) == op.structure.dim
         assert all(abs(a - b) <= 1e-12 for a, b in zip(op.project(lifted), pt, strict=True))
-        assert abs(ca.evaluate(op.phi(u), lifted)) <= 1e-12
+        assert abs(ca.evaluate(phi, lifted)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    def test_chart_curvature_is_the_ambient_p_mean_curvature(self, case):
+        # H from op.build on the chart equals H_{phi,0} of the lifted graph
+        # in op.structure; a wrong sign in the intrinsic chart breaks this
+        op, u, box, phi = ambient_case(case)
+        h_chart = ca.compile_expr(op.build(u)[0], len(op.chart))
+        h_ambient = ca.compile_expr(p_mean_curvature_expr(op.structure, phi, 0), op.structure.dim)
+        rng = random.Random(case)
+        for _ in range(20):
+            pt = tuple(rng.uniform(lo, hi) for lo, hi in box)
+            lifted = op.lift(pt, ca.evaluate(u, pt))
+            assert_close(h_chart(pt), h_ambient(lifted), rel=1e-12, msg=f"{case} at {pt}")
+
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    def test_tangent_fields_keep_the_lift_on_the_graph(self, case):
+        op, u, box, phi = ambient_case(case)
+        phi_fn = ca.compile_expr(phi, op.structure.dim)
+        start = tuple(lo + 0.4 * (hi - lo) for lo, hi in box)
+        lifted = op.lift(start, ca.evaluate(u, start))
+        devs = []
+
+        def leaves_box(pt):
+            if not all(lo <= c <= hi for c, (lo, hi) in zip(op.project(pt), box)):
+                return True
+            devs.append(abs(phi_fn(pt)))
+            return False
+
+        for X in tangent_distribution_fields(op.structure, phi):
+            integrate_field(X, lifted, 0.3, 1e-3, stop=leaves_box)
+        assert len(devs) > 100 and max(devs) <= 1e-8
 
 
 class TestVariationCheck:
@@ -351,6 +396,27 @@ class TestRunScenario:
         assert d["touching_count"] >= 1
         # the paraboloid carries strictly positive curvature, the cap none
         assert d["curvature_gap"]["max"] > 1.0
+
+    @pytest.mark.parametrize("n, rank, expected, depth", [(1, 1, 2, 1), (2, 4, 4, 2)])
+    @pytest.mark.parametrize(
+        "make, u_src, box, grid",
+        [
+            (IntrinsicOperator, "eta2^2/2 + tau/3 + 1/5", (-0.5, 0.5), 3),
+            (RadialCylinderOperator, "r^3/3 - r/2 + 1/5", (0.6, 1.4), 5),
+        ],
+        ids=["intrinsic", "radial"],
+    )
+    def test_intrinsic_and_radial_pairs_get_rank_and_propagation(
+        self, make, u_src, box, grid, n, rank, expected, depth
+    ):
+        op = make(n)
+        u = ca.parse_expr(u_src, op.chart)
+        sc = ComparisonScenario("t", op, u, u, box=(box,) * len(op.chart), grid_counts=grid)
+        d = run_scenario(sc).as_dict()
+        assert d["classification"] == "coincide-near-touching"
+        r = d["rank"]
+        assert (r["rank"], r["expected"], r["depth"]) == (rank, expected, depth)
+        assert d["propagation"] and all(p["ok"] for p in d["propagation"])
 
     def test_classification_is_pure_function_of_measurements(self):
         for name in builtin_names():
