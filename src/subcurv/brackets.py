@@ -169,7 +169,7 @@ def two_form_rank(
     for k in range(n):
         for j in range(k, n):
             s = ca.add(M[k][j], M[j][k])
-            if not (isinstance(s, ca.Const) and s.value == 0):
+            if s is not ca.ZERO:
                 raise ValueError(f"matrix not skew-symmetric at ({k},{j})")
     num = [[ca.evaluate(entry, point) for entry in row] for row in M]
     if restriction_basis is not None:
@@ -224,7 +224,7 @@ def w_tensor_independence(
     for a, theta in enumerate(null_coforms):
         for x in fields:
             s = _coform_apply(theta, x)
-            if not (isinstance(s, ca.Const) and s.value == 0):
+            if s is not ca.ZERO:
                 raise ValueError(
                     f"frame inconsistency: coform {a} does not annihilate field"
                 )

@@ -7,13 +7,15 @@ pointwise IEEE-double evaluation, substitution, parsing/unparsing of a
 small text grammar, and compilation to fast Python callables for grid
 sweeps.
 
-Every bottom-up walk (simplification, differentiation, evaluation,
-substitution, free variables, compilation) is one iterative post-order
-fold over the expression DAG with a handler per node kind.  The fold's
-memo is keyed on structure (node equality through the cached hash), so
-structurally equal subtrees are rebuilt, evaluated and emitted once, and
-deep trees do not exhaust the interpreter stack.  Negation is not a node
-kind: ``-e`` is the product of ``-1`` and ``e``.
+Nodes are interned (hash-consed): there is one live node per structure,
+so equality is identity.  The intern table is not locked, so trees are
+built from one thread at a time.  Every bottom-up walk (simplification,
+differentiation, evaluation, substitution, free variables, compilation)
+is one iterative post-order fold over the expression DAG with a handler
+per node kind.  The fold's memo keys on node identity, so equal subtrees
+are rebuilt, evaluated and emitted once, and deep trees do not exhaust
+the interpreter stack.  Negation is not a node kind: ``-e`` is the
+product of ``-1`` and ``e``.
 
 Simplification is deliberately shallow: constant folding, neutral-element
 elimination and flattening of nested sums/products.  There is no
@@ -24,8 +26,9 @@ numerically by callers where needed.
 from __future__ import annotations
 
 import operator
+import weakref
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -138,46 +141,38 @@ _RANK_MUL = 3
 _RANK_ADD = 4
 
 
-def _same_tree(a, b) -> bool:
-    """Structural equality of two trees, walked with an explicit stack."""
-    stack = []
-    while True:
-        if a is not b:
-            kind = type(a)
-            if kind is not type(b) or a._hash != b._hash:
-                return False
-            if kind is Pow:
-                if a.exponent != b.exponent:
-                    return False
-                a, b = a.base, b.base
-                continue
-            if kind is Const:
-                if a.value != b.value:
-                    return False
-            elif kind is Var:
-                if a.index != b.index:
-                    return False
-            elif len(a.children) != len(b.children):
-                return False
-            else:
-                stack.extend(zip(a.children, b.children))
-        if not stack:
-            return True
-        a, b = stack.pop()
+_NODES: dict = {}  # interning key -> KeyedRef to the one live node with that key
+
+
+def _drop(ref, nodes=_NODES):
+    """KeyedRef callback: a dead node's entry leaves the table."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _lookup(key):
+    ref = _NODES.get(key)
+    return None if ref is None else ref()
+
+
+def _register(cls, key, *values):
+    """A new ``cls`` node with its slots set to ``values``, interned under ``key``."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(node, name, value)
+    _NODES[key] = weakref.KeyedRef(node, _drop, key)
+    return node
 
 
 class Expr:
-    """Base class of all expression nodes.  Instances are immutable;
-    equality is structural and the hash is computed once, at build time."""
+    """Base class of all expression nodes.  Instances are immutable and
+    hash-consed: each node kind's constructor returns the one live node
+    with its payload and operands, so structural equality is identity and
+    ``==``, ``hash`` and dict keys use the object defaults."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
     rank: int = -1
-
-    __eq__ = _same_tree
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
@@ -227,18 +222,24 @@ class Const(Expr):
     __slots__ = ("value", "_float")
     rank = _RANK_CONST
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
+        # interned on integer parts, which hash in C (a Fraction does not)
         if isinstance(value, float):
             if value != value or value in (float("inf"), float("-inf")):
                 raise ValueError(f"non-finite constant {value!r}")
-            value = Fraction(value)
+            n, d = value.as_integer_ratio()
         elif isinstance(value, int):
-            value = Fraction(value)
-        elif not isinstance(value, Fraction):
+            n, d = value, 1
+        elif isinstance(value, Fraction):
+            n, d = value.numerator, value.denominator
+        else:
             raise TypeError(f"bad constant type {type(value).__name__}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_float", float(value))
-        object.__setattr__(self, "_hash", hash((_RANK_CONST, value)))
+        key = (Const, n, d)
+        node = _lookup(key)
+        if node is None:
+            value = Fraction(n, d)
+            node = _register(cls, key, value, float(value))
+        return node
 
 
 class Var(Expr):
@@ -247,11 +248,14 @@ class Var(Expr):
     __slots__ = ("index",)
     rank = _RANK_VAR
 
-    def __init__(self, index: int):
-        if index < 0:
-            raise ValueError("variable index must be nonnegative")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", hash((_RANK_VAR, index)))
+    def __new__(cls, index: int):
+        key = (Var, index)
+        node = _lookup(key)
+        if node is None:
+            if index < 0:
+                raise ValueError("variable index must be nonnegative")
+            node = _register(cls, key, index)
+        return node
 
 
 class Add(Expr):
@@ -260,11 +264,9 @@ class Add(Expr):
     __slots__ = ("children",)
     rank = _RANK_ADD
 
-    def __init__(self, children: tuple):
-        object.__setattr__(self, "children", children)
-        object.__setattr__(
-            self, "_hash", hash((_RANK_ADD,) + tuple(c._hash for c in children))
-        )
+    def __new__(cls, children: tuple):
+        key = (Add, children)
+        return _lookup(key) or _register(cls, key, children)
 
 
 class Mul(Expr):
@@ -273,11 +275,9 @@ class Mul(Expr):
     __slots__ = ("children",)
     rank = _RANK_MUL
 
-    def __init__(self, children: tuple):
-        object.__setattr__(self, "children", children)
-        object.__setattr__(
-            self, "_hash", hash((_RANK_MUL,) + tuple(c._hash for c in children))
-        )
+    def __new__(cls, children: tuple):
+        key = (Mul, children)
+        return _lookup(key) or _register(cls, key, children)
 
 
 class Pow(Expr):
@@ -286,10 +286,9 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
     rank = _RANK_POW
 
-    def __init__(self, base: Expr, exponent: Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_hash", hash((_RANK_POW, base._hash, exponent)))
+    def __new__(cls, base: Expr, exponent: Fraction):
+        key = (Pow, base, exponent.numerator, exponent.denominator)
+        return _lookup(key) or _register(cls, key, base, exponent)
 
 
 ZERO = Const(0)
@@ -310,7 +309,7 @@ def _coerce(x) -> Expr:
 
 
 def _tree_cmp(a: Expr, b: Expr) -> int:
-    """Deterministic total order on canonical trees (hash-randomization free).
+    """Deterministic total order on canonical trees (free of object ids).
 
     Lexicographic over (rank, payload, operands), walked with an explicit
     stack; a power compares its base before its exponent, which waits on
@@ -345,18 +344,11 @@ def _tree_cmp(a: Expr, b: Expr) -> int:
     return 0
 
 
-class _OrderKey:
-    __slots__ = ("node",)
-
-    def __init__(self, node):
-        self.node = node
-
-    def __lt__(self, other):
-        return _tree_cmp(self.node, other.node) < 0
+_ORDER_KEY = cmp_to_key(_tree_cmp)
 
 
 def _sorted_children(children) -> tuple:
-    return tuple(sorted(children, key=_OrderKey))
+    return tuple(sorted(children, key=_ORDER_KEY))
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +556,10 @@ def _fold(root: Expr, handlers: Mapping[type, Callable], memo: dict = None):
 
     ``handlers[type(node)](node, kids)`` gets the folded values of the
     node's operands (the children of a sum or product, the base of a
-    power, none for a leaf), left to right.  It runs once per
-    structurally distinct node: the memo is keyed on the node itself, so
-    equal subtrees held by distinct objects share one result.  Passing
-    the same ``memo`` to several folds shares that work between them.
+    power, none for a leaf), left to right.  It runs once per distinct
+    node: nodes are interned, so the memo keys on identity and equal
+    subtrees are one object with one result.  Passing the same ``memo``
+    to several folds shares that work between them.
     """
     if memo is None:
         memo = {}
@@ -633,17 +625,12 @@ def differentiate(e: Expr, index: int) -> Expr:
 
     def d_mul(node, dkids):
         kids = node.children
-        return add(
-            *[
-                mul(*kids[:i], dc, *kids[i + 1 :])
-                for i, dc in enumerate(dkids)
-                if not (isinstance(dc, Const) and dc.value == 0)
-            ]
-        )
+        terms = [mul(*kids[:i], d, *kids[i + 1 :]) for i, d in enumerate(dkids) if d is not ZERO]
+        return add(*terms)
 
     def d_pow(node, dkids):
         db = dkids[0]
-        if isinstance(db, Const) and db.value == 0:
+        if db is ZERO:
             return ZERO
         return mul(Const(node.exponent), pow_(node.base, node.exponent - 1), db)
 
@@ -728,8 +715,8 @@ def compile_expr(
     ``f.source``) whose values and errors match :func:`evaluate` exactly.
 
     Both use the same power helpers; a negative integer power stays inline
-    as ``t ** -n if t else _zero_pow(-n)``.  Structurally equal subtrees
-    are emitted once, so the code is linear in the number of distinct
+    as ``t ** -n if t else _zero_pow(-n)``.  Each distinct (interned)
+    subtree is emitted once, so the code is linear in the number of distinct
     subtrees.  Given a sequence of expressions, the kernel returns the
     list of their values and emits shared subtrees once too.
     """
@@ -974,13 +961,8 @@ def _unparse_const(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _needs_parens(child: Expr, parent_level: int) -> bool:
-    # levels: atom=4, pow=3, unary/-const=2.5 (handled ad hoc), mul=2, add=1
-    lvl = _level(child)
-    return lvl < parent_level
-
-
 def _level(e: Expr) -> int:
+    # levels: atom=4, pow=3, unary/-const=2.5 (handled ad hoc), mul=2, add=1
     if isinstance(e, Var):
         return 4
     if isinstance(e, Const):
@@ -1014,7 +996,7 @@ def unparse(e: Expr, coords: CoordSystem) -> str:
         # operands are folded before their parent; the absolute value of a
         # negated term is a new node, folded here on first use
         s = memo[node] if node in memo else _fold(node, handlers, memo)
-        return f"({s})" if _needs_parens(node, parent_level) else s
+        return f"({s})" if _level(node) < parent_level else s
 
     def u_add(node, _):
         parts = [text(node.children[0], 1)]

@@ -469,7 +469,7 @@ def scenario_to_config(sc: smp.ComparisonScenario) -> str:
 
 def _structure_config_lines(S: SubriemannianStructure) -> list:
     # a builtin structure round-trips through its construction parameters
-    # when it equals the builtin (canonical trees compare structurally)
+    # when it equals the builtin (interned trees: equal entries are one node)
     dim = S.dim
     if dim >= 3 and dim % 2 == 1:
         n = (dim - 1) // 2
@@ -483,7 +483,7 @@ def _structure_config_lines(S: SubriemannianStructure) -> list:
     for l in range(dim):
         for k in range(l, dim):
             entry = S.cometric[l][k]
-            if not (isinstance(entry, ca.Const) and entry.value == 0):
+            if entry is not ca.ZERO:
                 lines.append(f"cometric.{l}.{k} = " + ca.unparse(entry, S.coords))
     lines.append("density = " + ca.unparse(S.volume_density, S.coords))
     lines.append(f"degeneracy = {S.degeneracy}")

@@ -228,7 +228,7 @@ class SubriemannianStructure:
 
     ``cometric[l][k]`` is the symbolic inner product of the coordinate
     differentials dx^l and dx^k; it must be symmetric (checked by
-    structural equality of the canonical entries) and pointwise positive
+    identity of the interned canonical entries) and pointwise positive
     semidefinite (checked by sampling through :func:`probe_validate`,
     never symbolically).  Entries are stored as given: trees built by the
     parser or the smart constructors are canonical, and hand-built

@@ -492,12 +492,16 @@ def la_graph_curvature(
 # ---------------------------------------------------------------------------
 
 def radial_curvature_expr(u: Expr, n: int) -> tuple:
-    """(H, u'^2 + r^2) for the rotationally symmetric cylinder graph z = u(r):
+    """(H, rho^2 (u'^2 + r^2)) for the rotationally symmetric cylinder graph
+    z = u(r):
 
         H = (rho / r^(2n-1)) d/dr( u' r^(2n-1) / sqrt(u'^2 + r^2) )
             - (2n+1) r^2 (r u' - 2u) / (rho^3 sqrt(u'^2 + r^2))
 
     with rho^4 = r^4 + 4 u(r)^2, all symbolic in the single variable r.
+    The second entry is the ambient squared covector norm of the graph at
+    the lift (r, 0, ..., 0, u(r)), so ``eps_sing`` masks it as it masks
+    every other operator's.
     """
     r = ca.var(0)
     du = ca.differentiate(u, 0)
@@ -514,7 +518,7 @@ def radial_curvature_expr(u: Expr, n: int) -> tuple:
         ca.pow_(rho4, Fraction(-3, 4)),
         inv_slope,
     )
-    return ca.sub(first, second), slope_sq
+    return ca.sub(first, second), ca.mul(ca.sqrt_(rho4), slope_sq)
 
 
 def radial_cylinder_curvature(u: Expr, n: int, r0: float) -> float:

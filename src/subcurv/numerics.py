@@ -17,6 +17,35 @@ __all__ = [
 ]
 
 
+def _row_reduce(m: list, ncols: int, tol: float):
+    """Gaussian elimination with partial pivoting, in place, over the first
+    ``ncols`` columns of the rows ``m``; later columns (a right-hand side)
+    ride along.  A column whose largest candidate entry is at most ``tol``
+    gets no pivot.  Returns ``(pivot columns, row swaps)``.
+    """
+    pivots, swaps = [], 0
+    nrows = len(m)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = max(range(rank, nrows), key=lambda r: abs(m[r][col]))
+        if abs(m[piv][col]) <= tol:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            swaps += 1
+        inv = 1.0 / m[rank][col]
+        for r in range(rank + 1, nrows):
+            f = m[r][col] * inv
+            if f == 0.0:
+                continue
+            for c in range(col, len(m[r])):
+                m[r][c] -= f * m[rank][c]
+        pivots.append(col)
+    return pivots, swaps
+
+
 def solve_linear(a, b) -> Optional[list]:
     """Solve ``a x = b`` by Gaussian elimination with partial pivoting.
 
@@ -26,21 +55,8 @@ def solve_linear(a, b) -> Optional[list]:
     n = len(b)
     m = [list(map(float, row)) + [float(b[i])] for i, row in enumerate(a)]
     scale = max((abs(v) for row in m for v in row[:n]), default=0.0)
-    if scale == 0.0:
+    if scale == 0.0 or len(_row_reduce(m, n, 1e-12 * scale)[0]) < n:
         return None
-    tol = 1e-12 * scale
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) <= tol:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f == 0.0:
-                continue
-            for c in range(col, n + 1):
-                m[r][c] -= f * m[col][c]
     x = [0.0] * n
     for r in range(n - 1, -1, -1):
         s = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
@@ -56,51 +72,21 @@ def matrix_rank(rows: Sequence[Sequence[float]]):
     trees.  Returns ``(rank, threshold_used)``.
     """
     work = [list(map(float, r)) for r in rows]
-    if not work:
-        return 0, 0.0
-    ncols = len(work[0])
     row_norm = max((sum(v * v for v in r) ** 0.5 for r in work), default=0.0)
     pivot_tol = 1e-9 * row_norm
     if pivot_tol == 0.0:
         return 0, 0.0
-    rank = 0
-    col = 0
-    nrows = len(work)
-    while rank < nrows and col < ncols:
-        piv = max(range(rank, nrows), key=lambda r: abs(work[r][col]))
-        if abs(work[piv][col]) <= pivot_tol:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1.0 / work[rank][col]
-        for r in range(rank + 1, nrows):
-            f = work[r][col] * inv
-            if f == 0.0:
-                continue
-            for c in range(col, ncols):
-                work[r][c] -= f * work[rank][c]
-        rank += 1
-        col += 1
-    return rank, pivot_tol
+    return len(_row_reduce(work, len(work[0]), pivot_tol)[0]), pivot_tol
 
 
 def _det(m: list) -> float:
     """Determinant by elimination with partial pivoting (consumes ``m``)."""
-    k = len(m)
-    det = 1.0
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0.0:
-            return 0.0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1.0 / m[col][col]
-        for r in range(col + 1, k):
-            f = m[r][col] * inv
-            for c in range(col, k):
-                m[r][c] -= f * m[col][c]
+    pivots, swaps = _row_reduce(m, len(m), 0.0)
+    if len(pivots) < len(m):
+        return 0.0
+    det = -1.0 if swaps % 2 else 1.0
+    for i in range(len(m)):
+        det *= m[i][i]
     return det
 
 

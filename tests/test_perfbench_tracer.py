@@ -51,10 +51,14 @@ def test_traced_run_counts_kernel_calls_and_keeps_the_report(monkeypatch, make):
     finally:
         tracer.uninstall()
     assert traced == plain
-    totals = tracer.summary()["totals"]
+    summary = tracer.summary()
+    totals = summary["totals"]
     assert totals["calculus.kernel_eval"][0] > 0
     assert totals["calculus.compile_expr"][0] > 0
     assert totals["smp.operator_build"][0] > 0
+    # nodes are interned: no two distinct node objects share a structure
+    counters = summary["counters"]
+    assert counters["dag_nodes_structural"] == counters["dag_nodes_id"] > 0
     # uninstall put the originals back
     assert _report_bytes(make) == plain
 

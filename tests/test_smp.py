@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from subcurv import calculus as ca
 from subcurv import smp
 from subcurv.cli import write_scenario_csv
-from subcurv.core import ScalarField, SingularPoint, VectorFieldExpr, p_mean_curvature_expr
+from subcurv.core import (
+    ScalarField, SingularPoint, VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
+)
 from subcurv.brackets import tangent_distribution_fields
 from subcurv.heisenberg import cylinder_structure, graph_coords, standard_drift
 from subcurv.smp import (
@@ -285,6 +287,18 @@ class TestAmbientMaps:
             pt = tuple(rng.uniform(lo, hi) for lo, hi in box)
             lifted = op.lift(pt, ca.evaluate(u, pt))
             assert_close(h_chart(pt), h_ambient(lifted), rel=1e-12, msg=f"{case} at {pt}")
+
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    def test_chart_norm_is_the_ambient_squared_norm(self, case):
+        # the singular mask reads the same norm on every operator's chart
+        op, u, box, phi = ambient_case(case)
+        norm_chart = ca.compile_expr(op.build(u)[1], len(op.chart))
+        norm_ambient = ca.compile_expr(conorm_sq_expr(op.structure, phi), op.structure.dim)
+        rng = random.Random(case)
+        for _ in range(20):
+            pt = tuple(rng.uniform(lo, hi) for lo, hi in box)
+            lifted = op.lift(pt, ca.evaluate(u, pt))
+            assert_close(norm_chart(pt), norm_ambient(lifted), rel=1e-12, msg=f"{case} at {pt}")
 
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
     def test_tangent_fields_keep_the_lift_on_the_graph(self, case):
