@@ -149,22 +149,19 @@ def parse_config(text: str) -> ConfigDocument:
             if not line.endswith("]"):
                 raise ConfigError(f"line {lineno}: unterminated section header")
             header = line[1:-1].strip()
+            section, _, name = header.partition(" ")
+            name = name.strip()
             if header == "structure":
                 doc.structure_raw = current = {}
             elif header == "scenario":
                 doc.scenario_raw = current = {}
-            elif header.startswith("function "):
-                name = header[len("function ") :].strip()
-                if not name:
-                    raise ConfigError(f"line {lineno}: function section needs a name")
+            elif section == "function" and name:
                 doc.functions[name] = current = {}
-            elif header.startswith("field "):
-                name = header[len("field ") :].strip()
-                if not name:
-                    raise ConfigError(f"line {lineno}: field section needs a name")
+            elif section == "field" and name:
                 doc.fields_raw[name] = current = {}
             else:
                 raise ConfigError(f"line {lineno}: unknown section [{header}]")
+            keys = _SECTION_KEYS[section]
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
@@ -177,6 +174,8 @@ def parse_config(text: str) -> ConfigDocument:
             value = value[1:-1]
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key not in keys and not (section == "structure" and key.startswith("cometric.")):
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{header}]")
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         current[key] = _Value(value)
@@ -224,9 +223,6 @@ def _parse_box(value: str, expected: Optional[int] = None):
     return tuple(intervals)
 
 
-_REQUIRED = object()
-
-
 def _real(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -241,6 +237,27 @@ def _grid_counts(text: str):
     return counts if "," in text else counts[0]
 
 
+# numeric [scenario] key -> (smp.ComparisonScenario keyword, converter); the
+# tolerance keys are smp.Tolerances.__slots__, all real
+_SCENARIO_NUMBERS = {
+    "grid": ("grid_counts", _grid_counts),
+    "T": ("T", _real),
+    "step": ("step", _real),
+    "max_propagation_starts": ("max_propagation_starts", int),
+    "rank_depth": ("rank_depth", int),
+}
+
+# the keys each section accepts; [structure] also takes cometric.L.K
+_SECTION_KEYS = {
+    "structure": {"kind", "n", "m", "F", "coords", "density", "degeneracy", "box"},
+    "function": {"expr", "box"},
+    "field": {"components"},
+    "scenario": {
+        "name", "description", "operator", "p", "graph_dir", "n", "u", "v", "box",
+        *smp.Tolerances.__slots__, *_SCENARIO_NUMBERS,
+    },
+}
+
 _KINDS = {
     int: "an integer",
     _real: "a number",
@@ -249,12 +266,10 @@ _KINDS = {
 }
 
 
-def _number(raw: dict, key: str, where: str, convert=_real, default=_REQUIRED):
+def _number(raw: dict, key: str, where: str, convert=_real):
     """``convert(raw[key])``; a bad value is a config error naming its line."""
     if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing {key}")
-        return default
+        raise ConfigError(f"{where}: missing {key}")
     try:
         return convert(raw[key])
     except (ValueError, ZeroDivisionError):
@@ -327,11 +342,11 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
                 raise ConfigError(f"{_at(raw['density'])}[structure] density: {exc}") from exc
         else:
             density = ca.ONE
-        degeneracy = _number(raw, "degeneracy", "[structure]", int, 0)
+        extra = {}
+        if "degeneracy" in raw:
+            extra["degeneracy"] = _number(raw, "degeneracy", "[structure]", int)
         box = _parse_box(raw["box"], n) if "box" in raw else None
-        S = SubriemannianStructure(
-            coords, cometric, density, degeneracy=degeneracy, domain_box=box
-        )
+        S = SubriemannianStructure(coords, cometric, density, domain_box=box, **extra)
         if box is not None:
             try:
                 issues = probe_validate(S)
@@ -346,37 +361,40 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
     raise ConfigError(f"[structure]: unknown kind {kind!r}")
 
 
+# operators that take only their size n, by kind
+_SIZED_OPERATORS = {
+    cls.kind: cls
+    for cls in (smp.IntrinsicOperator, smp.LaGraphOperator, smp.RadialCylinderOperator)
+}
+
+
 def _build_operator(doc: ConfigDocument, raw: dict):
     name = raw.get("operator")
     if name is None:
         raise ConfigError("[scenario]: missing operator")
-    if name == "generic":
-        S = doc.structure()
-        p = _number(raw, "p", "[scenario]", Fraction, Fraction(0))
-        if p < 0:
-            raise ConfigError(f"{_at(raw['p'])}[scenario]: p must be >= 0")
-        graph_dir = S.dim - 1
-        if "graph_dir" in raw:
-            try:
-                graph_dir = S.coords.index(raw["graph_dir"])
-            except KeyError:
-                raise ConfigError(
-                    f"[scenario]: unknown graph_dir {raw['graph_dir']!r}"
-                ) from None
-        return smp.GenericOperator(S, p, graph_dir)
+    if name in _SIZED_OPERATORS:
+        return _SIZED_OPERATORS[name](_number(raw, "n", "[scenario]", int))
+    if name not in ("generic", "graph_HF"):
+        raise ConfigError(f"[scenario]: unknown operator {name!r}")
+    S = doc.structure()
     if name == "graph_HF":
-        S = doc.structure()
         if S.null_coform is None or S.dim < 2:
             raise ConfigError("[scenario]: graph_HF needs a graph_F structure")
         m = S.dim - 1
         return smp.GraphHFOperator(S.null_coform[:m], m)
-    if name == "intrinsic":
-        return smp.IntrinsicOperator(_number(raw, "n", "[scenario]", int))
-    if name == "la_graph":
-        return smp.LaGraphOperator(_number(raw, "n", "[scenario]", int))
-    if name == "radial_cylinder":
-        return smp.RadialCylinderOperator(_number(raw, "n", "[scenario]", int))
-    raise ConfigError(f"[scenario]: unknown operator {name!r}")
+    extra = {}
+    if "p" in raw:
+        extra["p"] = _number(raw, "p", "[scenario]", Fraction)
+        if extra["p"] < 0:
+            raise ConfigError(f"{_at(raw['p'])}[scenario]: p must be >= 0")
+    if "graph_dir" in raw:
+        try:
+            extra["graph_dir"] = S.coords.index(raw["graph_dir"])
+        except KeyError:
+            raise ConfigError(
+                f"[scenario]: unknown graph_dir {raw['graph_dir']!r}"
+            ) from None
+    return smp.GenericOperator(S, **extra)
 
 
 def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
@@ -397,88 +415,99 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
             box = u.box
         else:
             raise ConfigError("[scenario]: no box (set box= or give u a box)")
+        # only the keys present are passed on: the defaults live in
+        # smp.ComparisonScenario and smp.Tolerances
         where = "[scenario]"
         tol = smp.Tolerances(
-            eps_touch=_number(raw, "eps_touch", where, _real, 1e-6),
-            eps_order=_number(raw, "eps_order", where, _real, 1e-9),
-            eps_h=_number(raw, "eps_h", where, _real, 1e-7),
-            eps_sing=_number(raw, "eps_sing", where, _real, None),
+            **{k: _number(raw, k, where) for k in smp.Tolerances.__slots__ if k in raw}
         )
+        extra = {
+            keyword: _number(raw, key, where, convert)
+            for key, (keyword, convert) in _SCENARIO_NUMBERS.items()
+            if key in raw
+        }
+        if "description" in raw:
+            extra["description"] = raw["description"]
         return smp.ComparisonScenario(
             raw.get("name", "config-scenario"),
             operator,
             u.expr,
             v.expr,
             box=box,
-            grid_counts=_number(raw, "grid", where, _grid_counts, 65),
             tolerances=tol,
-            T=_number(raw, "T", where, _real, 0.5),
-            step=_number(raw, "step", where, _real, 1e-3),
-            max_propagation_starts=_number(raw, "max_propagation_starts", where, int, 8),
-            rank_depth=_number(raw, "rank_depth", where, int, 2),
-            description=raw.get("description", ""),
+            **extra,
         )
     except ValueError as exc:
         raise ConfigError(f"[scenario]: {exc}") from exc
 
 
 def scenario_to_config(sc: smp.ComparisonScenario) -> str:
-    """Render a scenario as a config file reproducing its report."""
+    """Render a scenario as a config file reproducing its report.
+
+    A name or description holding ``#`` or a line break has no config
+    spelling (the reader would cut it there) and raises ``ValueError``.
+    """
+    for field in ("name", "description"):
+        text = getattr(sc, field)
+        # the reader splits lines as str.splitlines does
+        if "#" in text or text.splitlines() not in ([], [text]):
+            raise ValueError(
+                f"scenario {field} {text!r} holds '#' or a line break, "
+                "which a config value cannot"
+            )
     op = sc.operator
     chart = op.chart
-    lines = []
-    if isinstance(op, smp.GenericOperator):
-        S = op.structure
-        lines.append("[structure]")
-        lines.extend(_structure_config_lines(S))
-        lines.append("")
-    elif isinstance(op, smp.GraphHFOperator):
-        lines.append("[structure]")
-        lines.append("kind = graph_F")
-        lines.append(f"m = {op.m}")
-        lines.append("F = " + ", ".join(ca.unparse(f, chart) for f in op.F))
-        lines.append("")
-    lines.append("[function u]")
-    lines.append("expr = " + ca.unparse(sc.u.expr, chart))
-    lines.append("")
-    lines.append("[function v]")
-    lines.append("expr = " + ca.unparse(sc.v.expr, chart))
-    lines.append("")
-    lines.append("[scenario]")
-    lines.append(f"name = {sc.name}")
+    lines = ["[structure]", *_structure_config_lines(op.structure), ""]
+    for graph in ("u", "v"):
+        expr = getattr(sc, graph).expr
+        lines += [f"[function {graph}]", "expr = " + ca.unparse(expr, chart), ""]
+    # quoted, so that surrounding blanks and quotes survive the reader
+    lines += ["[scenario]", f'name = "{sc.name}"']
     if sc.description:
-        lines.append(f"description = {sc.description}")
+        lines.append(f'description = "{sc.description}"')
     lines.append(f"operator = {op.kind}")
-    if isinstance(op, smp.GenericOperator):
-        lines.append(f"p = {op.p}")
-        lines.append(f"graph_dir = {op.structure.coords.names[op.graph_dir]}")
-    if hasattr(op, "n"):
-        lines.append(f"n = {op.n}")
-    lines.append("u = u")
-    lines.append("v = v")
+    scenario_keys = _SECTION_KEYS["scenario"]
+    lines += [f"{k} = {v}" for k, v in op.params().items() if k in scenario_keys]
+    lines += ["u = u", "v = v"]
     lines.append(
         "box = " + ", ".join(f"{format_number(lo)}:{format_number(hi)}" for lo, hi in sc.box)
     )
-    lines.append("grid = " + ", ".join(str(c) for c in sc.grid_counts))
-    for key, value in (*sc.tolerances.as_dict().items(), ("T", sc.T), ("step", sc.step)):
-        lines.append(f"{key} = {format_number(value)}")
-    lines.append(f"max_propagation_starts = {sc.max_propagation_starts}")
-    lines.append(f"rank_depth = {sc.rank_depth}")
+    numbers = {key: getattr(sc, kw) for key, (kw, _) in _SCENARIO_NUMBERS.items()}
+    for key, value in (*numbers.items(), *sc.tolerances.as_dict().items()):
+        lines.append(f"{key} = {_config_number(value)}")
     return "\n".join(lines) + "\n"
+
+
+def _config_number(value) -> str:
+    """A number as config text; per-axis grid counts are a comma list."""
+    if isinstance(value, tuple):
+        return ", ".join(map(format_number, value))
+    return format_number(value)
 
 
 def _structure_config_lines(S: SubriemannianStructure) -> list:
     # a builtin structure round-trips through its construction parameters
     # when it equals the builtin (interned trees: equal entries are one node)
-    dim = S.dim
+    dim, m = S.dim, S.dim - 1
+    builtins = []
     if dim >= 3 and dim % 2 == 1:
-        n = (dim - 1) // 2
-        for kind, factory in (("heisenberg", standard_structure), ("cylinder", cylinder_structure)):
-            B = factory(n)
-            if (S.coords, S.cometric, S.volume_density, S.frame_fields) == (
-                B.coords, B.cometric, B.volume_density, B.frame_fields
-            ):
-                return [f"kind = {kind}", f"n = {n}"]
+        n = m // 2
+        builtins.append((["kind = heisenberg", f"n = {n}"], standard_structure(n)))
+        builtins.append((["kind = cylinder", f"n = {n}"], cylinder_structure(n)))
+    if S.null_coform is not None:
+        F = S.null_coform[:m]
+        drift = ", ".join(ca.unparse(f, S.coords) for f in F)
+        try:
+            B = drift_graph_structure(F, m)
+        except ValueError:
+            pass  # the coform involves the graph coordinate: no drift graph
+        else:
+            builtins.append((["kind = graph_F", f"m = {m}", f"F = {drift}"], B))
+    for written, B in builtins:
+        if (S.coords, S.cometric, S.volume_density, S.frame_fields) == (
+            B.coords, B.cometric, B.volume_density, B.frame_fields
+        ):
+            return written
     lines = ["kind = custom", "coords = " + ", ".join(S.coords.names)]
     for l in range(dim):
         for k in range(l, dim):

@@ -618,20 +618,20 @@ def singular_scan(
 PROBE_SAMPLES_PER_AXIS = 3
 
 
-def probe_validate(S: SubriemannianStructure, box: Optional[Box] = None) -> list:
+def probe_validate(S: SubriemannianStructure) -> list:
     """Check PSD-ness (minors down to -PSD_TOL), positive density, and frame
-    rank on a grid of ``PROBE_SAMPLES_PER_AXIS`` points per axis.
+    rank on a grid of ``PROBE_SAMPLES_PER_AXIS`` points per axis of the
+    structure's ``domain_box``.
 
     Returns a list of human-readable issues (empty when all checks pass).
     Sampling, not symbolic certification: the goal is to catch
     configuration mistakes.
     """
-    box = box or S.domain_box
-    if box is None:
+    if S.domain_box is None:
         raise ValueError("no probe box: structure has no domain_box")
     issues = []
-    grid = GridSpec.from_box(box, PROBE_SAMPLES_PER_AXIS)
-    expected_rank = S.dim - S.degeneracy
+    grid = GridSpec.from_box(S.domain_box, PROBE_SAMPLES_PER_AXIS)
+    frame_rank = S.dim - S.degeneracy
     # principal_minors orders its minors by size, then index set
     minor_sets = [
         rows
@@ -655,8 +655,8 @@ def probe_validate(S: SubriemannianStructure, box: Optional[Box] = None) -> list
         if S.frame_fields:
             rows = [x.at(pt) for x in S.frame_fields]
             rank, _ = matrix_rank(rows)
-            if rank != expected_rank:
+            if rank != frame_rank:
                 issues.append(
-                    f"frame rank {rank} != {expected_rank} (dim - degeneracy) at {pt}"
+                    f"frame rank {rank} != {frame_rank} (dim - degeneracy) at {pt}"
                 )
     return issues

@@ -18,10 +18,11 @@ A grid point carries no curvature value where the graph is singular or
 H cannot be evaluated there (:func:`core.masked_curvature`).
 
 Each operator carries its own map to the ambient manifold where the rank
-condition is checked: ``structure``, ``expected_rank``, ``phi(u)`` (the
-defining function of the graph there), ``lift(chart_pt, u_val)`` and
-``project(pt)``.  ``lift`` raises ``ValueError`` outside the chart, and a
-scenario's box must lift at every corner.
+condition is checked: ``structure``, ``phi(u)`` (the defining function of
+the graph there), ``lift(chart_pt, u_val)`` and ``project(pt)``.  The
+rank target is the hypersurface dimension ``structure.dim - 1``.
+``lift`` raises ``ValueError`` outside the chart, and a scenario's box
+must lift at every corner.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .core import (
 from .brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
 from .heisenberg import (
     cylinder_structure,
-    graph_coords,
     graph_HF_exprs,
     intrinsic_chart,
     intrinsic_graph_exprs,
@@ -103,12 +103,7 @@ class Tolerances:
         self.eps_sing = default_eps_sing() if eps_sing is None else float(eps_sing)
 
     def as_dict(self) -> dict:
-        return {
-            "eps_touch": self.eps_touch,
-            "eps_order": self.eps_order,
-            "eps_h": self.eps_h,
-            "eps_sing": self.eps_sing,
-        }
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +134,6 @@ class GenericOperator:
             n for i, n in enumerate(structure.coords.names) if i != self.graph_dir
         ]
         self.chart = CoordSystem(names)
-        self.expected_rank = structure.dim - 1
 
     def phi(self, u: Expr) -> Expr:
         g = self.graph_dir
@@ -174,27 +168,17 @@ class GenericOperator:
         }
 
 
-class GraphHFOperator:
-    """div((grad u + F)/|grad u + F|) for graphs over R^m with drift F;
-    the ambient manifold is the drift-graph structure on R^(m+1)."""
+class GraphHFOperator(GenericOperator):
+    """div((grad u + F)/|grad u + F|) for graphs over R^m with drift F: the
+    generic graph over the last coordinate of the drift-graph structure on
+    R^(m+1), with its closed-form curvature."""
 
     kind = "graph_HF"
 
     def __init__(self, F: Sequence[Expr], m: int):
-        self.structure = drift_graph_structure(F, m)
+        super().__init__(drift_graph_structure(F, m))
         self.F = list(F)
         self.m = m
-        self.chart = graph_coords(m)
-        self.expected_rank = m
-
-    def phi(self, u: Expr) -> Expr:
-        return ca.sub(u, ca.var(self.m))
-
-    def lift(self, chart_pt, u_val: float):
-        return tuple(chart_pt) + (u_val,)
-
-    def project(self, pt):
-        return tuple(pt[:-1])
 
     def build(self, u: Expr):
         return graph_HF_exprs(self.F, u, self.m)
@@ -212,7 +196,6 @@ class _TranslationGraphOperator:
         self.n = n
         self.chart = intrinsic_chart(n)
         self.structure = standard_structure(n)
-        self.expected_rank = 2 * n
 
     def phi(self, u: Expr) -> Expr:
         n = self.n
@@ -266,7 +249,6 @@ class RadialCylinderOperator:
         self.n = n
         self.chart = CoordSystem(("r",))
         self.structure = cylinder_structure(n)
-        self.expected_rank = 2 * n
 
     def phi(self, u: Expr) -> Expr:
         r = ca.sqrt_(ca.add(*[ca.pow_(ca.var(i), 2) for i in range(2 * self.n)]))
@@ -826,18 +808,19 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         )
         if rank_point is not None:
             lifted = op.lift(rank_point, engine.u_fn(rank_point))
+            target = op.structure.dim - 1  # the dimension of the hypersurface
             report = bracket_generate_rank(
                 fields,
                 lifted,
                 max_depth=scenario.rank_depth,
-                target_rank=op.expected_rank,
+                target_rank=target,
             )
             rank_data = {
                 "rank": report.rank,
                 "depth": report.depth,
                 "words_generated": report.words_generated,
                 "pivot_tol": report.pivot_tol,
-                "expected": op.expected_rank,
+                "expected": target,
                 "point": list(rank_point),
             }
             starts = [
@@ -905,7 +888,6 @@ def _h1_counterexample() -> ComparisonScenario:
         u,
         v,
         box=((0.5, 1.5), (-0.4, 0.4)),
-        grid_counts=65,
         description=(
             "two zero-curvature graphs over the plane that touch along a "
             "segment without coinciding; the tangent distribution has "
@@ -926,7 +908,6 @@ def _translate_coincide() -> ComparisonScenario:
         u,
         v,
         box=((0.5, 1.5), (-0.5, 0.5)),
-        grid_counts=65,
         description="a graph compared against its zero-translation pullback",
     )
 
@@ -971,7 +952,6 @@ def _hyperplane_z() -> ComparisonScenario:
         ca.ZERO,
         ca.ZERO,
         box=((-1.0, 1.0), (-1.0, 1.0)),
-        grid_counts=65,
         description=(
             "the flat horizontal graph: zero curvature away from one "
             "isolated singular point at the origin"

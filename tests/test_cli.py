@@ -26,6 +26,7 @@ from subcurv.cli import (
     write_scenario_csv,
 )
 from subcurv.core import SubriemannianStructure
+from subcurv.heisenberg import drift_graph_structure, standard_drift
 
 HEIS1 = """
 [structure]
@@ -602,13 +603,83 @@ class TestExitCodeContract:
         )
         text = scenario_to_config(sc)
         assert "kind = custom" in text
+        assert _outputs(scenario_from_config(parse_config(text))) == _outputs(sc)
 
-        def outputs(scenario):
-            report = smp.run_scenario(scenario)
-            return (dumps_report(report.as_dict()),
-                    write_scenario_csv(report, scenario.operator.chart.names))
+    @pytest.mark.parametrize(
+        "section, anchor, key",
+        [
+            ("structure", "n = 1", "nn"),
+            ("function v", "expr = x1^2 + y1^2 + 1", "exrp"),
+            ("field X", "components = 1, 0, 0", "component"),
+            ("scenario", "grid = 5", "eps_tuoch"),
+        ],
+    )
+    def test_unknown_key_is_config_error_naming_its_line(self, cfg, section, anchor, key):
+        text = (SCENARIO + "\n[field X]\ncomponents = 1, 0, 0\n").replace(
+            anchor, f"{anchor}\n{key} = 0.5"
+        )
+        line = text.splitlines().index(f"{key} = 0.5") + 1
+        path = cfg("misspelt.cfg", text)
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 2
+        assert f"line {line}: unknown key {key!r} in [{section}]" in err
 
-        assert outputs(scenario_from_config(parse_config(text))) == outputs(sc)
+
+def _outputs(scenario) -> tuple:
+    """Report JSON and CSV text of one in-process run."""
+    report = smp.run_scenario(scenario)
+    return (dumps_report(report.as_dict()),
+            write_scenario_csv(report, scenario.operator.chart.names))
+
+
+def _generic_on_graph_F():
+    op = smp.GenericOperator(drift_graph_structure(standard_drift(2), 2), 0)
+    u = ca.parse_expr("x1*x2 + x2^2", op.chart)
+    v = ca.parse_expr("x1*x2", op.chart)
+    return smp.ComparisonScenario("generic-graph-F", op, u, v,
+                                  box=((0.5, 1.5), (-0.4, 0.4)), grid_counts=9)
+
+
+def _sized_pair(op, text, box, grid):
+    u = ca.parse_expr(text, op.chart)
+    return smp.ComparisonScenario(op.kind, op, u, u, box=box, grid_counts=grid)
+
+
+class TestScenarioRoundTrip:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _generic_on_graph_F,
+            lambda: _sized_pair(smp.IntrinsicOperator(2), "eta2^2/2 + tau/3 + 1/5",
+                                ((-0.5, 0.5),) * 4, 3),
+            lambda: _sized_pair(smp.RadialCylinderOperator(2), "r^2", ((0.5, 1.0),), 5),
+        ],
+        ids=["generic-on-graph-F", "intrinsic-n2", "radial-cylinder-n2"],
+    )
+    def test_round_trip_keeps_report_and_csv_bytes(self, make):
+        sc = make()
+        report, csv = _outputs(sc)
+        assert json.loads(report)["rank"] is not None  # rank and propagation ran
+        text = scenario_to_config(sc)
+        assert _outputs(scenario_from_config(parse_config(text))) == (report, csv)
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("name", "a#b"), ("description", "see # below"), ("name", "two\nlines"),
+         ("description", "carriage\rreturn"), ("name", "form\x0cfeed")],
+    )
+    def test_text_the_reader_would_cut_is_refused(self, field, text):
+        sc = smp.builtin_scenario("hyperplane-z")
+        setattr(sc, field, text)
+        with pytest.raises(ValueError, match=field):
+            scenario_to_config(sc)
+
+    def test_blanks_and_quotes_around_a_name_survive(self):
+        sc = smp.builtin_scenario("hyperplane-z")
+        sc.name = ' "quoted" name '
+        sc.description = '"'
+        back = scenario_from_config(parse_config(scenario_to_config(sc)))
+        assert (back.name, back.description) == (sc.name, sc.description)
 
 
 # sha256 of the report JSON and of the CSV of each builtin, as written by
