@@ -34,14 +34,13 @@ def lie_bracket(x: VectorFieldExpr, y: VectorFieldExpr) -> VectorFieldExpr:
     if x.coords != y.coords:
         raise ValueError("vector fields live in different charts")
     n = len(x.coords)
+    dx, dy = x.jacobian(), y.jacobian()
     comps = []
     for l in range(n):
         terms = []
         for k in range(n):
-            terms.append(ca.mul(x.components[k], ca.differentiate(y.components[l], k)))
-            terms.append(
-                ca.neg(ca.mul(y.components[k], ca.differentiate(x.components[l], k)))
-            )
+            terms.append(ca.mul(x.components[k], dy[k][l]))
+            terms.append(ca.neg(ca.mul(y.components[k], dx[k][l])))
         comps.append(ca.add(*terms))
     return VectorFieldExpr(x.coords, comps)
 

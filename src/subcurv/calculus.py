@@ -62,6 +62,7 @@ __all__ = [
     "substitute",
     "free_vars",
     "compile_expr",
+    "compile_source",
     "parse_expr",
     "unparse",
     "ZERO",
@@ -616,11 +617,13 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def differentiate(e: Expr, index: int) -> Expr:
+def differentiate(e: Union[Expr, Sequence[Expr]], index: int):
     """Exact symbolic partial derivative with respect to coordinate ``index``.
 
     Shared subtrees are differentiated once, so the result stays compact
-    as a DAG even when the input reuses nodes heavily.
+    as a DAG even when the input reuses nodes heavily.  Given a sequence
+    of expressions, returns the list of their derivatives, and subtrees
+    shared between them are differentiated once too.
     """
 
     def d_mul(node, dkids):
@@ -634,16 +637,17 @@ def differentiate(e: Expr, index: int) -> Expr:
             return ZERO
         return mul(Const(node.exponent), pow_(node.base, node.exponent - 1), db)
 
-    return _fold(
-        e,
-        {
-            Const: lambda node, _: ZERO,
-            Var: lambda node, _: ONE if node.index == index else ZERO,
-            Add: lambda node, dkids: add(*dkids),
-            Mul: d_mul,
-            Pow: d_pow,
-        },
-    )
+    handlers = {
+        Const: lambda node, _: ZERO,
+        Var: lambda node, _: ONE if node.index == index else ZERO,
+        Add: lambda node, dkids: add(*dkids),
+        Mul: d_mul,
+        Pow: d_pow,
+    }
+    if isinstance(e, Expr):
+        return _fold(e, handlers)
+    memo: dict = {}
+    return [_fold(c, handlers, memo) for c in e]
 
 
 def gradient(e: Expr, nvars: int) -> list:
@@ -756,10 +760,15 @@ def compile_expr(
         result = "[" + ", ".join([_fold(c, handlers, memo) for c in e]) + "]"
     body = "\n".join(lines)
     src = f"def _f(p):\n{body}\n    return {result}\n"
-    namespace = {"_frac_pow": _frac_pow, "_zero_pow": _zero_pow}
-    exec(compile(src, "<compiled-expr>", "exec"), namespace)
-    f = namespace["_f"]
-    f.source = src  # useful when debugging generated kernels
+    return compile_source(src, "_f", "<compiled-expr>", _frac_pow=_frac_pow, _zero_pow=_zero_pow)
+
+
+def compile_source(src: str, name: str, filename: str = "<generated>", **names) -> Callable:
+    """The function ``name`` that generated source ``src`` defines, with
+    ``names`` in scope; its text stays in ``.source`` for debugging."""
+    exec(compile(src, filename, "exec"), names)
+    f = names[name]
+    f.source = src
     return f
 
 

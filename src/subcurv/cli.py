@@ -368,14 +368,21 @@ _SIZED_OPERATORS = {
 }
 
 
+# [scenario] keys that only some operators read -> those operators
+_OPERATOR_KEYS = {"p": {"generic"}, "graph_dir": {"generic"}, "n": set(_SIZED_OPERATORS)}
+
+
 def _build_operator(doc: ConfigDocument, raw: dict):
     name = raw.get("operator")
     if name is None:
         raise ConfigError("[scenario]: missing operator")
+    if name not in _SIZED_OPERATORS and name not in ("generic", "graph_HF"):
+        raise ConfigError(f"[scenario]: unknown operator {name!r}")
+    for key, readers in _OPERATOR_KEYS.items():
+        if key in raw and name not in readers:
+            raise ConfigError(f"{_at(raw[key])}[scenario]: operator {name} does not read {key}")
     if name in _SIZED_OPERATORS:
         return _SIZED_OPERATORS[name](_number(raw, "n", "[scenario]", int))
-    if name not in ("generic", "graph_HF"):
-        raise ConfigError(f"[scenario]: unknown operator {name!r}")
     S = doc.structure()
     if name == "graph_HF":
         if S.null_coform is None or S.dim < 2:

@@ -155,7 +155,7 @@ class ScalarField:
 class VectorFieldExpr:
     """Vector field with symbolic coefficients in a fixed chart."""
 
-    __slots__ = ("coords", "components", "_kernel")
+    __slots__ = ("coords", "components", "_kernel", "_step", "_jacobian")
 
     def __init__(self, coords: CoordSystem, components: Sequence[Expr]):
         # smart-constructor trees are already canonical (simplify is the
@@ -167,13 +167,40 @@ class VectorFieldExpr:
             )
         self.coords = coords
         self.components = components
-        self._kernel = None
+        self._kernel = self._step = self._jacobian = None
 
     def kernel(self):
         """Compiled ``f(point) -> [X^1(point), ..., X^n(point)]``, built once."""
         if self._kernel is None:
             self._kernel = ca.compile_expr(self.components, len(self.coords))
         return self._kernel
+
+    def stepper(self):
+        """Classical RK4 step ``step(x, h) -> tuple``, generated once: the
+        stages are unrolled into locals around four :meth:`kernel` calls,
+        with the float operations of ``x + 0.5 * h * k1``, ...,
+        ``x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` in that order."""
+        if self._step is None:
+            idx = range(len(self.coords))
+
+            def row(fmt):
+                return ", ".join(fmt.format(i=i) for i in idx) + ","
+
+            src = "\n    ".join([
+                "def step(x, h):", f"{row('x{i}')} = x", f"{row('a{i}')} = f(x)", "hh = 0.5 * h",
+                f"{row('b{i}')} = f(({row('x{i} + hh * a{i}')}))",
+                f"{row('c{i}')} = f(({row('x{i} + hh * b{i}')}))",
+                f"{row('d{i}')} = f(({row('x{i} + h * c{i}')}))", "h6 = h / 6.0",
+                f"return ({row('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')})\n",
+            ])
+            self._step = ca.compile_source(src, "step", "<rk4-step>", f=self.kernel())
+        return self._step
+
+    def jacobian(self) -> list:
+        """``J[k][l] = d_k X^l``, built once, one shared fold memo per k."""
+        if self._jacobian is None:
+            self._jacobian = [ca.differentiate(self.components, k) for k in range(len(self.coords))]
+        return self._jacobian
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) = sum_k X^k d_k f."""

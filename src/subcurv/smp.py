@@ -27,6 +27,7 @@ must lift at every corner.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -111,7 +112,21 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 
 
-class GenericOperator:
+class _AmbientMap:
+    """``project``, compiled once from ``project_source()``: the chart
+    coordinates of an ambient point ``p`` as Python expressions, which the
+    propagation stop test is compiled from too."""
+
+    _project = None
+
+    def project(self, pt):
+        if self._project is None:
+            src = f"def f(p):\n    return ({', '.join(self.project_source())},)\n"
+            self._project = ca.compile_source(src, "f", _sqrt=math.sqrt)
+        return self._project(pt)
+
+
+class GenericOperator(_AmbientMap):
     """Weighted-divergence curvature of the graph x^g = u on a structure.
 
     The defining function is u - x^g (compatible with shifting the graph
@@ -145,9 +160,8 @@ class GenericOperator:
         pt.insert(self.graph_dir, u_val)
         return tuple(pt)
 
-    def project(self, pt):
-        g = self.graph_dir
-        return tuple(pt[:g]) + tuple(pt[g + 1 :])
+    def project_source(self) -> list:
+        return [f"p[{i}]" for i in range(self.structure.dim) if i != self.graph_dir]
 
     def build(self, u: Expr):
         S = self.structure
@@ -187,7 +201,7 @@ class GraphHFOperator(GenericOperator):
         return {"F": [ca.unparse(f, self.chart) for f in self.F]}
 
 
-class _TranslationGraphOperator:
+class _TranslationGraphOperator(_AmbientMap):
     """Graphs x^1 = u(eta, tau) along x1-translations, on the (eta, tau)
     chart with tau = z + sign x^1 eta^(n+1); the ambient manifold is the
     standard group chart."""
@@ -209,10 +223,10 @@ class _TranslationGraphOperator:
         z = chart_pt[2 * n - 1] - self.sign * u_val * chart_pt[n - 1]
         return (u_val,) + tuple(chart_pt[: 2 * n - 1]) + (z,)
 
-    def project(self, pt):
+    def project_source(self) -> list:
         n = self.n
-        tau = pt[2 * n] + self.sign * pt[0] * pt[n]
-        return tuple(pt[1 : 2 * n]) + (tau,)
+        tau = f"p[{2 * n}] + {self.sign} * p[0] * p[{n}]"
+        return [f"p[{i}]" for i in range(1, 2 * n)] + [tau]
 
     def params(self) -> dict:
         return {"n": self.n}
@@ -238,7 +252,7 @@ class LaGraphOperator(_TranslationGraphOperator):
         return la_graph_exprs(u, self.n)
 
 
-class RadialCylinderOperator:
+class RadialCylinderOperator(_AmbientMap):
     """Rotationally symmetric graphs z = u(r) on the punctured cylinder,
     r = sqrt(sum of the 2n squared horizontal coordinates) > 0; the
     ambient manifold is the cylinder structure."""
@@ -259,8 +273,8 @@ class RadialCylinderOperator:
             raise ValueError(f"the radial chart needs r > 0, got r = {chart_pt[0]}")
         return (chart_pt[0],) + (0.0,) * (2 * self.n - 1) + (u_val,)
 
-    def project(self, pt):
-        return (math.sqrt(sum(c * c for c in pt[: 2 * self.n])),)
+    def project_source(self) -> list:
+        return ["_sqrt(" + " + ".join(f"p[{i}] * p[{i}]" for i in range(2 * self.n)) + ")"]
 
     def build(self, u: Expr):
         return radial_curvature_expr(u, self.n)
@@ -439,6 +453,22 @@ class _ScenarioEngine:
         cells = [self.indices[k] for k, r in enumerate(self.rows) if r[col]]
         return len(cells) / len(self.rows), len(grid_clusters(cells))
 
+    @functools.cached_property
+    def box_stop(self):
+        """``(stop, devs)``, generated once: ``stop(p)`` is true once the
+        chart projection (``project_source()``) of ``p`` leaves the box, by
+        the test of :func:`_in_box`; else it appends |v - u| there to ``devs``."""
+        chart = self.sc.operator.project_source()
+        cs = ", ".join(f"c{i}" for i in range(len(chart))) + ","
+        inside = " and ".join(f"{lo!r} <= c{i} <= {hi!r}" for i, (lo, hi) in enumerate(self.sc.box))
+        src = (
+            f"def f(p):\n    {cs} = {', '.join(chart)},\n    if not ({inside}):\n"
+            f"        return True\n    c = ({cs})\n    record(abs(v(c) - u(c)))\n    return False\n"
+        )
+        devs = []
+        names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u_fn, v=self.v_fn, record=devs.append)
+        return ca.compile_source(src, "f", **names), devs
+
     def table(self):
         """Per-point CSV table rows: coords, v-u, H_u, H_v, sing flags."""
         return [
@@ -524,28 +554,20 @@ def integrate_field(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    n = len(X.coords)
-    rhs = X.kernel()
+    rk4 = X.stepper()
     nsteps = max(1, math.ceil(abs(T) / step)) if T != 0 else 0
     h = T / nsteps if nsteps else 0.0
-    pts = [tuple(float(c) for c in x0)]
-    if stop is not None and stop(pts[0]):
+    x = tuple(float(c) for c in x0)
+    pts = [x]
+    if stop is not None and stop(x):
         return IntegrationResult(pts, False, "stopped at step 0")
-    x = list(pts[0])
     for k in range(1, nsteps + 1):
         try:
-            k1 = rhs(x)
-            k2 = rhs([x[i] + 0.5 * h * k1[i] for i in range(n)])
-            k3 = rhs([x[i] + 0.5 * h * k2[i] for i in range(n)])
-            k4 = rhs([x[i] + h * k3[i] for i in range(n)])
+            x = rk4(x, h)
         except (EvaluationError, OverflowError) as exc:
             return IntegrationResult(pts, False, f"integration aborted: {exc}")
-        x = [
-            x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(n)
-        ]
-        pts.append(tuple(x))
-        if stop is not None and stop(pts[-1]):
+        pts.append(x)
+        if stop is not None and stop(x):
             return IntegrationResult(pts, False, f"stopped at step {k}")
     return IntegrationResult(pts, True)
 
@@ -603,32 +625,18 @@ def _propagate(engine, fields, start, T=None, step=None, include_brackets=False)
             for j in range(i + 1, len(fields)):
                 extra.append(lie_bracket(fields[i], fields[j]))
         fields = fields + extra
-    u_fn, v_fn = engine.u_fn, engine.v_fn
     eps = engine.tol.eps_touch
-    u0 = u_fn(tuple(start))
-    lifted = op.lift(tuple(start), u0)
+    lifted = op.lift(tuple(start), engine.u_fn(tuple(start)))
+    stop, devs = engine.box_stop  # devs: |v - u| at each trajectory point inside the box
     out = []
     for fi, X in enumerate(fields):
         for direction in (1.0, -1.0):
-            devs = []  # |v - u| at each trajectory point inside the box
-
-            def leaves_box(pt, devs=devs):
-                chart_pt = op.project(pt)
-                if not _in_box(chart_pt, sc.box):
-                    return True
-                devs.append(abs(v_fn(chart_pt) - u_fn(chart_pt)))
-                return False
-
+            devs.clear()
             # stops at the first point outside the box, so an incomplete
             # trajectory either left the box or hit an evaluation failure
-            traj = integrate_field(X, lifted, direction * T, step, stop=leaves_box)
-            max_dev = 0.0
-            first_violation = None
-            for si, dev in enumerate(devs):
-                if dev > max_dev:
-                    max_dev = dev
-                if dev > eps and first_violation is None:
-                    first_violation = si
+            traj = integrate_field(X, lifted, direction * T, step, stop=stop)
+            max_dev = max([0.0, *devs])
+            first_violation = next((si for si, dev in enumerate(devs) if dev > eps), None)
             out.append(
                 PropagationResult(
                     start=list(start),

@@ -16,7 +16,7 @@ from subcurv.brackets import (
 )
 from subcurv.heisenberg import standard_drift, standard_structure, drift_graph_structure
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_rational_power_expr
 
 XY = CoordSystem(("x", "y"))
 
@@ -87,6 +87,27 @@ class TestLieBracket:
     def test_chart_mismatch(self):
         with pytest.raises(ValueError):
             lie_bracket(field(XY, "1", "0"), field(CoordSystem(("a", "b")), "1", "0"))
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_cached_jacobian_gives_the_per_component_formula(self, rng, nvars):
+        # [X,Y]^l = sum_k (X^k d_k Y^l - Y^k d_k X^l), one differentiate per entry
+        cs = CoordSystem(tuple(f"c{i}" for i in range(nvars)))
+        make = [random_polynomial, random_rational_power_expr]
+        for trial in range(6):
+            x, y = (VectorFieldExpr(cs, [make[(trial + i) % 2](rng, nvars)
+                                         for i in range(nvars)]) for _ in range(2))
+            expected = [
+                ca.add(*[t for k in range(nvars) for t in (
+                    ca.mul(x.components[k], ca.differentiate(y.components[l], k)),
+                    ca.neg(ca.mul(y.components[k], ca.differentiate(x.components[l], k))),
+                )])
+                for l in range(nvars)
+            ]
+            got = lie_bracket(x, y).components
+            assert all(a is b for a, b in zip(got, expected, strict=True))
+            assert x.jacobian() is x.jacobian()
+            assert x.jacobian() == [[ca.differentiate(c, k) for c in x.components]
+                                    for k in range(nvars)]
 
 
 class TestBracketGenerateRank:

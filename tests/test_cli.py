@@ -625,6 +625,54 @@ class TestExitCodeContract:
         assert f"line {line}: unknown key {key!r} in [{section}]" in err
 
 
+    @pytest.mark.parametrize(
+        "operator, key",
+        [("generic", "n = 3"), ("graph_HF", "p = 0"), ("graph_HF", "graph_dir = x1"),
+         ("graph_HF", "n = 2"), ("intrinsic", "p = 0"), ("la_graph", "graph_dir = z"),
+         ("radial_cylinder", "p = 1/2")],
+    )
+    def test_key_the_operator_does_not_read_is_config_error_naming_its_line(
+        self, cfg, operator, key
+    ):
+        text = _OPERATOR_CONFIGS[operator]
+        path = cfg("valid.cfg", text)
+        assert run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])[0] == 0
+        text = text.replace(f"operator = {operator}\n", f"operator = {operator}\n{key}\n")
+        line = text.splitlines().index(key) + 1
+        code, err = run_main_quietly(
+            ["scenario", "run", "--config", cfg("extra.cfg", text), "--out", os.devnull])
+        assert code == 2
+        name = key.split(" ")[0]
+        assert f"line {line}: [scenario]: operator {operator} does not read {name}" in err
+
+
+# one valid config per operator; the sized ones also carry a [structure]
+# section, which they do not read, as scenario_to_config writes one
+_SIZED = """
+[structure]
+kind = heisenberg(1)
+
+[function u]
+expr = {u}
+
+[scenario]
+operator = {op}
+n = 1
+u = u
+v = u
+box = {box}
+grid = 3
+"""
+_OPERATOR_CONFIGS = {
+    "generic": SCENARIO,
+    "graph_HF": SCENARIO.replace("kind = heisenberg\nn = 1", "kind = graph_F\nm = 2\nF = -x2, x1")
+    .replace("x1^2 + y1^2", "x1^2 + x2^2").replace("operator = generic", "operator = graph_HF"),
+    "intrinsic": _SIZED.format(op="intrinsic", u="eta2*tau", box="-0.5:0.5, -0.5:0.5"),
+    "la_graph": _SIZED.format(op="la_graph", u="eta2*tau", box="-0.5:0.5, -0.5:0.5"),
+    "radial_cylinder": _SIZED.format(op="radial_cylinder", u="r^2", box="0.5:1.5"),
+}
+
+
 def _outputs(scenario) -> tuple:
     """Report JSON and CSV text of one in-process run."""
     report = smp.run_scenario(scenario)

@@ -7,6 +7,7 @@ test.  The tracer is loaded from its file without writing bytecode next
 to it.
 """
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -61,6 +62,33 @@ def test_traced_run_counts_kernel_calls_and_keeps_the_report(monkeypatch, make):
     assert counters["dag_nodes_structural"] == counters["dag_nodes_id"] > 0
     # uninstall put the originals back
     assert _report_bytes(make) == plain
+
+
+def test_traced_propagation_counts_every_trajectory_and_step(monkeypatch):
+    # the benchmark's smp.integrate_field.* and smp.rk4_* metrics read the
+    # module attribute that _propagate calls
+    make = functools.partial(smp.builtin_scenario, "vertical-hyperplane")
+    steps = []
+    real = smp.integrate_field
+
+    def counting(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        steps.append(len(traj.points) - 1)
+        return traj
+
+    monkeypatch.setattr(smp, "integrate_field", counting)
+    plain = _report_bytes(make)
+    monkeypatch.setattr(smp, "integrate_field", real)
+    tracer = _load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        traced = _report_bytes(make)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    summary = tracer.summary()
+    assert len(steps) == summary["totals"]["smp.integrate_field"][0] == 96
+    assert summary["counters"]["rk4_steps_computed"] == sum(steps) > 0
 
 
 def test_every_traced_operator_class_defines_its_own_build(monkeypatch):

@@ -3,6 +3,8 @@
 import functools
 import math
 import random
+import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from subcurv.cli import write_scenario_csv
 from subcurv.core import (
     ScalarField, SingularPoint, VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
 )
-from subcurv.brackets import tangent_distribution_fields
+from subcurv.brackets import bracket_generate_rank, tangent_distribution_fields
 from subcurv.heisenberg import cylinder_structure, graph_coords, standard_drift
 from subcurv.smp import (
     ComparisonScenario,
@@ -34,7 +36,7 @@ from subcurv.smp import (
     variation_check,
 )
 
-from conftest import assert_close
+from conftest import assert_close, random_polynomial
 
 CS2 = graph_coords(2)
 
@@ -167,6 +169,78 @@ class TestIntegrateField:
         assert out.points[-2][0] <= 0.1 < out.endpoint[0]
         start = integrate_field(X, (0.0, 0.0), 1.0, 1.0 / 128, stop=lambda p: True)
         assert start.points == [(0.0, 0.0)] and not start.completed
+
+
+def reference_rk4(X, x0, T, step, stop=None):
+    """RK4 as a loop over per-stage lists, the reference the generated
+    step must match bitwise: (points, completed, note)."""
+    n = len(X.coords)
+    rhs = ca.compile_expr(X.components, n)
+    nsteps = max(1, math.ceil(abs(T) / step)) if T != 0 else 0
+    h = T / nsteps if nsteps else 0.0
+    pts = [tuple(float(c) for c in x0)]
+    if stop is not None and stop(pts[0]):
+        return pts, False, "stopped at step 0"
+    x = list(pts[0])
+    for k in range(1, nsteps + 1):
+        try:
+            k1 = rhs(x)
+            k2 = rhs([x[i] + 0.5 * h * k1[i] for i in range(n)])
+            k3 = rhs([x[i] + 0.5 * h * k2[i] for i in range(n)])
+            k4 = rhs([x[i] + h * k3[i] for i in range(n)])
+        except (ca.EvaluationError, OverflowError) as exc:
+            return pts, False, f"integration aborted: {exc}"
+        x = [
+            x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in range(n)
+        ]
+        pts.append(tuple(x))
+        if stop is not None and stop(pts[-1]):
+            return pts, False, f"stopped at step {k}"
+    return pts, True, ""
+
+
+def bits(points):
+    """Points as bytes, so that equality is bitwise (signed zeros, nans)."""
+    return [struct.pack(f"<{len(p)}d", *p) for p in points]
+
+
+def assert_same_as_reference(X, x0, T, step, stop=None):
+    out = integrate_field(X, x0, T, step, stop=stop)
+    pts, completed, note = reference_rk4(X, x0, T, step, stop=stop)
+    assert bits(out.points) == bits(pts)
+    assert (out.completed, out.note) == (completed, note)
+    return out
+
+
+class TestGeneratedStep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(2, 5),
+           T=st.sampled_from([0.4, -0.4, 0.05, -0.05, 0.0]),
+           step=st.sampled_from([1e-2, 3e-2, 0.1]), stopping=st.booleans())
+    def test_bitwise_equal_to_the_reference_loop(self, seed, nvars, T, step, stopping):
+        rng = random.Random(seed)
+        cs = ca.CoordSystem(tuple(f"c{i}" for i in range(nvars)))
+        X = VectorFieldExpr(cs, [random_polynomial(rng, nvars, 3, 2) for _ in range(nvars)])
+        x0 = tuple(rng.uniform(-1.0, 1.0) for _ in range(nvars))
+        stop = (lambda p: abs(p[0] - x0[0]) > 0.02) if stopping else None
+        assert_same_as_reference(X, x0, T, step, stop)
+
+    @pytest.mark.parametrize("T", [1.0, -1.0])
+    def test_domain_hole_mid_trajectory_gives_the_same_partial_points(self, T):
+        # in either time direction c0 runs from 0.2 towards 0 at unit speed,
+        # and sqrt(c0) has no value past 0
+        cs = ca.CoordSystem(("c0", "c1", "c2"))
+        X = VectorFieldExpr(cs, [ca.const(-int(T)), ca.parse_expr("sqrt(c0) + c2", cs),
+                                 ca.parse_expr("c1*c2 - 1", cs)])
+        out = assert_same_as_reference(X, (0.2, 0.1, -0.3), T, 1e-2)
+        assert out.note.startswith("integration aborted: non-integer power 0.5")
+        assert 15 < len(out.points) < 25
+
+    def test_step_is_built_once_and_calls_the_kernel(self):
+        X = VectorFieldExpr(CS2, [ca.neg(ca.var(1)), ca.var(0)])
+        assert X.stepper() is X.stepper()
+        assert "= f(x)" in X.stepper().source
 
 
 class TestPropagateMax:
@@ -303,20 +377,89 @@ class TestAmbientMaps:
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
     def test_tangent_fields_keep_the_lift_on_the_graph(self, case):
         op, u, box, phi = ambient_case(case)
-        phi_fn = ca.compile_expr(phi, op.structure.dim)
         start = tuple(lo + 0.4 * (hi - lo) for lo, hi in box)
-        lifted = op.lift(start, ca.evaluate(u, start))
-        devs = []
-
-        def leaves_box(pt):
-            if not all(lo <= c <= hi for c, (lo, hi) in zip(op.project(pt), box)):
-                return True
-            devs.append(abs(phi_fn(pt)))
-            return False
-
-        for X in tangent_distribution_fields(op.structure, phi):
-            integrate_field(X, lifted, 0.3, 1e-3, stop=leaves_box)
+        devs = phi_along_tangent_fields(op, box, phi, op.lift(start, ca.evaluate(u, start)))
         assert len(devs) > 100 and max(devs) <= 1e-8
+
+    @pytest.mark.parametrize("theta1, theta2, alpha",
+                             [(0.7, 0.0, 0.0), (-2.0, 0.0, 0.0), (2.5, 0.3, 0.9), (-1.2, 1.0, 0.4)])
+    def test_rotated_radial_start_keeps_rank_and_stays_on_the_graph(self, theta1, theta2, alpha):
+        # the lift (r, 0, 0, 0, u) has r spread over the two planes by alpha
+        # (a rotation of (x1, x2) and (y1, y2) together) and then turned by
+        # theta_j in each (x_j, y_j) plane: both are isometries of cylinder(2)
+        op, u, box, phi = ambient_case("radial")
+        r = 1.1
+        on_axis = op.lift((r,), ca.evaluate(u, (r,)))
+        a, b = r * math.cos(alpha), r * math.sin(alpha)
+        turned = (a * math.cos(theta1), b * math.cos(theta2),
+                  a * math.sin(theta1), b * math.sin(theta2), on_axis[-1])
+        assert abs(ca.evaluate(phi, turned)) <= 1e-12
+        fields = tangent_distribution_fields(op.structure, phi)
+        ranks = [bracket_generate_rank(fields, pt, max_depth=2, target_rank=4)
+                 for pt in (on_axis, turned)]
+        assert [(k.rank, k.depth) for k in ranks] == [(4, 2), (4, 2)]
+        devs = phi_along_tangent_fields(op, box, phi, turned)
+        assert len(devs) > 100 and max(devs) <= 1e-8
+
+
+def phi_along_tangent_fields(op, box, phi, lifted, T=0.3, step=1e-3):
+    """|phi| at every point, while its projection stays in the box, of the
+    trajectory of each tangent field from ``lifted``."""
+    phi_fn = ca.compile_expr(phi, op.structure.dim)
+    devs = []
+
+    def leaves_box(pt):
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(op.project(pt), box)):
+            return True
+        devs.append(abs(phi_fn(pt)))
+        return False
+
+    for X in tangent_distribution_fields(op.structure, phi):
+        integrate_field(X, lifted, T, step, stop=leaves_box)
+    return devs
+
+
+def reference_project(op, pt):
+    """Each operator's chart projection written out by hand, the reference
+    the generated ``project`` must match bitwise."""
+    if isinstance(op, GenericOperator):
+        g = op.graph_dir
+        return tuple(pt[:g]) + tuple(pt[g + 1 :])
+    if isinstance(op, RadialCylinderOperator):
+        return (math.sqrt(sum(c * c for c in pt[: 2 * op.n])),)
+    n = op.n
+    tau = pt[2 * n] + op.sign * pt[0] * pt[n]
+    return tuple(pt[1 : 2 * n]) + (tau,)
+
+
+class TestGeneratedProjection:
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    def test_project_is_the_reference_formula_bitwise(self, case):
+        op = ambient_case(case)[0]
+        rng = random.Random(case)
+        for _ in range(50):
+            pt = tuple(rng.uniform(-1.5, 1.5) for _ in range(op.structure.dim))
+            assert bits([op.project(pt)]) == bits([reference_project(op, pt)])
+
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    def test_stop_matches_the_reference_box_test_at_faces(self, case):
+        op, u, box, _ = ambient_case(case)
+        v = ca.add(u, ca.mul(ca.const(Fraction(1, 7)), ca.pow_(ca.var(0), 2)))
+        engine = smp._ScenarioEngine(
+            ComparisonScenario(case, op, u, v, box=box, grid_counts=3))
+        stop, devs = engine.box_stop
+        mid = [(lo + hi) / 2 for lo, hi in box]
+        for axis, (lo, hi) in enumerate(box):
+            for c in (lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+                target = tuple(mid[:axis] + [c] + mid[axis + 1 :])
+                pt = op.lift(target, 0.0)
+                chart_pt = reference_project(op, pt)
+                assert chart_pt == target  # the point sits on the face or just off it
+                inside = all(lo <= x <= hi for x, (lo, hi) in zip(chart_pt, box))
+                devs.clear()
+                assert stop(pt) is not inside
+                expected = [abs(engine.v_fn(chart_pt) - engine.u_fn(chart_pt))] if inside else []
+                assert bits([devs]) == bits([expected])
 
 
 class TestVariationCheck:
