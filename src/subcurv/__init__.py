@@ -43,9 +43,6 @@ from .heisenberg import (
     cylinder_structure,
     graph_operator_HF,
     group_mul,
-    intrinsic_graph_curvature,
-    la_graph_curvature,
-    radial_cylinder_curvature,
     standard_structure,
     drift_graph_structure,
 )
@@ -65,7 +62,6 @@ from .smp import (
     integrate_field,
     propagate_max,
     run_scenario,
-    touching_set,
     variation_check,
 )
 

@@ -25,7 +25,6 @@ __all__ = [
     "tangent_distribution_fields",
     "two_form_rank",
     "w_tensor_independence",
-    "rank_profile",
 ]
 
 
@@ -56,15 +55,6 @@ class RankReport:
         self.depth = depth
         self.words_generated = words_generated
         self.pivot_tol = pivot_tol
-
-    def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "rank": self.rank,
-            "depth": self.depth,
-            "words_generated": self.words_generated,
-            "pivot_tol": self.pivot_tol,
-        }
 
     def __repr__(self):
         return (
@@ -153,13 +143,13 @@ def tangent_distribution_fields(
 def two_form_rank(
     M: Sequence[Sequence[Expr]],
     point: Sequence[float],
-    restriction_basis: Optional[Sequence] = None,
+    restriction_basis: Optional[Sequence[VectorFieldExpr]] = None,
 ) -> int:
     """Numeric rank of a symbolically skew matrix at a point.
 
-    With a restriction basis B (vector fields or numeric vectors) the
-    rank of B^T M B is returned instead, which realizes the rank of a
-    two-form restricted to a distribution.
+    With a restriction basis B of vector fields the rank of B^T M B is
+    returned instead, which realizes the rank of a two-form restricted to
+    a distribution.
     """
     n = len(M)
     for row in M:
@@ -172,12 +162,7 @@ def two_form_rank(
                 raise ValueError(f"matrix not skew-symmetric at ({k},{j})")
     num = [[ca.evaluate(entry, point) for entry in row] for row in M]
     if restriction_basis is not None:
-        basis = []
-        for b in restriction_basis:
-            if isinstance(b, VectorFieldExpr):
-                basis.append(b.at(point))
-            else:
-                basis.append([float(v) for v in b])
+        basis = [b.at(point) for b in restriction_basis]
         restricted = []
         for bi in basis:
             row = []
@@ -260,25 +245,3 @@ def w_tensor_independence(
     }
     return rank == l and dim_check, details
 
-
-def rank_profile(
-    fields: Sequence[VectorFieldExpr],
-    points: Sequence[Sequence[float]],
-    max_depth: int = 4,
-    target_rank: Optional[int] = None,
-) -> tuple:
-    """Pointwise rank over a probe set, with rank-jump detection.
-
-    Constant-rank hypotheses have no worked decision procedure here; this
-    is a diagnostic only: it returns the per-point reports plus the
-    indices where the rank differs from the previous point's.
-    """
-    reports = [
-        bracket_generate_rank(fields, p, max_depth, target_rank) for p in points
-    ]
-    jumps = [
-        i
-        for i in range(1, len(reports))
-        if reports[i].rank != reports[i - 1].rank
-    ]
-    return reports, jumps

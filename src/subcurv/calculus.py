@@ -25,6 +25,7 @@ numerically by callers where needed.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import weakref
 from fractions import Fraction
@@ -760,13 +761,18 @@ def compile_expr(
         result = "[" + ", ".join([_fold(c, handlers, memo) for c in e]) + "]"
     body = "\n".join(lines)
     src = f"def _f(p):\n{body}\n    return {result}\n"
-    return compile_source(src, "_f", "<compiled-expr>", _frac_pow=_frac_pow, _zero_pow=_zero_pow)
+    return compile_source(src, "_f", "kernel", _frac_pow=_frac_pow, _zero_pow=_zero_pow)
 
 
-def compile_source(src: str, name: str, filename: str = "<generated>", **names) -> Callable:
+_SERIAL = itertools.count(1)
+
+
+def compile_source(src: str, name: str, kind: str = "generated", **names) -> Callable:
     """The function ``name`` that generated source ``src`` defines, with
-    ``names`` in scope; its text stays in ``.source`` for debugging."""
-    exec(compile(src, filename, "exec"), names)
+    ``names`` in scope; its text stays in ``.source`` for debugging.  Its
+    filename is ``<kind-N>`` with a fresh N, so profiles keep each
+    generated function apart."""
+    exec(compile(src, f"<{kind}-{next(_SERIAL)}>", "exec"), names)
     f = names[name]
     f.source = src
     return f

@@ -810,7 +810,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, KeyError, IndefiniteCometric) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"config error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingFrames as exc:
         print(f"missing frames: {exc}", file=sys.stderr)

@@ -145,9 +145,6 @@ class ScalarField:
     def __call__(self, point: Sequence[float]) -> float:
         return ca.evaluate(self.expr, point)
 
-    def gradient(self) -> list:
-        return ca.gradient(self.expr, len(self.coords))
-
     def __repr__(self):
         return f"ScalarField({ca.unparse(self.expr, self.coords)})"
 
@@ -193,7 +190,7 @@ class VectorFieldExpr:
                 f"{row('d{i}')} = f(({row('x{i} + h * c{i}')}))", "h6 = h / 6.0",
                 f"return ({row('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')})\n",
             ])
-            self._step = ca.compile_source(src, "step", "<rk4-step>", f=self.kernel())
+            self._step = ca.compile_source(src, "step", "rk4-step", f=self.kernel())
         return self._step
 
     def jacobian(self) -> list:
@@ -533,10 +530,6 @@ class SingularScanResult:
         self.grid = grid
         self.eps_sing = eps_sing
         self.hits = list(hits)
-
-    @property
-    def fraction(self) -> float:
-        return len(self.hits) / self.grid.npoints
 
     def clusters(self) -> list:
         """Group hits into connected components of adjacent grid cells."""

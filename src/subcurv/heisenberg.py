@@ -44,11 +44,8 @@ __all__ = [
     "drift_graph_structure",
     "intrinsic_chart",
     "intrinsic_graph_exprs",
-    "intrinsic_graph_curvature",
     "la_graph_exprs",
-    "la_graph_curvature",
     "radial_curvature_expr",
-    "radial_cylinder_curvature",
 ]
 
 
@@ -88,17 +85,8 @@ class HeisenbergPoint:
 
 
 def group_mul(a: HeisenbergPoint, b: HeisenbergPoint) -> HeisenbergPoint:
-    """Group product a o b; z picks up sum_j (a_yj b_xj - a_xj b_yj)."""
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    n = a.n
-    twist = sum(a.y[j] * b.x[j] - a.x[j] * b.y[j] for j in range(n))
-    coords = (
-        tuple(a.x[j] + b.x[j] for j in range(n))
-        + tuple(a.y[j] + b.y[j] for j in range(n))
-        + (a.z + b.z + twist,)
-    )
-    return HeisenbergPoint(n, coords)
+    """Group product a o b: the left translation by a applied to b."""
+    return apply_isometry(LeftTranslation(a), b)
 
 
 def group_inverse(a: HeisenbergPoint) -> HeisenbergPoint:
@@ -141,24 +129,9 @@ class RotationSwap:
 
 
 def apply_isometry(kind, q: HeisenbergPoint) -> HeisenbergPoint:
-    n = q.n
-    if isinstance(kind, LeftTranslation):
-        if kind.g.n != n:
-            raise ValueError("dimension mismatch")
-        return group_mul(kind.g, q)
-    if isinstance(kind, LaTranslation):
-        g = HeisenbergPoint(n, (kind.a,) + (0.0,) * (2 * n))
-        return group_mul(g, q)
-    if isinstance(kind, Dilation):
-        lam = kind.lam
-        return HeisenbergPoint(
-            n, tuple(lam * c for c in q.coords[:-1]) + (lam * lam * q.z,)
-        )
-    if isinstance(kind, RotationSwap):
-        coords = list(q.coords)
-        coords[0], coords[n] = q.coords[n], -q.coords[0]
-        return HeisenbergPoint(n, coords)
-    raise TypeError(f"unknown isometry {type(kind).__name__}")
+    """The map at q: :func:`isometry_coord_exprs` evaluated at its coordinates."""
+    comps = isometry_coord_exprs(kind, q.n)
+    return HeisenbergPoint(q.n, [ca.evaluate(c, q.coords) for c in comps])
 
 
 def isometry_coord_exprs(kind, n: int) -> list:
@@ -464,27 +437,9 @@ def intrinsic_graph_exprs(u: Expr, n: int) -> tuple:
     return _translation_graph_exprs(u, n, -1)
 
 
-def intrinsic_graph_curvature(u, n: int, point: Sequence[float]) -> float:
-    u_expr = u.expr if isinstance(u, ScalarField) else u
-    h, _ = intrinsic_graph_exprs(u_expr, n)
-    return ca.evaluate(h, point)
-
-
 def la_graph_exprs(u: Expr, n: int) -> tuple:
     """(H, D^2) for a graph transversal to x1-translations (tau = z + x^1 y^1)."""
     return _translation_graph_exprs(u, n, 1)
-
-
-def la_graph_curvature(
-    u,
-    n: int,
-    point: Sequence[float],
-    eps_sing: Optional[float] = None,
-) -> float:
-    u_expr = u.expr if isinstance(u, ScalarField) else u
-    h, d_sq = la_graph_exprs(u_expr, n)
-    require_regular(ca.evaluate(d_sq, point), point, eps_sing)
-    return ca.evaluate(h, point)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +474,3 @@ def radial_curvature_expr(u: Expr, n: int) -> tuple:
         inv_slope,
     )
     return ca.sub(first, second), ca.mul(ca.sqrt_(rho4), slope_sq)
-
-
-def radial_cylinder_curvature(u: Expr, n: int, r0: float) -> float:
-    """Evaluate the radial operator at r0 > 0."""
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    return ca.evaluate(radial_curvature_expr(u, n)[0], (float(r0),))

@@ -49,7 +49,7 @@ from .core import (
     newton_refiner,
     p_mean_curvature_expr,
 )
-from .brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
+from .brackets import bracket_generate_rank, tangent_distribution_fields
 from .heisenberg import (
     cylinder_structure,
     graph_HF_exprs,
@@ -75,7 +75,6 @@ __all__ = [
     "PropagationResult",
     "integrate_field",
     "propagate_max",
-    "touching_set",
     "curvature_gap",
     "variation_check",
     "run_scenario",
@@ -102,6 +101,11 @@ class Tolerances:
         self.eps_order = float(eps_order)
         self.eps_h = float(eps_h)
         self.eps_sing = default_eps_sing() if eps_sing is None else float(eps_sing)
+        for key in ("eps_touch", "eps_order", "eps_h"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        if not self.eps_sing > 0:
+            raise ValueError(f"eps_sing must be > 0, got {self.eps_sing!r}")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__slots__}
@@ -122,7 +126,7 @@ class _AmbientMap:
     def project(self, pt):
         if self._project is None:
             src = f"def f(p):\n    return ({', '.join(self.project_source())},)\n"
-            self._project = ca.compile_source(src, "f", _sqrt=math.sqrt)
+            self._project = ca.compile_source(src, "f", "project", _sqrt=math.sqrt)
         return self._project(pt)
 
 
@@ -326,6 +330,8 @@ class ComparisonScenario:
         if self.step <= 0:
             raise ValueError("step must be positive")
         self.max_propagation_starts = int(max_propagation_starts)
+        if self.max_propagation_starts < 0:
+            raise ValueError("max_propagation_starts must be >= 0")
         self.rank_depth = int(rank_depth)
         if self.rank_depth < 1:
             raise ValueError("rank_depth must be >= 1")
@@ -467,7 +473,7 @@ class _ScenarioEngine:
         )
         devs = []
         names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u_fn, v=self.v_fn, record=devs.append)
-        return ca.compile_source(src, "f", **names), devs
+        return ca.compile_source(src, "f", "box-stop", **names), devs
 
     def table(self):
         """Per-point CSV table rows: coords, v-u, H_u, H_v, sing flags."""
@@ -508,15 +514,6 @@ def _in_box(pt, box) -> bool:
 # ---------------------------------------------------------------------------
 # Public measurement operations
 # ---------------------------------------------------------------------------
-
-
-def touching_set(scenario: ComparisonScenario) -> list:
-    """Points where the two graphs touch, with the ordering minimum.
-
-    Returns the refined touching records; the ordering summary (min of
-    v - u and its location) is available through :func:`run_scenario`.
-    """
-    return _ScenarioEngine(scenario).touching()
 
 
 def curvature_gap(scenario: ComparisonScenario) -> dict:
@@ -598,7 +595,6 @@ def propagate_max(
     fields: Sequence[VectorFieldExpr],
     T: Optional[float] = None,
     step: Optional[float] = None,
-    include_brackets: bool = False,
 ) -> list:
     """Propagate a touching point along tangent fields, both directions.
 
@@ -611,20 +607,14 @@ def propagate_max(
     if scenario.operator.structure.frame_fields is None:
         raise ValueError("scenario operator's ambient structure has no frames")
     engine = _ScenarioEngine(scenario)
-    return _propagate(engine, list(fields), start, T, step, include_brackets)
+    return _propagate(engine, fields, start, T, step)
 
 
-def _propagate(engine, fields, start, T=None, step=None, include_brackets=False):
+def _propagate(engine, fields, start, T=None, step=None):
     sc = engine.sc
     op = sc.operator
     T = sc.T if T is None else float(T)
     step = sc.step if step is None else float(step)
-    if include_brackets:
-        extra = []
-        for i in range(len(fields)):
-            for j in range(i + 1, len(fields)):
-                extra.append(lie_bracket(fields[i], fields[j]))
-        fields = fields + extra
     eps = engine.tol.eps_touch
     lifted = op.lift(tuple(start), engine.u_fn(tuple(start)))
     stop, devs = engine.box_stop  # devs: |v - u| at each trajectory point inside the box

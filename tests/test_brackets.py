@@ -9,7 +9,6 @@ from subcurv.core import MissingFrames, VectorFieldExpr
 from subcurv.brackets import (
     bracket_generate_rank,
     lie_bracket,
-    rank_profile,
     tangent_distribution_fields,
     two_form_rank,
     w_tensor_independence,
@@ -111,6 +110,12 @@ class TestLieBracket:
 
 
 class TestBracketGenerateRank:
+    def test_rank_drops_where_a_field_degenerates(self):
+        x = field(XY, "x", "0")  # degenerate at x = 0
+        y = field(XY, "0", "1")
+        pts = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+        assert [bracket_generate_rank([x, y], p, max_depth=2).rank for p in pts] == [2, 1, 2]
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_group_frames_reach_full_rank_at_depth_two(self, n, rng):
         S = standard_structure(n)
@@ -428,14 +433,3 @@ class TestGenerationCriterion:
             assert rep.rank == m
             found += 1
         assert found >= 3
-
-
-class TestRankProfile:
-    def test_jump_detection(self):
-        cs = XY
-        x = field(cs, "x", "0")  # degenerate at x = 0
-        y = field(cs, "0", "1")
-        pts = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
-        reports, jumps = rank_profile([x, y], pts, max_depth=2)
-        assert [r.rank for r in reports] == [2, 1, 2]
-        assert jumps == [1, 2]

@@ -398,7 +398,7 @@ class TestFold:
         # no wrapper frame between the caller and the generated code
         e = ca.add(ca.pow_(ca.var(0), -2), ca.sqrt_(ca.var(1)))
         f = compile_expr(e, 2)
-        assert f.__code__.co_filename == "<compiled-expr>"
+        assert re.fullmatch(r"<kernel-\d+>", f.__code__.co_filename)
         assert "_zero_pow(-2)" in f.source and "_frac_pow(" in f.source
 
     def test_kernel_emits_each_distinct_subtree_once(self):

@@ -321,6 +321,8 @@ class TestScenarioCommand:
     def test_unknown_name(self):
         r = run_cli(["scenario", "run", "nosuch"])
         assert r.returncode == 2
+        known = ", ".join(smp.builtin_names())
+        assert r.stderr == f"config error: unknown scenario 'nosuch'; known: {known}\n"
 
     @pytest.mark.parametrize(
         "name,expected",
@@ -564,9 +566,18 @@ class TestExitCodeContract:
             ("grid = 5", "grid = 5\nrank_depth = 0", "rank_depth must be >= 1"),
             ("grid = 5", "grid = 5\nbox = 0:0, -0.5:0.5", "degenerate axis"),
             ("box = 0.5:1.5", "box = 1.5:0.5", "empty interval"),
+            ("grid = 5", "grid = 5\neps_touch = -1", "eps_touch must be >= 0"),
+            ("grid = 5", "grid = 5\neps_order = -1e-9", "eps_order must be >= 0"),
+            ("grid = 5", "grid = 5\neps_h = -1e-7", "eps_h must be >= 0"),
+            ("grid = 5", "grid = 5\neps_sing = -1e-7", "eps_sing must be > 0"),
+            ("grid = 5", "grid = 5\neps_sing = 0", "eps_sing must be > 0"),
+            ("grid = 5", "grid = 5\nmax_propagation_starts = -3",
+             "max_propagation_starts must be >= 0"),
         ],
         ids=["structure-n-zero", "rank-depth-zero", "degenerate-axis",
-             "empty-function-box"],
+             "empty-function-box", "eps-touch-negative", "eps-order-negative",
+             "eps-h-negative", "eps-sing-negative", "eps-sing-zero",
+             "max-propagation-starts-negative"],
     )
     def test_refused_parameter_is_config_error(self, cfg, old, new, needle):
         path = cfg("bad.cfg", SCENARIO.replace(old, new, 1))

@@ -20,21 +20,26 @@ from subcurv.heisenberg import (
     group_inverse,
     group_mul,
     intrinsic_chart,
-    intrinsic_graph_curvature,
-    la_graph_curvature,
+    intrinsic_graph_exprs,
     la_graph_exprs,
     pullback_expr,
-    radial_cylinder_curvature,
+    radial_curvature_expr,
     standard_drift,
     standard_structure,
     drift_graph_structure,
 )
+from subcurv.smp import RadialCylinderOperator
 
 from conftest import assert_close, central_difference
 
 
 def random_point(rng, n, lo=-1.0, hi=1.0):
     return HeisenbergPoint(n, [rng.uniform(lo, hi) for _ in range(2 * n + 1)])
+
+
+def curvature_at(exprs, u, n, point):
+    """H of a chart operator at one point: ``exprs(u, n)[0]`` evaluated."""
+    return ca.evaluate(exprs(u, n)[0], point)
 
 
 def gauge(q: HeisenbergPoint) -> float:
@@ -370,7 +375,7 @@ def fd_divergence_oracle(n, u_fn, point, quasilinear_coeff, h=1e-4):
 
 class TestIntrinsicGraph:
     def test_zero_graph(self):
-        assert intrinsic_graph_curvature(ca.ZERO, 2, (0.1, 0.2, 0.3, 0.4)) == 0.0
+        assert curvature_at(intrinsic_graph_exprs, ca.ZERO, 2, (0.1, 0.2, 0.3, 0.4)) == 0.0
 
     def test_linear_middle_coordinate_graph(self, rng):
         # u = a * eta^(n+1): the applied quotient is constant, so every
@@ -379,7 +384,7 @@ class TestIntrinsicGraph:
         u = ca.mul(ca.const(0.7), ca.var(n - 1))
         for _ in range(5):
             pt = [rng.uniform(-1, 1) for _ in range(2 * n)]
-            assert abs(intrinsic_graph_curvature(u, n, pt)) <= 1e-14
+            assert abs(curvature_at(intrinsic_graph_exprs, u, n, pt)) <= 1e-14
 
     def test_against_finite_difference_oracle(self, rng):
         n = 2
@@ -388,7 +393,7 @@ class TestIntrinsicGraph:
         u_fn = ca.compile_expr(u, 2 * n)
         for _ in range(3):
             pt = [rng.uniform(-0.6, 0.6) for _ in range(2 * n)]
-            sym = intrinsic_graph_curvature(u, n, pt)
+            sym = curvature_at(intrinsic_graph_exprs, u, n, pt)
             fd = fd_divergence_oracle(n, u_fn, pt, lambda p: -2.0 * u_fn(p))
             assert abs(sym - fd) <= 1e-6 * max(1.0, abs(sym))
 
@@ -405,7 +410,7 @@ class TestIntrinsicGraph:
             x1 = ca.evaluate(u, (eta2, tau))
             z = tau + x1 * eta2
             generic = p_mean_curvature(S, phi, 0, (x1, eta2, z))
-            direct = intrinsic_graph_curvature(u, n, (eta2, tau))
+            direct = curvature_at(intrinsic_graph_exprs, u, n, (eta2, tau))
             assert_close(direct, generic, rel=1e-8, abs_tol=1e-10)
 
 
@@ -414,8 +419,8 @@ class TestLaGraph:
         for n in (1, 2):
             for _ in range(5):
                 pt = [rng.uniform(-1, 1) for _ in range(2 * n)]
-                assert la_graph_curvature(ca.const(0.4), n, pt) == 0.0
-                assert la_graph_curvature(ca.ZERO, n, pt) == 0.0
+                assert curvature_at(la_graph_exprs, ca.const(0.4), n, pt) == 0.0
+                assert curvature_at(la_graph_exprs, ca.ZERO, n, pt) == 0.0
 
     def test_against_finite_difference_oracle(self, rng):
         n = 2
@@ -468,7 +473,7 @@ class TestLaGraph:
 
         for _ in range(3):
             pt = [rng.uniform(-0.5, 0.5) for _ in range(2 * n)]
-            sym = la_graph_curvature(u, n, pt)
+            sym = curvature_at(la_graph_exprs, u, n, pt)
             assert abs(sym - oracle(pt)) <= 1e-6 * max(1.0, abs(sym))
 
     def test_matches_generic_engine_via_chart_map(self, rng):
@@ -484,7 +489,7 @@ class TestLaGraph:
             x1 = ca.evaluate(u, (eta2, tau))
             z = tau - x1 * eta2
             generic = p_mean_curvature(S, phi, 0, (x1, eta2, z))
-            direct = la_graph_curvature(u, n, (eta2, tau))
+            direct = curvature_at(la_graph_exprs, u, n, (eta2, tau))
             assert_close(direct, generic, rel=1e-8, abs_tol=1e-10)
 
 
@@ -498,16 +503,17 @@ class TestRadialGraphs:
             for _ in range(5):
                 r0 = rng.uniform(0.2, 2.0)
                 assert_close(
-                    radial_cylinder_curvature(u, n, r0), expected, rel=1e-10
+                    curvature_at(radial_curvature_expr, u, n, (r0,)), expected, rel=1e-10
                 )
 
     def test_flat_graph(self, rng):
         for n in (1, 2, 3):
-            assert radial_cylinder_curvature(ca.ZERO, n, rng.uniform(0.1, 2)) == 0.0
+            r0 = rng.uniform(0.1, 2)
+            assert curvature_at(radial_curvature_expr, ca.ZERO, n, (r0,)) == 0.0
 
     def test_requires_positive_radius(self):
-        with pytest.raises(ValueError):
-            radial_cylinder_curvature(ca.ZERO, 1, 0.0)
+        with pytest.raises(ValueError, match="r > 0"):
+            RadialCylinderOperator(1).lift((0.0,), 0.0)
 
 
 class TestIsometryInvariance:
@@ -585,6 +591,6 @@ class TestIsometryInvariance:
             pt = [rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)]
             rr = pt[0] ** 2 + pt[1] ** 2
             engine = p_mean_curvature(C, phi, 0, pt + [c * rr])
-            radial = radial_cylinder_curvature(u, n, math.sqrt(rr))
+            radial = curvature_at(radial_curvature_expr, u, n, (math.sqrt(rr),))
             assert_close(engine, closed, rel=1e-8)
             assert_close(radial, closed, rel=1e-8)

@@ -1,8 +1,11 @@
 """Comparison harness: touching, gaps, propagation, classification."""
 
+import cProfile
 import functools
 import math
+import pstats
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ from subcurv.cli import write_scenario_csv
 from subcurv.core import (
     ScalarField, SingularPoint, VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
 )
-from subcurv.brackets import bracket_generate_rank, tangent_distribution_fields
+from subcurv.brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
 from subcurv.heisenberg import cylinder_structure, graph_coords, standard_drift
 from subcurv.smp import (
     ComparisonScenario,
@@ -32,7 +35,6 @@ from subcurv.smp import (
     integrate_field,
     propagate_max,
     run_scenario,
-    touching_set,
     variation_check,
 )
 
@@ -57,15 +59,15 @@ def flat_scenario(u_src, v_src, box=((0.5, 1.5), (-0.4, 0.4)), grid=17, **kw):
 class TestTouchingSet:
     def test_identical_graphs_touch_everywhere(self):
         sc = flat_scenario("x1*x2", "x1*x2", grid=9)
-        assert len(touching_set(sc)) == 81
+        assert len(run_scenario(sc).as_dict()["touching"]) == 81
 
     def test_separated_graphs_do_not_touch(self):
         sc = flat_scenario("x1*x2", "x1*x2 + 1", grid=9)
-        assert touching_set(sc) == []
+        assert run_scenario(sc).as_dict()["touching"] == []
 
     def test_counterexample_touches_along_segment(self):
         sc = builtin_scenario("h1-counterexample")
-        touching = touching_set(sc)
+        touching = run_scenario(sc).as_dict()["touching"]
         assert len(touching) >= 5
         for t in touching:
             assert abs(t["point"][1]) <= 1e-12
@@ -242,6 +244,13 @@ class TestGeneratedStep:
         assert X.stepper() is X.stepper()
         assert "= f(x)" in X.stepper().source
 
+    def test_profiles_keep_each_generated_step_apart(self):
+        profiler = cProfile.Profile()
+        profiler.runcall(run_scenario, builtin_scenario("vertical-hyperplane"))
+        steps = [key for key in pstats.Stats(profiler).stats if key[2] == "step"]
+        assert len(steps) > 1
+        assert all(re.fullmatch(r"<rk4-step-\d+>", filename) for filename, _, _ in steps)
+
 
 class TestPropagateMax:
     def test_trajectories_end_at_box_exit(self, monkeypatch):
@@ -303,10 +312,11 @@ class TestPropagateMax:
         )
         start = (0.1, 0.2, -0.1, 0.0)
         plain = propagate_max(sc, start, fields, T=0.05, step=1e-2)
-        with_brackets = propagate_max(
-            sc, start, fields, T=0.05, step=1e-2,
-            include_brackets=True,
-        )
+        brackets = [
+            lie_bracket(fields[i], fields[j])
+            for i in range(len(fields)) for j in range(i + 1, len(fields))
+        ]
+        with_brackets = propagate_max(sc, start, fields + brackets, T=0.05, step=1e-2)
         assert len(with_brackets) > len(plain)
         assert all(r.ok for r in with_brackets)
 
