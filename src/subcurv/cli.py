@@ -55,6 +55,7 @@ __all__ = [
     "load_config",
     "format_number",
     "dumps_report",
+    "write_scenario_csv",
     "scenario_to_config",
     "main",
 ]
@@ -532,47 +533,40 @@ def _structure_config_lines(S: SubriemannianStructure) -> list:
 
 
 def format_number(x) -> str:
+    """The one rule for every number the program writes: a float with 17
+    significant digits (``-0.0`` as ``0``), an int as itself and a bool as
+    ``true``/``false``.  A non-finite float raises ``ValueError`` and any
+    other type ``TypeError``."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite number in report: {x}")
+        return f"{x + 0.0:.17g}"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    x = float(x) + 0.0  # normalizes -0.0
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite number in report: {x}")
-    return f"{x:.17g}"
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def dumps_report(obj, indent: int = 0) -> str:
     """JSON with deterministic float formatting and insertion key order."""
-    pad = "  " * indent
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return format_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + dumps_report(v, indent + 1) for v in obj
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for k, v in obj.items():
-            parts.append(
-                "  " * (indent + 1)
-                + json.dumps(str(k), ensure_ascii=False)
-                + ": "
-                + dumps_report(v, indent + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        brackets, items = "[]", [dumps_report(v, indent + 1) for v in obj]
+    elif isinstance(obj, dict):
+        brackets, items = "{}", [
+            json.dumps(str(k), ensure_ascii=False) + ": " + dumps_report(v, indent + 1)
+            for k, v in obj.items()
+        ]
+    else:
+        return format_number(obj)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * indent + brackets[1]
 
 
 def _write_text(path: Optional[str], text: str):
@@ -583,22 +577,17 @@ def _write_text(path: Optional[str], text: str):
             fh.write(text)
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    return format_number(v)
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text: one line per row, ``None`` as an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join(["" if v is None else format_number(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_scenario_csv(report: smp.ScenarioReport, coords: Sequence[str]) -> str:
-    header = list(coords) + ["v_minus_u", "H_u", "H_v", "singular_u", "singular_v"]
-    lines = [",".join(header)]
-    for row in report.table:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The per-point table of a scenario run (see the README for its columns)."""
+    header = [*coords, "v_minus_u", "H_u", "H_v", "singular_u", "singular_v"]
+    return _csv(header, report.table)
 
 
 # ---------------------------------------------------------------------------
@@ -635,21 +624,16 @@ def cmd_curvature(args) -> int:
     sing_fn = ca.compile_expr(conorm_sq_expr(S, phi), S.dim)
     points = [pt for _, pt in grid.points()]
     values = masked_curvature(h_fn, sing_fn, points, default_eps_sing() ** 2)
-    rows = list(zip(points, values))
     if args.format == "csv":
-        lines = [",".join(list(S.coords.names) + ["H"])]
-        for pt, h in rows:
-            lines.append(",".join([format_number(c) for c in pt] + [_csv_cell(h)]))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        rows = [(*pt, h) for pt, h in zip(points, values)]
+        _write_text(args.out, _csv([*S.coords.names, "H"], rows))
     else:
         payload = {
             "schema_version": "1",
             "function": args.function,
             "p": str(p),
             "grid": grid.as_dict(),
-            "values": [
-                {"point": list(pt), "H": h} for pt, h in rows
-            ],
+            "values": [{"point": list(pt), "H": h} for pt, h in zip(points, values)],
         }
         _write_text(args.out, dumps_report(payload) + "\n")
     return EXIT_OK

@@ -575,22 +575,20 @@ def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
     """``refine(x0) -> (x, converged)``: Newton minimization of ``f``.
 
     The gradient and Hessian of ``f`` are formed symbolically and
-    compiled once; each call iterates over the grid axes that are not
-    frozen (count > 1) and holds the others at their ``x0`` values.
+    compiled once, as one kernel each; each call iterates over the grid
+    axes that are not frozen (count > 1) and holds the others at their
+    ``x0`` values.
     """
     grad_exprs = ca.gradient(f, nvars)
-    grad_fns = [ca.compile_expr(g, nvars) for g in grad_exprs]
-    hess_fns = [
-        [ca.compile_expr(ca.differentiate(g, j), nvars) for j in range(nvars)]
-        for g in grad_exprs
-    ]
+    grad_at = ca.compile_expr(grad_exprs, nvars)
+    hess_flat = ca.compile_expr(
+        [ca.differentiate(g, j) for g in grad_exprs for j in range(nvars)], nvars
+    )
     active = [i for i, (_, _, count) in enumerate(grid.axes) if count > 1]
 
-    def grad_at(x):
-        return [fn(x) for fn in grad_fns]
-
     def hess_at(x):
-        return [[fn(x) for fn in row] for row in hess_fns]
+        h = hess_flat(x)
+        return [h[i : i + nvars] for i in range(0, nvars * nvars, nvars)]
 
     return lambda x0: newton_minimize(grad_at, hess_at, x0, active)
 

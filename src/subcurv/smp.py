@@ -347,10 +347,12 @@ class ComparisonScenario:
 
 
 class ScenarioReport:
-    """Measurements plus the classification derived from them."""
+    """Measurements plus the classification derived from them; ``table``
+    holds the per-point rows of the CSV (see :class:`_ScenarioEngine`)."""
 
-    def __init__(self, data: dict):
+    def __init__(self, data: dict, table: list):
         self.data = data
+        self.table = table
 
     @property
     def classification(self) -> str:
@@ -390,6 +392,7 @@ class _ScenarioEngine:
         u_fn, sing_u_fn, u_vals, h_u = _sweep_graph(op, "u", u_expr, self.points, eps_sq)
         v_fn, sing_v_fn, v_vals, h_v = _sweep_graph(op, "v", v_expr, self.points, eps_sq)
         du = [b - a for a, b in zip(u_vals, v_vals)]
+        _require_finite("v - u", du, self.points)
         eps = tol.eps_order
         du_min, du_max = min(du), max(du)
         holds = du_min >= -eps or du_max <= eps
@@ -401,8 +404,10 @@ class _ScenarioEngine:
             du = [-d for d in du]
         self.u_expr, self.v_expr, self.u_fn, self.v_fn = u_expr, v_expr, u_fn, v_fn
         self.sing_u_fn, self.sing_v_fn = sing_u_fn, sing_v_fn
-        # per-point rows (v - u, H_u, H_v, u masked, v masked)
-        self.rows = [(d, a, b, a is None, b is None) for d, a, b in zip(du, h_u, h_v)]
+        self.du = du
+        # the CSV rows: coords, v - u, H_u, H_v, then u and v masked as 0/1
+        self.rows = [(*pt, d, a, b, int(a is None), int(b is None))
+                     for pt, d, a, b in zip(self.points, du, h_u, h_v)]
         k_min = min(range(len(du)), key=du.__getitem__)
         self.ordering = {
             "min_v_minus_u": du[k_min],
@@ -414,23 +419,26 @@ class _ScenarioEngine:
 
     def touching(self):
         """Grid points with |v-u| <= eps_touch, Newton-refined."""
-        rows = self.rows
         eps = self.tol.eps_touch
-        hit_ids = [k for k, r in enumerate(rows) if abs(r[0]) <= eps]
+        hit_ids = [k for k, d in enumerate(self.du) if abs(d) <= eps]
+        if not hit_ids:
+            return []
         diff = ca.sub(self.v_expr, self.u_expr)
         refine = newton_refiner(diff, self.nvars, self.grid)
         diff_fn = ca.compile_expr(diff, self.nvars)
         out = []
         for k in hit_ids:
             pt = self.points[k]
-            refined, converged = refine(pt)
-            ok = converged and abs(diff_fn(refined)) <= eps and _in_box(refined, self.sc.box)
+            refined, ok = refine(pt)
+            if ok:
+                value = diff_fn(refined)
+                ok = abs(value) <= eps and _in_box(refined, self.sc.box)
             out.append(
                 {
                     "index": list(self.indices[k]),
                     "point": list(pt),
                     "refined_point": [float(c) for c in refined] if ok else list(pt),
-                    "value": diff_fn(refined) if ok else rows[k][0],
+                    "value": value if ok else self.du[k],
                     "refined": ok,
                 }
             )
@@ -440,8 +448,10 @@ class _ScenarioEngine:
         """max H(v) - H(u) over jointly nonsingular grid points."""
         best = best_k = None
         evaluated = 0
-        for k, (_, hu, hv, su, sv) in enumerate(self.rows):
-            if su or sv:
+        n = self.nvars
+        for k, row in enumerate(self.rows):
+            hu, hv = row[n + 1], row[n + 2]
+            if hu is None or hv is None:
                 continue
             evaluated += 1
             g = hv - hu
@@ -453,9 +463,10 @@ class _ScenarioEngine:
             "points_evaluated": evaluated,
         }
 
-    def singular(self, col: int):
+    def singular(self, offset: int):
         """Fraction and connected clusters (grid adjacency) of the cells
-        masked in row column ``col`` (3 for u, 4 for v)."""
+        masked in row column ``nvars + offset`` (3 for u, 4 for v)."""
+        col = self.nvars + offset
         cells = [self.indices[k] for k, r in enumerate(self.rows) if r[col]]
         return len(cells) / len(self.rows), len(grid_clusters(cells))
 
@@ -475,13 +486,6 @@ class _ScenarioEngine:
         names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u_fn, v=self.v_fn, record=devs.append)
         return ca.compile_source(src, "f", "box-stop", **names), devs
 
-    def table(self):
-        """Per-point CSV table rows: coords, v-u, H_u, H_v, sing flags."""
-        return [
-            list(pt) + [du, hu, hv, int(su), int(sv)]
-            for pt, (du, hu, hv, su, sv) in zip(self.points, self.rows)
-        ]
-
 
 def _sweep_graph(op, name: str, expr: Expr, points, eps_sq: float):
     """Kernel, norm kernel, grid values and masked H of one graph; a domain
@@ -499,12 +503,21 @@ def _sweep_graph(op, name: str, expr: Expr, points, eps_sq: float):
         raise EvaluationError(
             f"graph {name} undefined at chart point {pt}: {exc}"
         ) from None
+    _require_finite(f"graph {name}", values, points)
     try:
         h_vals = masked_curvature(ca.compile_expr(h, nvars), sing_fn, points, eps_sq)
     except IndefiniteCometric as exc:
         pt = exc.point
         raise IndefiniteCometric(op.lift(pt, fn(pt)), exc.sq, name) from None
     return fn, sing_fn, values, h_vals
+
+
+def _require_finite(what: str, values, points):
+    """Refuse a non-finite value (an overflow raises nothing) as a domain hole."""
+    if not all(map(math.isfinite, values)):
+        k = list(map(math.isfinite, values)).index(False)
+        raise EvaluationError(f"{what} undefined at chart point {points[k]}: "
+                              f"non-finite value {values[k]}")
 
 
 def _in_box(pt, box) -> bool:
@@ -724,9 +737,9 @@ def variation_check(
 
 def _coincide_check(engine, touching):
     """Every touching point's 5-cell index ball stays within eps_touch."""
-    rows = engine.rows
+    du = engine.du
     eps = engine.tol.eps_touch
-    if all(abs(r[0]) <= eps for r in rows):
+    if all(abs(d) <= eps for d in du):
         return True, None
     shape = engine.grid.shape
     position = {idx: k for k, idx in enumerate(engine.indices)}
@@ -738,7 +751,7 @@ def _coincide_check(engine, touching):
             for i, c in zip(idx, shape)
         ]
         for nb in itertools.product(*ranges):
-            if abs(rows[position[nb]][0]) > eps:
+            if abs(du[position[nb]]) > eps:
                 return False, list(nb)
     return True, None
 
@@ -865,9 +878,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     else:
         measurements["notes"] = []
     measurements["classification"] = classify(measurements)
-    report = ScenarioReport(measurements)
-    report.table = engine.table()  # per-point data for the CSV writer
-    return report
+    return ScenarioReport(measurements, engine.rows)
 
 
 # ---------------------------------------------------------------------------

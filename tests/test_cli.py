@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -65,6 +66,25 @@ box = -1:1, -1:1
 [function lin]
 expr = x
 box = -1:1, -1:1
+
+[function bowl]
+expr = x^2 + y^2
+box = -1:1, -1:1
+"""
+
+# ``curvature --function bowl --grid 3`` on CUSTOM_FLAT: H = 1/r, masked
+# at the singular origin
+BOWL_CSV = """\
+x,y,H
+-1,-1,0.70710678118654768
+-1,0,1
+-1,1,0.70710678118654768
+0,-1,1
+0,0,
+0,1,1
+1,-1,0.70710678118654768
+1,0,1
+1,1,0.70710678118654768
 """
 
 
@@ -187,6 +207,47 @@ class TestFormatting:
         parsed = json.loads(out)
         assert parsed == {"a": [1.5, None, True], "b": {"c": "x"}}
 
+    def test_report_bytes(self):
+        obj = {
+            "empty": {},
+            "none": [],
+            "nested": [[0.1, -0.0], {"k\u00e9y\"": (False, 3)}],
+            "t\u00e9xt": "gr\u00fc\u00dfe \u2603\n",
+            "null": None,
+        }
+        assert dumps_report(obj) == (
+            '{\n'
+            '  "empty": {},\n'
+            '  "none": [],\n'
+            '  "nested": [\n'
+            '    [\n'
+            '      0.10000000000000001,\n'
+            '      0\n'
+            '    ],\n'
+            '    {\n'
+            '      "k\u00e9y\\"": [\n'
+            '        false,\n'
+            '        3\n'
+            '      ]\n'
+            '    }\n'
+            '  ],\n'
+            '  "t\u00e9xt": "gr\u00fc\u00dfe \u2603\\n",\n'
+            '  "null": null\n'
+            '}'
+        )
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_is_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite number"):
+            format_number(value)
+        with pytest.raises(ValueError, match="non-finite number"):
+            dumps_report({"a": [1.0, value]})
+
+    @pytest.mark.parametrize("value", [{1}, object(), Fraction(1, 3), b"x"])
+    def test_unsupported_type_is_refused(self, value):
+        with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
+            dumps_report({"a": [value]})
+
 
 class TestCurvatureCommand:
     def test_single_point_value(self, cfg):
@@ -224,6 +285,27 @@ class TestCurvatureCommand:
         # the operator with p = 1 returns 4 wherever it is defined
         values = {line.split(",")[-1] for line in lines[1:]}
         assert values <= {"4", ""}
+
+    def test_grid_mode_bytes_with_a_masked_point(self, cfg, tmp_path):
+        path = cfg("flat.cfg", CUSTOM_FLAT)
+        out = tmp_path / "grid"
+        argv = ["curvature", "--config", path, "--function", "bowl", "--grid", "3",
+                "--out", str(out)]
+        assert main(argv + ["--format", "csv"]) == 0
+        assert out.read_bytes() == BOWL_CSV.encode()
+        assert main(argv + ["--format", "json"]) == 0
+        rows = [line.split(",") for line in BOWL_CSV.splitlines()[1:]]
+        values = ",\n".join(
+            "    {\n      \"point\": [\n"
+            f"        {x},\n        {y}\n      ],\n      \"H\": {h or 'null'}\n    }}"
+            for x, y, h in rows
+        )
+        axis = "      [\n        -1,\n        1,\n        3\n      ]"
+        assert out.read_text() == (
+            '{\n  "schema_version": "1",\n  "function": "bowl",\n  "p": "0",\n'
+            f'  "grid": {{\n    "axes": [\n{axis},\n{axis}\n    ]\n  }},\n'
+            f'  "values": [\n{values}\n  ]\n}}\n'
+        )
 
     def test_grid_mode_json_deterministic(self, cfg, tmp_path):
         path = cfg("h1.cfg", HEIS1)
@@ -525,6 +607,31 @@ class TestExitCodeContract:
         code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
         assert code == 3
         assert f"graph {graph} undefined at chart point (0.5, -0.5)" in err
+
+    @pytest.mark.parametrize(
+        "u, v, box, needle",
+        [
+            ("a*b", "a*b + 1", "1e200:2e200, 1e200:2e200",
+             "graph u undefined at chart point (1e+200, 1e+200): non-finite value inf"),
+            ("1", "a*b", "1e200:2e200, 1e200:2e200",
+             "graph v undefined at chart point (1e+200, 1e+200): non-finite value inf"),
+            ("-a", "a", "1e308:1.5e308, 0:1",
+             "v - u undefined at chart point (1e+308, 0.0): non-finite value inf"),
+        ],
+        ids=["u-overflows", "v-overflows", "difference-overflows"],
+    )
+    def test_non_finite_graph_value_names_the_graph_and_the_point(self, cfg, u, v, box, needle):
+        # a product or difference that overflows raises nothing: inf (or
+        # inf - inf = nan) reached the writer
+        text = (
+            "[structure]\nkind = custom\ncoords = a, b, c\ncometric.2.2 = 1\ndegeneracy = 2\n"
+            f"\n[function u]\nexpr = {u}\n\n[function v]\nexpr = {v}\n"
+            f"\n[scenario]\noperator = generic\nu = u\nv = v\nbox = {box}\ngrid = 2\n"
+        )
+        path = cfg("overflow.cfg", text)
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 3
+        assert f"evaluation error: {needle}" in err
 
     def test_custom_structure_undefined_on_its_box(self, cfg, capsys):
         bad = CUSTOM_FLAT.replace("density = 1", "density = 1/x")
