@@ -58,7 +58,6 @@ from .smp import (
     ComparisonScenario,
     ScenarioReport,
     builtin_scenario,
-    curvature_gap,
     integrate_field,
     propagate_max,
     run_scenario,

@@ -623,7 +623,7 @@ def cmd_curvature(args) -> int:
     h_fn = ca.compile_expr(p_mean_curvature_expr(S, phi, p), S.dim)
     sing_fn = ca.compile_expr(conorm_sq_expr(S, phi), S.dim)
     points = [pt for _, pt in grid.points()]
-    values = masked_curvature(h_fn, sing_fn, points, default_eps_sing() ** 2)
+    values, _ = masked_curvature(h_fn, sing_fn, points, default_eps_sing() ** 2)
     if args.format == "csv":
         rows = [(*pt, h) for pt, h in zip(points, values)]
         _write_text(args.out, _csv([*S.coords.names, "H"], rows))
@@ -667,7 +667,15 @@ def cmd_rank(args) -> int:
         target = S.dim
         mode = "frames"
 
-    report = bracket_generate_rank(fields, point, args.depth, target_rank=target)
+    try:
+        report = bracket_generate_rank(fields, point, args.depth, target_rank=target)
+        if S.null_coform is not None:
+            w = S.null_coform
+            m = [[ca.sub(ca.differentiate(w[j], k), ca.differentiate(w[k], j))
+                  for j in range(S.dim)] for k in range(S.dim)]
+            tf_rank = two_form_rank(m, point, restriction_basis=S.frame_fields or None)
+    except EvaluationError as exc:
+        raise EvaluationError(f"rank undefined at point {point}: {exc}") from None
     hormander = report.rank >= target
     payload = {
         "schema_version": "1",
@@ -681,18 +689,6 @@ def cmd_rank(args) -> int:
         "hormander": f"{'yes' if hormander else 'no'} (rank {report.rank} of {target})",
     }
     if S.null_coform is not None:
-        m = [
-            [
-                ca.sub(
-                    ca.differentiate(S.null_coform[j], k),
-                    ca.differentiate(S.null_coform[k], j),
-                )
-                for j in range(S.dim)
-            ]
-            for k in range(S.dim)
-        ]
-        basis = S.frame_fields if S.frame_fields else None
-        tf_rank = two_form_rank(m, point, restriction_basis=basis)
         payload["two_form_rank"] = tf_rank
         payload["two_form_verdict"] = (
             f"two-form rank {tf_rank} >= 3: bracket-generating criterion holds"

@@ -428,24 +428,33 @@ def p_mean_curvature(
     return ca.evaluate(p_mean_curvature_expr(S, phi, p), point)
 
 
-def masked_curvature(h_fn, sing_fn, points, eps_sq: float) -> list:
-    """Compiled H at each point, ``None`` where no curvature value exists.
+def masked_curvature(h_fn, sing_fn, points, eps_sq: float):
+    """``(values, low)``: compiled H at each point, ``None`` where no
+    curvature value exists, and ``{position: sq}`` where the squared norm
+    ``sq`` is not ``>= eps_sq`` (singular, or NaN); each norm is evaluated once.
 
     A point is masked where the squared-norm rule :func:`is_singular` holds
     for the compiled ``sing_fn``, or where ``h_fn`` raises a domain or
-    overflow error or returns a non-finite value.
+    overflow error or returns a non-finite value.  A norm domain hole raises,
+    naming the point.
     """
     out = []
-    for pt in points:
+    low = {}
+    for k, pt in enumerate(points):
         h = None
-        sq = sing_fn(pt)
+        try:
+            sq = sing_fn(pt)
+        except ca.EvaluationError as exc:
+            raise ca.EvaluationError(f"|dphi|*^2 undefined at chart point {pt}: {exc}") from None
+        if not sq >= eps_sq:
+            low[k] = sq
         if not (sq < eps_sq and is_singular(sq, pt, eps_sq)):
             try:
                 h = h_fn(pt)
             except (ca.EvaluationError, OverflowError):
                 pass
         out.append(h if h is not None and math.isfinite(h) else None)
-    return out
+    return out, low
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +586,7 @@ def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
     The gradient and Hessian of ``f`` are formed symbolically and
     compiled once, as one kernel each; each call iterates over the grid
     axes that are not frozen (count > 1) and holds the others at their
-    ``x0`` values.
+    ``x0`` values.  An iterate where a kernel raises is not converged.
     """
     grad_exprs = ca.gradient(f, nvars)
     grad_at = ca.compile_expr(grad_exprs, nvars)
@@ -590,7 +599,13 @@ def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
         h = hess_flat(x)
         return [h[i : i + nvars] for i in range(0, nvars * nvars, nvars)]
 
-    return lambda x0: newton_minimize(grad_at, hess_at, x0, active)
+    def refine(x0):
+        try:
+            return newton_minimize(grad_at, hess_at, x0, active)
+        except (ca.EvaluationError, OverflowError):
+            return list(map(float, x0)), False  # a step left the domain
+
+    return refine
 
 
 def singular_scan(

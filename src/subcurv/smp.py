@@ -9,13 +9,13 @@ integral curves of tangent fields.  Classification is a pure function of
 those measurements; the harness never asserts a theorem, only
 instance-level consistency.
 
-The pair is oriented once, when the grid is swept: if the data comes in
-with the larger graph labelled u, the engine relabels its own copies of
-the two graphs, their kernels and the per-point rows, and every later
-measurement (rank and propagation included) reads the lower graph as u.
-Exchanging u and v therefore changes only the report's ``swapped`` flag.
-A grid point carries no curvature value where the graph is singular or
-H cannot be evaluated there (:func:`core.masked_curvature`).
+Each graph is swept once into a record that every later measurement
+reads by grid position, so no norm is evaluated after the sweep; a grid
+point carries no curvature value where the graph is singular or H cannot
+be evaluated there (:func:`core.masked_curvature`).  If the data comes in
+with the larger graph labelled u, the engine swaps the two records, and
+every later measurement (rank and propagation included) reads the lower
+graph as u: exchanging u and v changes only the report's ``swapped`` flag.
 
 Each operator carries its own map to the ambient manifold where the rank
 condition is checked: ``structure``, ``phi(u)`` (the defining function of
@@ -75,7 +75,6 @@ __all__ = [
     "PropagationResult",
     "integrate_field",
     "propagate_max",
-    "curvature_gap",
     "variation_check",
     "run_scenario",
     "classify",
@@ -370,14 +369,45 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+class _SweptGraph:
+    """One graph swept over the grid: ``expr``, its value kernel ``fn``, the
+    ``values``, the masked curvature ``h`` and ``low``, the positions whose
+    squared norm is not ``>= eps_sq``, with that norm.  A domain hole names
+    the graph and the chart point, an indefinite cometric the graph and its
+    ambient point (``op.lift``)."""
+
+    __slots__ = ("expr", "fn", "values", "h", "low")
+
+    def __init__(self, op, name: str, expr: Expr, points, eps_sq: float):
+        nvars = len(op.chart)
+        h, sing = op.build(expr)
+        self.expr = expr
+        self.fn = fn = ca.compile_expr(expr, nvars)
+        sing_fn = ca.compile_expr(sing, nvars)
+        self.values = values = []
+        try:
+            for pt in points:
+                values.append(fn(pt))
+        except EvaluationError as exc:
+            raise EvaluationError(f"graph {name} undefined at chart point {pt}: {exc}") from None
+        _require_finite(f"graph {name}", values, points)
+        try:
+            self.h, self.low = masked_curvature(ca.compile_expr(h, nvars), sing_fn, points, eps_sq)
+        except EvaluationError as exc:
+            raise EvaluationError(f"graph {name}: {exc}") from None
+        except IndefiniteCometric as exc:
+            pt = exc.point
+            raise IndefiniteCometric(op.lift(pt, fn(pt)), exc.sq, name) from None
+
+
 class _ScenarioEngine:
     """Compiles and sweeps the scenario once, in the orientation v >= u.
 
     Everything is measured in ``__init__``.  When the data arrives with
-    the larger graph labelled u, the engine relabels its own expressions,
-    kernels and rows once (the scenario is never changed), so every
-    measurement below reads one orientation: ``u_expr``/``u_fn``/
-    ``sing_u_fn`` always belong to the lower graph.
+    the larger graph labelled u, the engine swaps its two graph records
+    (the scenario is never changed), so every measurement below reads one
+    orientation: ``u`` is always the lower graph.  ``hits`` are the grid
+    positions where |v - u| <= eps_touch.
     """
 
     def __init__(self, scenario: ComparisonScenario):
@@ -387,11 +417,10 @@ class _ScenarioEngine:
         self.tol = tol = scenario.tolerances
         self.grid = scenario.grid()
         self.indices, self.points = zip(*self.grid.points())
-        u_expr, v_expr = scenario.u.expr, scenario.v.expr
         eps_sq = tol.eps_sing ** 2
-        u_fn, sing_u_fn, u_vals, h_u = _sweep_graph(op, "u", u_expr, self.points, eps_sq)
-        v_fn, sing_v_fn, v_vals, h_v = _sweep_graph(op, "v", v_expr, self.points, eps_sq)
-        du = [b - a for a, b in zip(u_vals, v_vals)]
+        u = _SweptGraph(op, "u", scenario.u.expr, self.points, eps_sq)
+        v = _SweptGraph(op, "v", scenario.v.expr, self.points, eps_sq)
+        du = [b - a for a, b in zip(u.values, v.values)]
         _require_finite("v - u", du, self.points)
         eps = tol.eps_order
         du_min, du_max = min(du), max(du)
@@ -399,15 +428,13 @@ class _ScenarioEngine:
         # data that arrived with the larger graph labelled u is relabelled
         self.swapped = not du_min >= -eps and du_max <= eps
         if self.swapped:
-            u_expr, v_expr, u_fn, v_fn = v_expr, u_expr, v_fn, u_fn
-            sing_u_fn, sing_v_fn, h_u, h_v = sing_v_fn, sing_u_fn, h_v, h_u
+            u, v = v, u
             du = [-d for d in du]
-        self.u_expr, self.v_expr, self.u_fn, self.v_fn = u_expr, v_expr, u_fn, v_fn
-        self.sing_u_fn, self.sing_v_fn = sing_u_fn, sing_v_fn
-        self.du = du
+        self.u, self.v, self.du = u, v, du
+        self.hits = [k for k, d in enumerate(du) if abs(d) <= tol.eps_touch]
         # the CSV rows: coords, v - u, H_u, H_v, then u and v masked as 0/1
         self.rows = [(*pt, d, a, b, int(a is None), int(b is None))
-                     for pt, d, a, b in zip(self.points, du, h_u, h_v)]
+                     for pt, d, a, b in zip(self.points, du, u.h, v.h)]
         k_min = min(range(len(du)), key=du.__getitem__)
         self.ordering = {
             "min_v_minus_u": du[k_min],
@@ -418,21 +445,21 @@ class _ScenarioEngine:
     # -- measurements ----------------------------------------------------
 
     def touching(self):
-        """Grid points with |v-u| <= eps_touch, Newton-refined."""
-        eps = self.tol.eps_touch
-        hit_ids = [k for k, d in enumerate(self.du) if abs(d) <= eps]
-        if not hit_ids:
+        """The touching grid points (``hits``), Newton-refined."""
+        if not self.hits:
             return []
-        diff = ca.sub(self.v_expr, self.u_expr)
+        eps = self.tol.eps_touch
+        diff = ca.sub(self.v.expr, self.u.expr)
         refine = newton_refiner(diff, self.nvars, self.grid)
         diff_fn = ca.compile_expr(diff, self.nvars)
         out = []
-        for k in hit_ids:
+        for k in self.hits:
             pt = self.points[k]
             refined, ok = refine(pt)
+            ok = ok and _in_box(refined, self.sc.box)
             if ok:
                 value = diff_fn(refined)
-                ok = abs(value) <= eps and _in_box(refined, self.sc.box)
+                ok = abs(value) <= eps
             out.append(
                 {
                     "index": list(self.indices[k]),
@@ -448,9 +475,7 @@ class _ScenarioEngine:
         """max H(v) - H(u) over jointly nonsingular grid points."""
         best = best_k = None
         evaluated = 0
-        n = self.nvars
-        for k, row in enumerate(self.rows):
-            hu, hv = row[n + 1], row[n + 2]
+        for k, (hu, hv) in enumerate(zip(self.u.h, self.v.h)):
             if hu is None or hv is None:
                 continue
             evaluated += 1
@@ -463,12 +488,11 @@ class _ScenarioEngine:
             "points_evaluated": evaluated,
         }
 
-    def singular(self, offset: int):
+    def singular(self, graph: _SweptGraph):
         """Fraction and connected clusters (grid adjacency) of the cells
-        masked in row column ``nvars + offset`` (3 for u, 4 for v)."""
-        col = self.nvars + offset
-        cells = [self.indices[k] for k, r in enumerate(self.rows) if r[col]]
-        return len(cells) / len(self.rows), len(grid_clusters(cells))
+        where ``graph`` carries no curvature value."""
+        cells = [self.indices[k] for k, h in enumerate(graph.h) if h is None]
+        return len(cells) / len(self.points), len(grid_clusters(cells))
 
     @functools.cached_property
     def box_stop(self):
@@ -483,33 +507,8 @@ class _ScenarioEngine:
             f"        return True\n    c = ({cs})\n    record(abs(v(c) - u(c)))\n    return False\n"
         )
         devs = []
-        names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u_fn, v=self.v_fn, record=devs.append)
+        names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u.fn, v=self.v.fn, record=devs.append)
         return ca.compile_source(src, "f", "box-stop", **names), devs
-
-
-def _sweep_graph(op, name: str, expr: Expr, points, eps_sq: float):
-    """Kernel, norm kernel, grid values and masked H of one graph; a domain
-    hole names the graph and the chart point, an indefinite cometric the
-    graph and its ambient point (``op.lift``)."""
-    nvars = len(op.chart)
-    h, sing = op.build(expr)
-    fn = ca.compile_expr(expr, nvars)
-    sing_fn = ca.compile_expr(sing, nvars)
-    values = []
-    try:
-        for pt in points:
-            values.append(fn(pt))
-    except EvaluationError as exc:
-        raise EvaluationError(
-            f"graph {name} undefined at chart point {pt}: {exc}"
-        ) from None
-    _require_finite(f"graph {name}", values, points)
-    try:
-        h_vals = masked_curvature(ca.compile_expr(h, nvars), sing_fn, points, eps_sq)
-    except IndefiniteCometric as exc:
-        pt = exc.point
-        raise IndefiniteCometric(op.lift(pt, fn(pt)), exc.sq, name) from None
-    return fn, sing_fn, values, h_vals
 
 
 def _require_finite(what: str, values, points):
@@ -527,11 +526,6 @@ def _in_box(pt, box) -> bool:
 # ---------------------------------------------------------------------------
 # Public measurement operations
 # ---------------------------------------------------------------------------
-
-
-def curvature_gap(scenario: ComparisonScenario) -> dict:
-    """max(H(v) - H(u)) over jointly nonsingular grid points + witness."""
-    return _ScenarioEngine(scenario).gap()
 
 
 class IntegrationResult:
@@ -629,7 +623,7 @@ def _propagate(engine, fields, start, T=None, step=None):
     T = sc.T if T is None else float(T)
     step = sc.step if step is None else float(step)
     eps = engine.tol.eps_touch
-    lifted = op.lift(tuple(start), engine.u_fn(tuple(start)))
+    lifted = op.lift(tuple(start), engine.u.fn(tuple(start)))
     stop, devs = engine.box_stop  # devs: |v - u| at each trajectory point inside the box
     out = []
     for fi, X in enumerate(fields):
@@ -735,7 +729,7 @@ def variation_check(
 # ---------------------------------------------------------------------------
 
 
-def _coincide_check(engine, touching):
+def _coincide_check(engine):
     """Every touching point's 5-cell index ball stays within eps_touch."""
     du = engine.du
     eps = engine.tol.eps_touch
@@ -744,11 +738,10 @@ def _coincide_check(engine, touching):
     shape = engine.grid.shape
     position = {idx: k for k, idx in enumerate(engine.indices)}
     radius = 5
-    for t in touching:
-        idx = t["index"]
+    for k in engine.hits:
         ranges = [
             range(max(0, i - radius), min(c, i + radius + 1))
-            for i, c in zip(idx, shape)
+            for i, c in zip(engine.indices[k], shape)
         ]
         for nb in itertools.product(*ranges):
             if abs(du[position[nb]]) > eps:
@@ -793,11 +786,9 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     engine = _ScenarioEngine(scenario)
     touching = engine.touching()
     gap = engine.gap()
-    frac_u, clusters_u = engine.singular(3)
-    frac_v, clusters_v = engine.singular(4)
-    coincides, separation_witness = (
-        _coincide_check(engine, touching) if touching else (False, None)
-    )
+    frac_u, clusters_u = engine.singular(engine.u)
+    frac_v, clusters_v = engine.singular(engine.v)
+    coincides, separation_witness = _coincide_check(engine) if touching else (False, None)
     separates = bool(touching) and not coincides
 
     # rank verdict at the first touching point (grid order), when the
@@ -806,19 +797,19 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     rank_data = None
     propagation = []
     eps_sq = engine.tol.eps_sing ** 2
-    touch_pts = [tuple(t["point"]) for t in touching]
+    u, hits = engine.u, engine.hits
+    # a position outside ``low`` has squared norm >= eps_sq
     singular_touch = any(
-        engine.sing_u_fn(pt) < eps_sq or engine.sing_v_fn(pt) < eps_sq
-        for pt in touch_pts
+        u.low.get(k, eps_sq) < eps_sq or engine.v.low.get(k, eps_sq) < eps_sq
+        for k in hits
     )
     if touching and op.structure.frame_fields is not None:
         # the rank hypothesis is checked on the lower graph, at regular points
-        fields = tangent_distribution_fields(op.structure, op.phi(engine.u_expr))
-        rank_point = next(
-            (pt for pt in touch_pts if engine.sing_u_fn(pt) >= eps_sq), None
-        )
-        if rank_point is not None:
-            lifted = op.lift(rank_point, engine.u_fn(rank_point))
+        fields = tangent_distribution_fields(op.structure, op.phi(u.expr))
+        rank_k = next((k for k in hits if k not in u.low), None)
+        if rank_k is not None:
+            rank_point = engine.points[rank_k]
+            lifted = op.lift(rank_point, u.values[rank_k])
             target = op.structure.dim - 1  # the dimension of the hypersurface
             report = bracket_generate_rank(
                 fields,
@@ -834,16 +825,10 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
                 "expected": target,
                 "point": list(rank_point),
             }
-            starts = [
-                pt
-                for pt in touch_pts[: scenario.max_propagation_starts]
-                if engine.sing_u_fn(pt) >= eps_sq
-            ]
+            starts = [engine.points[k] for k in hits[: scenario.max_propagation_starts]
+                      if k not in u.low]
             for start in starts:
-                propagation.extend(
-                    r.as_dict()
-                    for r in _propagate(engine, fields, start)
-                )
+                propagation.extend(r.as_dict() for r in _propagate(engine, fields, start))
 
     measurements = {
         "schema_version": "1",

@@ -586,6 +586,47 @@ class TestExitCodeContract:
             assert f"{needle}: |dphi|*^2 is -3" in err
             assert not out.exists() and not csv.exists()
 
+    def test_newton_step_out_of_the_domain_leaves_the_point_unrefined(self, cfg, tmp_path):
+        # every point touches, and Newton on 1e-7*x1^(3/2) steps from x1 to
+        # -x1, where the gradient kernel raises
+        path = cfg("newton.cfg", SCENARIO.replace(
+            "y1^2 + 1\n", "y1^2 + 0.0000001*(x1^(3/2) + y1^2)\n"))
+        out = tmp_path / "out.json"
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", str(out)])
+        assert code == 0, err
+        touching = json.loads(out.read_text())["touching"]
+        assert len(touching) == 25 and not any(t["refined"] for t in touching)
+
+    def test_norm_domain_hole_names_the_graph_and_the_point(self, cfg, tmp_path):
+        # no box, so nothing probes the cometric at load
+        text = (
+            "[structure]\nkind = custom\ncoords = x, y\ncometric.0.0 = sqrt(x - 0.7)\n"
+            "cometric.1.1 = 1\n\n[function phi]\nexpr = x^2 - y\nbox = 0.5:1.5, -1:1\n"
+            "\n[function u]\nexpr = x^2\n\n[function v]\nexpr = x^2 + 1\n"
+            "\n[scenario]\noperator = generic\nu = u\nv = v\nbox = 0.5:1.5\ngrid = 5\n"
+        )
+        path = cfg("hole.cfg", text)
+        out = str(tmp_path / "out")
+        hole = "non-integer power 0.5 of non-positive base -0.19999999999999996"
+        runs = [
+            (["scenario", "run", "--config", path, "--out", out],
+             f"graph u: |dphi|*^2 undefined at chart point (0.5,): {hole}"),
+            (["curvature", "--config", path, "--function", "phi", "--grid", "3", "--out", out],
+             f"|dphi|*^2 undefined at chart point (0.5, -1.0): {hole}"),
+        ]
+        for argv, needle in runs:
+            code, err = run_main_quietly(argv)
+            assert code == 3 and needle in err, err
+
+    def test_rank_evaluation_error_names_the_point(self, cfg):
+        text = CUSTOM_FLAT.replace("box = -1:1, -1:1\n", "") + (
+            "\n[field a]\ncomponents = sqrt(x - 0.5), 1\n\n[field b]\ncomponents = 1, x\n")
+        path = cfg("rank.cfg", text)
+        code, err = run_main_quietly(["rank", "--config", path, "--fields", "a", "b",
+                                      "--out", os.devnull])
+        assert code == 3
+        assert "at point (0.1, 0.2): non-integer power 0.5 of non-positive base -0.4" in err
+
     @pytest.mark.parametrize("box", ["-0.5:1", "0:1"])
     def test_radial_box_reaching_r_nonpositive_is_config_error(self, cfg, box):
         # the radial chart is r > 0; project(lift(r)) = |r| would measure
@@ -942,7 +983,7 @@ def config_texts(draw):
         m=draw(_mostly(["2"], ["1", "0", "abc"])),
         p=draw(_mostly(["0", "1", "1/2"], ["-1", "1/0", "x"])),
         g=draw(_mostly(["z"], ["x1", "q"])),
-        c=draw(_mostly(["1", "1 + x1^2"], ["-1", "0", "1/x1", "sqrt(x1)"])),
+        c=draw(_mostly(["1", "1 + x1^2"], ["-1", "0", "1/x1", "sqrt(x1)", "sqrt(x1 - 0.7)"])),
         box=draw(_mostly(["0.5:1, -1:1, -1:1"], ["0:1, -1:1, -1:1", "1:0, 0:1, 0:1"])),
     )
     lines = ["[structure]", structure.format(**fill), ""]

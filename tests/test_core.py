@@ -15,6 +15,7 @@ from subcurv.core import (
     conorm,
     covector_pairing,
     masked_curvature,
+    newton_refiner,
     p_mean_curvature,
     p_mean_curvature_expr,
     probe_validate,
@@ -206,6 +207,13 @@ class TestPairingIdentity:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+class TestNewtonRefiner:
+    def test_a_step_out_of_the_domain_is_not_converged(self):
+        # Newton on x^(3/2) steps from x to -x, where the gradient raises
+        refine = newton_refiner(ca.pow_(ca.var(0), Fraction(3, 2)), 1, GridSpec([(0.5, 1.5, 5)]))
+        assert refine((0.5,)) == ([0.5], False)
+
+
 class TestSingularScan:
     def test_isolated_zero_of_flat_graph(self):
         S = standard_structure(1)
@@ -308,21 +316,24 @@ class TestMaskedCurvature:
             return {4: math.inf, 5: 7.0, 6: math.nan, 7: -math.inf}.get(pt[0], 1.5)
 
         points = [(k,) for k in range(9)]
-        values = masked_curvature(h, sing, points, 1e-14)
+        values, low = masked_curvature(h, sing, points, 1e-14)
         # a NaN norm is not below eps^2, so point 5 keeps its value
         assert values == [None, 1.5, None, None, None, 7.0, None, None, 1.5]
         assert calls == [1, 2, 3, 4, 5, 6, 7, 8]  # H is never called where singular
+        # ...but it is not >= eps^2 either, so the map keeps it with the singular point
+        assert list(low) == [0, 5] and low[0] == 0.0 and math.isnan(low[5])
 
     def test_compiled_kernels(self):
         x = ca.var(0)
         h = ca.compile_expr(ca.pow_(x, -1), 1)
         sing = ca.compile_expr(ca.pow_(x, 2), 1)
-        assert masked_curvature(h, sing, [(0.0,), (1e-9,), (2.0,)], 1e-14) == [None, None, 0.5]
-        assert masked_curvature(h, sing, [(0.0,)], 0.0) == [None]  # 1/0 raises
+        assert masked_curvature(h, sing, [(0.0,), (1e-9,), (2.0,)], 1e-14) == (
+            [None, None, 0.5], {0: 0.0, 1: 1e-18})
+        assert masked_curvature(h, sing, [(0.0,)], 0.0)[0] == [None]  # 1/0 raises
 
     def test_roundoff_norm_is_singular_and_nan_norm_is_not(self):
         norms = {(0,): 1.0, (1,): -1e-12, (2,): math.nan}
-        values = masked_curvature(lambda pt: 2.0, norms.get, list(norms), 1e-14)
+        values = masked_curvature(lambda pt: 2.0, norms.get, list(norms), 1e-14)[0]
         assert values == [2.0, None, 2.0]
 
     def test_indefinite_norm_raises_naming_the_point(self):

@@ -31,7 +31,6 @@ from subcurv.smp import (
     builtin_names,
     builtin_scenario,
     classify,
-    curvature_gap,
     integrate_field,
     propagate_max,
     run_scenario,
@@ -76,12 +75,12 @@ class TestTouchingSet:
 class TestCurvatureGap:
     def test_counterexample_gap_is_zero(self):
         sc = builtin_scenario("h1-counterexample")
-        gap = curvature_gap(sc)
+        gap = run_scenario(sc).as_dict()["curvature_gap"]
         assert abs(gap["max"]) <= 1e-10
 
     def test_identical_graphs(self):
         sc = flat_scenario("x1*x2", "x1*x2", grid=9)
-        assert curvature_gap(sc)["max"] == 0.0
+        assert run_scenario(sc).as_dict()["curvature_gap"]["max"] == 0.0
 
     def test_radial_paraboloid_pair(self):
         op = RadialCylinderOperator(1)
@@ -93,11 +92,10 @@ class TestCurvatureGap:
             box=((0.5, 1.5),),
             grid_counts=33,
         )
-        gap = curvature_gap(sc)
-        expected = 2 / 5 ** 0.25 - 1 / 2 ** 0.25
-        assert_close(gap["max"], expected, rel=1e-9)
-        assert expected > 0  # comparison hypothesis fails in this direction
         report = run_scenario(sc)
+        expected = 2 / 5 ** 0.25 - 1 / 2 ** 0.25
+        assert_close(report.as_dict()["curvature_gap"]["max"], expected, rel=1e-9)
+        assert expected > 0  # comparison hypothesis fails in this direction
         assert report.classification == "hypothesis-violated"
 
     def test_swapped_pair_reports_same_normalized_gap(self):
@@ -468,7 +466,7 @@ class TestGeneratedProjection:
                 inside = all(lo <= x <= hi for x, (lo, hi) in zip(chart_pt, box))
                 devs.clear()
                 assert stop(pt) is not inside
-                expected = [abs(engine.v_fn(chart_pt) - engine.u_fn(chart_pt))] if inside else []
+                expected = [abs(engine.v.fn(chart_pt) - engine.u.fn(chart_pt))] if inside else []
                 assert bits([devs]) == bits([expected])
 
 
@@ -670,3 +668,34 @@ class TestSwapInvariance:
         assert d["classification"] == "counterexample-detected;rank-condition-failed"
         assert d["rank"]["rank"] == 1 and d["rank"]["expected"] == 2
         assert len(d["propagation"]) == 16
+
+
+def edge_touch_pair():
+    # u = 0 is singular at the origin and v = x1 at (0, 1): they touch along
+    # the box edge x1 = 0, where each graph has its own singular point
+    return flat_scenario("0", "x1", box=((0.0, 1.0), (0.0, 1.0)), grid=9)
+
+
+class TestNormRule:
+    """The report's norm-based choices, recomputed from fresh norm kernels."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda name=name: builtin_scenario(name) for name in builtin_names()]
+        + [edge_touch_pair, lambda: swapped(edge_touch_pair())],
+        ids=builtin_names() + ["edge-touch", "edge-touch-swapped"],
+    )
+    def test_singular_touch_rank_point_and_starts(self, make):
+        sc = make()
+        d = run_scenario(sc).as_dict()
+        op = sc.operator
+        lower, upper = (sc.v.expr, sc.u.expr) if d["swapped"] else (sc.u.expr, sc.v.expr)
+        sq_lo, sq_hi = (ca.compile_expr(op.build(e)[1], len(op.chart)) for e in (lower, upper))
+        eps_sq = sc.tolerances.eps_sing ** 2
+        pts = [tuple(t["point"]) for t in d["touching"]]
+        assert d["singular_touch"] == any(sq_lo(p) < eps_sq or sq_hi(p) < eps_sq for p in pts)
+        regular = [p for p in pts if sq_lo(p) >= eps_sq]
+        assert regular  # every case has a rank verdict to pin
+        assert d["rank"]["point"] == list(regular[0])
+        starts = [p for p in pts[: sc.max_propagation_starts] if sq_lo(p) >= eps_sq]
+        assert list(dict.fromkeys(tuple(r["start"]) for r in d["propagation"])) == starts
