@@ -14,8 +14,8 @@ differentiation, evaluation, substitution, free variables, compilation)
 is one iterative post-order fold over the expression DAG with a handler
 per node kind.  The fold's memo keys on node identity, so equal subtrees
 are rebuilt, evaluated and emitted once, and deep trees do not exhaust
-the interpreter stack.  Negation is not a node kind: ``-e`` is the
-product of ``-1`` and ``e``.
+the interpreter stack.  Negation is not a node kind: ``neg(e)`` is
+the product of ``-1`` and ``e``.
 
 Simplification is deliberately shallow: constant folding, neutral-element
 elimination and flattening of nested sums/products.  There is no
@@ -178,37 +178,6 @@ class Expr:
 
     def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
-
-    # Arithmetic sugar; numbers are coerced to constants.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"<expr {_repr_tree(self)}>"
@@ -695,9 +664,15 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     )
 
 
-def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
-    """Replace variables by expressions; the result is canonical."""
-    return _fold(e, {**_REBUILD, Var: lambda node, _: mapping.get(node.index, node)})
+def substitute(e: Union[Expr, Sequence[Expr]], mapping: Mapping[int, Expr]):
+    """Replace variables by expressions; the result is canonical.  Given a
+    sequence of expressions, returns the list of their results, and subtrees
+    shared between them are rebuilt once."""
+    handlers = {**_REBUILD, Var: lambda node, _: mapping.get(node.index, node)}
+    if isinstance(e, Expr):
+        return _fold(e, handlers)
+    memo: dict = {}
+    return [_fold(c, handlers, memo) for c in e]
 
 
 def free_vars(e: Expr) -> set:

@@ -93,20 +93,17 @@ class ConfigDocument:
         self.functions: dict = {}
         self.fields_raw: dict = {}
         self.scenario_raw: Optional[dict] = None
-        self._structure_cache = None
 
     # -- resolution -------------------------------------------------------
 
     def structure(self) -> SubriemannianStructure:
         if self.structure_raw is None:
             raise ConfigError("no [structure] section")
-        if self._structure_cache is None:
-            try:
-                self._structure_cache = _build_structure(self.structure_raw)
-            except ValueError as exc:
-                # a parameter the constructors refuse: n = 0, an asymmetric cometric
-                raise ConfigError(f"[structure]: {exc}") from None
-        return self._structure_cache
+        try:
+            return _build_structure(self.structure_raw)
+        except ValueError as exc:
+            # a parameter the constructors refuse: n = 0, an asymmetric cometric
+            raise ConfigError(f"[structure]: {exc}") from None
 
     def function(self, name: str, coords: CoordSystem) -> ScalarField:
         if name not in self.functions:
@@ -622,7 +619,7 @@ def cmd_curvature(args) -> int:
     grid = GridSpec.from_box(box, args.grid)
     h_fn = ca.compile_expr(p_mean_curvature_expr(S, phi, p), S.dim)
     sing_fn = ca.compile_expr(conorm_sq_expr(S, phi), S.dim)
-    points = [pt for _, pt in grid.points()]
+    points = list(grid.points())
     values, _ = masked_curvature(h_fn, sing_fn, points, default_eps_sing() ** 2)
     if args.format == "csv":
         rows = [(*pt, h) for pt, h in zip(points, values)]

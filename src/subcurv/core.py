@@ -33,7 +33,7 @@ __all__ = [
     "DEFAULT_EPS_SING",
     "default_eps_sing",
     "is_singular",
-    "require_regular",
+    "curvature_at",
     "ScalarField",
     "VectorFieldExpr",
     "SubriemannianStructure",
@@ -110,13 +110,29 @@ def is_singular(sq: float, point: Sequence[float], eps_sq: float) -> bool:
     return sq < eps_sq
 
 
-def require_regular(sq: float, point: Sequence[float], eps_sing: Optional[float] = None):
-    """Raise :class:`SingularPoint` where :func:`is_singular` holds."""
+def curvature_at(
+    h: Expr, sq: Expr, point: Sequence[float], eps_sing: Optional[float] = None
+) -> float:
+    """H at one point by the rule of :func:`masked_curvature`: the squared
+    norm ``sq`` is evaluated first, and where a grid sweep would mask the
+    point this raises instead, :class:`SingularPoint` where
+    :func:`is_singular` holds, else an evaluation error naming the point
+    and whether the norm or H has no value there."""
+    pt = tuple(point)
+    try:
+        sq_val = ca.evaluate(sq, pt)
+    except ca.EvaluationError as exc:
+        raise ca.EvaluationError(f"|dphi|*^2 undefined at chart point {pt}: {exc}") from None
     eps_sq = (default_eps_sing() if eps_sing is None else eps_sing) ** 2
-    if is_singular(sq, point, eps_sq):
-        raise SingularPoint(
-            f"singular point at {tuple(point)}: |dphi|*^2 = {sq:.3e} < {eps_sq:g}"
-        )
+    if is_singular(sq_val, pt, eps_sq):
+        raise SingularPoint(f"singular point at {pt}: |dphi|*^2 = {sq_val:.3e} < {eps_sq:g}")
+    try:
+        value = ca.evaluate(h, pt)
+    except (ca.EvaluationError, OverflowError) as exc:
+        raise ca.EvaluationError(f"H undefined at chart point {pt}: {exc}") from None
+    if not math.isfinite(value):
+        raise ca.EvaluationError(f"H undefined at chart point {pt}: non-finite value {value}")
+    return value
 
 
 Box = Tuple[Tuple[float, float], ...]
@@ -422,10 +438,9 @@ def p_mean_curvature(
     point: Sequence[float],
     eps_sing: Optional[float] = None,
 ) -> float:
-    """Evaluate H_{phi,p}; raises :class:`SingularPoint` where
-    :func:`is_singular` holds."""
-    require_regular(ca.evaluate(conorm_sq_expr(S, phi), point), point, eps_sing)
-    return ca.evaluate(p_mean_curvature_expr(S, phi, p), point)
+    """Evaluate H_{phi,p} by :func:`curvature_at`."""
+    h = p_mean_curvature_expr(S, phi, p)
+    return curvature_at(h, conorm_sq_expr(S, phi), point, eps_sing)
 
 
 def masked_curvature(h_fn, sing_fn, points, eps_sq: float):
@@ -465,9 +480,10 @@ def masked_curvature(h_fn, sing_fn, points, eps_sq: float):
 class GridSpec:
     """Tensor-product grid: per-axis (lo, hi, count) with count >= 1.
 
-    Points are enumerated in row-major order (first axis slowest), which
-    fixes the deterministic ordering every consumer relies on.  Axes with
-    count == 1 are frozen at lo.
+    ``points()`` and ``indices()`` enumerate the points and their
+    multi-indices in the same row-major order (first axis slowest), which
+    fixes the deterministic ordering every consumer relies on; zip them
+    where both are needed.  Axes with count == 1 are frozen at lo.
     """
 
     __slots__ = ("axes",)
@@ -493,10 +509,7 @@ class GridSpec:
 
     @property
     def npoints(self) -> int:
-        out = 1
-        for c in self.shape:
-            out *= c
-        return out
+        return math.prod(self.shape)
 
     def axis_values(self, i: int) -> list:
         lo, hi, count = self.axes[i]
@@ -506,10 +519,12 @@ class GridSpec:
         return [lo + k * step for k in range(count)]
 
     def points(self):
-        """Yield (multi_index, point) pairs in row-major order."""
-        values = [self.axis_values(i) for i in range(len(self.axes))]
-        for idx in itertools.product(*[range(len(v)) for v in values]):
-            yield idx, tuple(values[i][k] for i, k in enumerate(idx))
+        """The grid points, as tuples in row-major order."""
+        return itertools.product(*[self.axis_values(i) for i in range(len(self.axes))])
+
+    def indices(self):
+        """The multi-index of each point of :meth:`points`, in the same order."""
+        return itertools.product(*[range(c) for c in self.shape])
 
     def as_dict(self) -> dict:
         return {"axes": [[lo, hi, count] for lo, hi, count in self.axes]}
@@ -630,7 +645,7 @@ def singular_scan(
     refine = newton_refiner(sq, n, grid)
     threshold = eps * eps
     hits = []
-    for idx, pt in grid.points():
+    for idx, pt in zip(grid.indices(), grid.points()):
         val = sq_fn(pt)
         if not (val < threshold and is_singular(val, pt, threshold)):
             continue
@@ -671,7 +686,7 @@ def probe_validate(S: SubriemannianStructure) -> list:
         for k in range(1, S.dim + 1)
         for rows in itertools.combinations(range(S.dim), k)
     ]
-    for _, pt in grid.points():
+    for pt in grid.points():
         g = S.cometric_at(pt)
         for rows, m in zip(minor_sets, principal_minors(g)):
             if m < -PSD_TOL:

@@ -20,7 +20,7 @@ from .core import (
     ScalarField,
     SubriemannianStructure,
     VectorFieldExpr,
-    require_regular,
+    curvature_at,
 )
 
 __all__ = [
@@ -327,8 +327,7 @@ def graph_operator_HF(
     """Evaluate div((grad u + F)/|grad u + F|) at a nonsingular point."""
     u_expr = u.expr if isinstance(u, ScalarField) else u
     h, norm_sq = graph_HF_exprs(F, u_expr, len(F))
-    require_regular(ca.evaluate(norm_sq, point), point, eps_sing)
-    return ca.evaluate(h, point)
+    return curvature_at(h, norm_sq, point, eps_sing)
 
 
 def drift_graph_structure(F: Sequence[Expr], m: int) -> SubriemannianStructure:

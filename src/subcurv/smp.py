@@ -9,10 +9,13 @@ integral curves of tangent fields.  Classification is a pure function of
 those measurements; the harness never asserts a theorem, only
 instance-level consistency.
 
-Each graph is swept once into a record that every later measurement
-reads by grid position, so no norm is evaluated after the sweep; a grid
-point carries no curvature value where the graph is singular or H cannot
-be evaluated there (:func:`core.masked_curvature`).  If the data comes in
+Each graph is swept once over the grid's points (``GridSpec.points()``)
+into a record that every later measurement reads by grid position, so no
+norm is evaluated after the sweep; a grid point carries no curvature
+value where the graph is singular or H cannot be evaluated there
+(:func:`core.masked_curvature`).  Multi-indices (``GridSpec.indices()``)
+are built only for a measurement that names cells: the touching list,
+the singular clusters and the 5-cell balls.  If the data comes in
 with the larger graph labelled u, the engine swaps the two records, and
 every later measurement (rank and propagation included) reads the lower
 graph as u: exchanging u and v changes only the report's ``swapped`` flag.
@@ -134,8 +137,9 @@ class GenericOperator(_AmbientMap):
 
     The defining function is u - x^g (compatible with shifting the graph
     coordinate); H and the squared covector norm are restricted to the
-    graph by substituting x^g = u, then reindexed to the chart.  The
-    ambient manifold is the structure itself.
+    graph and reindexed to the chart by one substitution: x^g = u, and
+    each later coordinate moves down one index.  The ambient manifold is
+    the structure itself.
     """
 
     kind = "generic"
@@ -167,16 +171,12 @@ class GenericOperator(_AmbientMap):
         return [f"p[{i}]" for i in range(self.structure.dim) if i != self.graph_dir]
 
     def build(self, u: Expr):
-        S = self.structure
-        g = self.graph_dir
+        S, g = self.structure, self.graph_dir
         phi = self.phi(u)
-        h_full = p_mean_curvature_expr(S, phi, self.p)
-        sing_full = conorm_sq_expr(S, phi)
-        on_graph = {g: ca.add(phi, ca.var(g))}  # x^g = u
-        down = {k: ca.var(k - 1) for k in range(g + 1, S.dim)}
-        h = ca.substitute(ca.substitute(h_full, on_graph), down)
-        sing = ca.substitute(ca.substitute(sing_full, on_graph), down)
-        return h, sing
+        # x^g = u, and the coordinates after x^g move down one chart index
+        chart = {g: u, **{k: ca.var(k - 1) for k in range(g + 1, S.dim)}}
+        exprs = [p_mean_curvature_expr(S, phi, self.p), conorm_sq_expr(S, phi)]
+        return tuple(ca.substitute(exprs, chart))
 
     def params(self) -> dict:
         return {
@@ -416,7 +416,7 @@ class _ScenarioEngine:
         self.nvars = len(op.chart)
         self.tol = tol = scenario.tolerances
         self.grid = scenario.grid()
-        self.indices, self.points = zip(*self.grid.points())
+        self.points = tuple(self.grid.points())
         eps_sq = tol.eps_sing ** 2
         u = _SweptGraph(op, "u", scenario.u.expr, self.points, eps_sq)
         v = _SweptGraph(op, "v", scenario.v.expr, self.points, eps_sq)
@@ -441,6 +441,13 @@ class _ScenarioEngine:
             "argmin": list(self.points[k_min]),
             "holds": holds,
         }
+
+    @functools.cached_property
+    def indices(self):
+        """The multi-index of each grid position, built only for a
+        measurement that names cells (touching, singular cells, the
+        5-cell balls)."""
+        return tuple(self.grid.indices())
 
     # -- measurements ----------------------------------------------------
 
@@ -677,13 +684,9 @@ def variation_check(
     f_fn = ca.compile_expr(f.expr, m)
     # boundary vanishing check on face grids
     for axis in range(m):
-        for edge in (0, 1):
-            face_axes = [
-                (box[i][0], box[i][1], 9 if i != axis else 1) for i in range(m)
-            ]
-            lo, hi = box[axis]
-            face_axes[axis] = (lo if edge == 0 else hi, lo if edge == 0 else hi, 1)
-            for _, pt in GridSpec(face_axes).points():
+        for edge in box[axis]:
+            face = [(edge, edge, 1) if i == axis else (lo, hi, 9) for i, (lo, hi) in enumerate(box)]
+            for pt in GridSpec(face).points():
                 if abs(f_fn(pt)) > 1e-12:
                     raise ValueError(
                         f"test function does not vanish on the boundary at {pt}"
@@ -699,19 +702,11 @@ def variation_check(
     ]
     eps_sq = default_eps_sing() ** 2
 
-    counts = [grid] * m
     widths = [(hi - lo) / grid for (lo, hi) in box]
-    vol = 1.0
-    for w in widths:
-        vol *= w
-    mids = [
-        [box[i][0] + (k + 0.5) * widths[i] for k in range(counts[i])]
-        for i in range(m)
-    ]
-    total = 0.0
-    total_abs_f = 0.0
-    for idx in itertools.product(*[range(c) for c in counts]):
-        pt = tuple(mids[i][idx[i]] for i in range(m))
+    vol = math.prod(widths)
+    mids = [[lo + (k + 0.5) * w for k in range(grid)] for (lo, _), w in zip(box, widths)]
+    total = total_abs_f = 0.0
+    for pt in itertools.product(*mids):
         fv = f_fn(pt)
         total_abs_f += abs(fv) * vol
         if fv == 0.0:

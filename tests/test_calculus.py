@@ -302,6 +302,26 @@ class TestSubstitute:
         composed = substitute(e, {0: parse_expr("x1 + z", XZ)})
         assert evaluate(composed, (2.0, 3.0)) == 25.0
 
+    def test_sequence_gives_each_result_and_rebuilds_a_shared_subtree_once(self, monkeypatch):
+        shared = parse_expr("x1^2 + z", XZ)
+        exprs = [ca.pow_(shared, Fraction(1, 2)), ca.mul(ca.var(1), shared), ca.ONE]
+        mapping = {0: parse_expr("x1 + z", XZ)}
+        rebuilt = substitute(shared, mapping)
+        built = []
+
+        def counting_add(*terms):
+            built.append(add(*terms))
+            return built[-1]
+
+        add = ca.add
+        monkeypatch.setattr(ca, "add", counting_add)
+        together = substitute(exprs, mapping)
+        assert sum(e is rebuilt for e in built) == 1
+        built.clear()
+        apart = [substitute(e, mapping) for e in exprs]
+        assert sum(e is rebuilt for e in built) == 2
+        assert len(together) == 3 and all(a is b for a, b in zip(together, apart))
+
 
 # Random trees from the smart constructors, over two coordinates.
 _EXPONENTS = [Fraction(q) for q in ("-2", "-1", "2", "3", "1/2", "-3/2", "1/3")]

@@ -618,6 +618,20 @@ class TestExitCodeContract:
             code, err = run_main_quietly(argv)
             assert code == 3 and needle in err, err
 
+    @pytest.mark.parametrize("structure, quantity", [
+        ("cometric.0.0 = sqrt(x - 0.7)\ncometric.1.1 = 1\n", "|dphi|*^2"),
+        ("cometric.0.0 = 1\ncometric.1.1 = 1\ndensity = sqrt(x - 0.7)\n", "H"),
+    ], ids=["norm-hole", "H-hole"])
+    def test_curvature_at_names_the_point_and_the_quantity(self, cfg, structure, quantity):
+        text = ("[structure]\nkind = custom\ncoords = x, y\n" + structure
+                + "\n[function phi]\nexpr = x^2 + y\n")
+        path = cfg("at.cfg", text)
+        code, err = run_main_quietly(["curvature", "--config", path, "--function", "phi",
+                                      "--at", "0.5,0.2"])
+        hole = "non-integer power 0.5 of non-positive base -0.19999999999999996"
+        assert code == 3
+        assert f"evaluation error: {quantity} undefined at chart point (0.5, 0.2): {hole}" in err
+
     def test_rank_evaluation_error_names_the_point(self, cfg):
         text = CUSTOM_FLAT.replace("box = -1:1, -1:1\n", "") + (
             "\n[field a]\ncomponents = sqrt(x - 0.5), 1\n\n[field b]\ncomponents = 1, x\n")

@@ -1,5 +1,6 @@
 """Core engine: raising map, norms, weighted-divergence curvature, scans."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -291,9 +292,26 @@ class TestValidation:
                 ca.ONE,
             )
 
+    @pytest.mark.parametrize("axes", [
+        [(0.0, 1.0, 2), (0.0, 1.0, 3)],
+        [(-1.0, 1.0, 4), (0.5, 0.5, 1), (-0.3, 0.7, 3)],
+        [(0.25, 0.25, 1)],
+    ])
+    def test_points_and_indices_are_aligned_and_row_major(self, axes):
+        grid = GridSpec(axes)
+        values = [grid.axis_values(i) for i in range(len(axes))]
+        # reference: each multi-index with the point it names
+        pairs = [
+            (idx, tuple(values[i][k] for i, k in enumerate(idx)))
+            for idx in itertools.product(*[range(len(v)) for v in values])
+        ]
+        assert list(zip(grid.indices(), grid.points())) == pairs
+        assert sorted(grid.indices()) == list(grid.indices())
+        assert len(pairs) == grid.npoints
+
     def test_grid_order_is_row_major(self):
         grid = GridSpec([(0.0, 1.0, 2), (0.0, 1.0, 3)])
-        pts = [pt for _, pt in grid.points()]
+        pts = list(grid.points())
         assert pts[0] == (0.0, 0.0)
         assert pts[1] == (0.0, 0.5)
         assert pts[3] == (1.0, 0.0)

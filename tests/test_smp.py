@@ -20,7 +20,9 @@ from subcurv.core import (
     ScalarField, SingularPoint, VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
 )
 from subcurv.brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
-from subcurv.heisenberg import cylinder_structure, graph_coords, standard_drift
+from subcurv.heisenberg import (
+    cylinder_structure, graph_coords, standard_drift, standard_structure,
+)
 from subcurv.smp import (
     ComparisonScenario,
     GenericOperator,
@@ -37,7 +39,7 @@ from subcurv.smp import (
     variation_check,
 )
 
-from conftest import assert_close, random_polynomial
+from conftest import assert_close, random_polynomial, random_rational_power_expr
 
 CS2 = graph_coords(2)
 
@@ -343,6 +345,42 @@ def ambient_case(case):
     op = make()
     u = ca.parse_expr(u_src, op.chart)
     return op, u, box, op.phi(u)
+
+
+def two_stage_build(op, u):
+    """The generic graph restricted in two substitutions per expression:
+    x^g -> phi + x^g (which is u over the ambient coordinates), then each
+    coordinate after x^g down one index."""
+    S, g = op.structure, op.graph_dir
+    phi = op.phi(u)
+    on_graph = {g: ca.add(phi, ca.var(g))}
+    down = {k: ca.var(k - 1) for k in range(g + 1, S.dim)}
+    exprs = (p_mean_curvature_expr(S, phi, op.p), conorm_sq_expr(S, phi))
+    return tuple(ca.substitute(ca.substitute(e, on_graph), down) for e in exprs)
+
+
+BUILD_STRUCTURES = {
+    "heisenberg1": lambda: standard_structure(1),
+    "cylinder1": lambda: cylinder_structure(1),
+    "heisenberg2": lambda: standard_structure(2),
+}
+
+
+class TestGenericBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(structure=st.sampled_from(sorted(BUILD_STRUCTURES)), data=st.data(),
+           p=st.sampled_from(["0", "1/2", "1"]), seed=st.integers(0, 2**32 - 1),
+           rational=st.booleans())
+    def test_one_substitution_is_the_two_stage_restriction(self, structure, data, p, seed,
+                                                             rational):
+        S = BUILD_STRUCTURES[structure]()
+        op = GenericOperator(S, Fraction(p), data.draw(st.integers(0, S.dim - 1)))
+        rng = random.Random(seed)
+        make = random_rational_power_expr if rational else random_polynomial
+        u = make(rng, S.dim - 1)
+        h, sing = op.build(u)
+        ref_h, ref_sing = two_stage_build(op, u)
+        assert h is ref_h and sing is ref_sing
 
 
 class TestAmbientMaps:
