@@ -62,6 +62,8 @@ __all__ = [
     "evaluate",
     "substitute",
     "free_vars",
+    "emitter",
+    "KERNEL_NAMES",
     "compile_expr",
     "compile_source",
     "parse_expr",
@@ -688,23 +690,19 @@ def free_vars(e: Expr) -> set:
 # ---------------------------------------------------------------------------
 
 
-def compile_expr(
-    e: Union[Expr, Sequence[Expr]], nvars: int
-) -> Callable[[Sequence[float]], float]:
-    """Compile to a generated function ``f(point) -> float`` (text in
-    ``f.source``) whose values and errors match :func:`evaluate` exactly.
-
-    Both use the same power helpers; a negative integer power stays inline
-    as ``t ** -n if t else _zero_pow(-n)``.  Each distinct (interned)
-    subtree is emitted once, so the code is linear in the number of distinct
-    subtrees.  Given a sequence of expressions, the kernel returns the
-    list of their values and emits shared subtrees once too.
-    """
+def emitter(nvars: int):
+    """``(lines, emit)``: ``emit(e)`` appends to ``lines`` a statement
+    ``tN = ...`` for each distinct subtree of ``e`` that no earlier call
+    emitted, over a point ``p`` of ``nvars`` coordinates, and returns the
+    Python expression of e's value.  Powers call the helpers of
+    :func:`evaluate` (in scope as :data:`KERNEL_NAMES`), so the code gives the
+    same double and the same error at the same point; a negative integer
+    power stays inline as ``t ** -n if t else _zero_pow(-n)``."""
     lines = []
 
-    def emit(rhs: str) -> str:
+    def line(rhs: str) -> str:
         name = f"t{len(lines) + 1}"
-        lines.append(f"    {name} = {rhs}")
+        lines.append(f"{name} = {rhs}")
         return name
 
     def name_var(node, _):
@@ -717,26 +715,40 @@ def compile_expr(
     def emit_pow(node, kids):
         b, q = kids[0], node.exponent
         if q.denominator != 1:
-            return emit(f"_frac_pow({b}, {float(q)!r})")
+            return line(f"_frac_pow({b}, {float(q)!r})")
         zero = f" if {b} else _zero_pow({q.numerator})" if q < 0 else ""
-        return emit(f"{b} ** {q.numerator}{zero}")
+        return line(f"{b} ** {q.numerator}{zero}")
 
     handlers = {
         # parenthesized, so that a negative base binds as in evaluate
         Const: lambda node, _: f"({node._float!r})",
         Var: name_var,
-        Add: lambda node, kids: emit(" + ".join(kids)),
-        Mul: lambda node, kids: emit(" * ".join(kids)),
+        Add: lambda node, kids: line(" + ".join(kids)),
+        Mul: lambda node, kids: line(" * ".join(kids)),
         Pow: emit_pow,
     }
     memo: dict = {}
+    return lines, lambda e: _fold(e, handlers, memo)
+
+
+KERNEL_NAMES = {"_frac_pow": _frac_pow, "_zero_pow": _zero_pow}  # what emitted code calls
+
+
+def compile_expr(
+    e: Union[Expr, Sequence[Expr]], nvars: int
+) -> Callable[[Sequence[float]], float]:
+    """Compile to a generated function ``f(point) -> float`` (text in
+    ``f.source``) whose values and errors match :func:`evaluate` exactly:
+    the code of :func:`emitter`, linear in the number of distinct subtrees.
+    Given a sequence of expressions, it returns the list of their values."""
+    lines, emit = emitter(nvars)
     if isinstance(e, Expr):
-        result = _fold(e, handlers, memo)
+        result = emit(e)
     else:
-        result = "[" + ", ".join([_fold(c, handlers, memo) for c in e]) + "]"
-    body = "\n".join(lines)
+        result = "[" + ", ".join([emit(c) for c in e]) + "]"
+    body = "\n".join(f"    {line}" for line in lines)
     src = f"def _f(p):\n{body}\n    return {result}\n"
-    return compile_source(src, "_f", "kernel", _frac_pow=_frac_pow, _zero_pow=_zero_pow)
+    return compile_source(src, "_f", "kernel", **KERNEL_NAMES)
 
 
 _SERIAL = itertools.count(1)

@@ -10,8 +10,8 @@ Configuration files are minimal INI-style text (sections + key=value,
 ``#`` comments) with all expressions parsed by the expression grammar.
 Reports are deterministic: floats are serialized with 17 significant
 digits and keys and arrays have fixed order.  ``scenario run --jobs N``
-is accepted for compatibility; runs are sequential, so the output never
-depends on it.
+(N >= 1) is accepted for compatibility; runs are sequential, so the
+output never depends on it.
 
 Exit codes: 0 success, 2 configuration error (a bad SUBCURV_EPS_SING
 included), 3 evaluation error (a value outside the float range
@@ -37,8 +37,8 @@ from .core import (
     SingularPoint,
     SubriemannianStructure,
     VectorFieldExpr,
+    compile_sweep,
     default_eps_sing,
-    masked_curvature,
     p_mean_curvature,
     p_mean_curvature_expr,
     probe_validate,
@@ -545,17 +545,31 @@ def format_number(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+class _Formatted(dict):
+    """``format_number`` of each float, once per writer call (``True == 1 == 1.0``)."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = format_number(x)
+        return text
+
+
 def dumps_report(obj, indent: int = 0) -> str:
     """JSON with deterministic float formatting and insertion key order."""
+    return _dumps(obj, indent, _Formatted())
+
+
+def _dumps(obj, indent: int, text: _Formatted) -> str:
+    if type(obj) is float:
+        return text[obj]
     if obj is None:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
-        brackets, items = "[]", [dumps_report(v, indent + 1) for v in obj]
+        brackets, items = "[]", [_dumps(v, indent + 1, text) for v in obj]
     elif isinstance(obj, dict):
         brackets, items = "{}", [
-            json.dumps(str(k), ensure_ascii=False) + ": " + dumps_report(v, indent + 1)
+            json.dumps(str(k), ensure_ascii=False) + ": " + _dumps(v, indent + 1, text)
             for k, v in obj.items()
         ]
     else:
@@ -576,9 +590,12 @@ def _write_text(path: Optional[str], text: str):
 
 def _csv(header: Sequence[str], rows) -> str:
     """CSV text: one line per row, ``None`` as an empty cell."""
+    text = _Formatted()
     lines = [",".join(header)]
-    lines += [",".join(["" if v is None else format_number(v) for v in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines += [",".join([text[v] if type(v) is float else "" if v is None else format_number(v)
+                        for v in row]) for row in rows]
+    lines.append("")  # the final line break, with no second copy of the whole text
+    return "\n".join(lines)
 
 
 def write_scenario_csv(report: smp.ScenarioReport, coords: Sequence[str]) -> str:
@@ -617,10 +634,9 @@ def cmd_curvature(args) -> int:
     if box is None:
         raise ConfigError("grid mode needs a box on the function or structure")
     grid = GridSpec.from_box(box, args.grid)
-    h_fn = ca.compile_expr(p_mean_curvature_expr(S, phi, p), S.dim)
-    sing_fn = ca.compile_expr(conorm_sq_expr(S, phi), S.dim)
     points = list(grid.points())
-    values, _ = masked_curvature(h_fn, sing_fn, points, default_eps_sing() ** 2)
+    _, values, _ = compile_sweep(p_mean_curvature_expr(S, phi, p), conorm_sq_expr(S, phi), S.dim,
+                                 default_eps_sing() ** 2)(points)
     if args.format == "csv":
         rows = [(*pt, h) for pt, h in zip(points, values)]
         _write_text(args.out, _csv([*S.coords.names, "H"], rows))
@@ -771,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None)
     s.add_argument("--out", default=None)
     s.add_argument("--csv", default=None)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_at_least(int, 1), default=1)
     s.set_defaults(func=cmd_scenario)
     return parser
 

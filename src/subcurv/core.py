@@ -8,9 +8,11 @@ weighted divergence
 
     H = A^{-1} sum_l d_l( A * |dphi|^(p-1) * sum_k g^{lk} d_k phi ),
 
-and grid scans for singular points (|dphi|* = 0).  No coframe choices
-are ever made; frame fields are optional metadata consumed by the
-bracket machinery.
+one generated grid sweep per graph (:func:`compile_sweep`: its value,
+the squared norm, the singular test, then H at each point), and grid
+scans for singular points (|dphi|* = 0).  No coframe choices are ever
+made; frame fields are optional metadata consumed by the bracket
+machinery.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ __all__ = [
     "conorm",
     "p_mean_curvature_expr",
     "p_mean_curvature",
-    "masked_curvature",
+    "undefined_at",
+    "require_finite",
+    "compile_sweep",
     "singular_scan",
     "probe_validate",
 ]
@@ -103,17 +107,33 @@ def default_eps_sing() -> float:
 def is_singular(sq: float, point: Sequence[float], eps_sq: float) -> bool:
     """The squared-norm rule of every path: below ``-PSD_TOL`` the cometric is
     indefinite and this raises, naming ``point``; below ``eps_sq`` the point
-    is singular; a NaN norm is neither.  Sweeps test ``sq < eps_sq`` first
-    and call this only then, so a regular point costs no call."""
+    is singular; a NaN norm is neither.  :func:`compile_sweep` writes the
+    same tests inline, and :func:`singular_scan` tests ``sq < eps_sq`` first,
+    so a regular point costs no call."""
     if sq < -PSD_TOL:
         raise IndefiniteCometric(point, sq)
     return sq < eps_sq
 
 
+def undefined_at(what: str, point, why) -> ca.EvaluationError:
+    """The error for ``what`` having no value at chart ``point``: ``why`` is
+    the error raised there (an overflow reads as one) or a reason."""
+    if isinstance(why, OverflowError):
+        why = f"outside the float range ({why})"
+    return ca.EvaluationError(f"{what} undefined at chart point {point}: {why}")
+
+
+def require_finite(what: str, values, points):
+    """Refuse a non-finite value (an overflow raises nothing) as a domain hole."""
+    if not all(map(math.isfinite, values)):
+        k = list(map(math.isfinite, values)).index(False)
+        raise undefined_at(what, points[k], f"non-finite value {values[k]}")
+
+
 def curvature_at(
     h: Expr, sq: Expr, point: Sequence[float], eps_sing: Optional[float] = None
 ) -> float:
-    """H at one point by the rule of :func:`masked_curvature`: the squared
+    """H at one point by the rule of :func:`compile_sweep`: the squared
     norm ``sq`` is evaluated first, and where a grid sweep would mask the
     point this raises instead, :class:`SingularPoint` where
     :func:`is_singular` holds, else an evaluation error naming the point
@@ -121,17 +141,16 @@ def curvature_at(
     pt = tuple(point)
     try:
         sq_val = ca.evaluate(sq, pt)
-    except ca.EvaluationError as exc:
-        raise ca.EvaluationError(f"|dphi|*^2 undefined at chart point {pt}: {exc}") from None
+    except (ca.EvaluationError, OverflowError) as exc:
+        raise undefined_at("|dphi|*^2", pt, exc) from None
     eps_sq = (default_eps_sing() if eps_sing is None else eps_sing) ** 2
     if is_singular(sq_val, pt, eps_sq):
         raise SingularPoint(f"singular point at {pt}: |dphi|*^2 = {sq_val:.3e} < {eps_sq:g}")
     try:
         value = ca.evaluate(h, pt)
     except (ca.EvaluationError, OverflowError) as exc:
-        raise ca.EvaluationError(f"H undefined at chart point {pt}: {exc}") from None
-    if not math.isfinite(value):
-        raise ca.EvaluationError(f"H undefined at chart point {pt}: non-finite value {value}")
+        raise undefined_at("H", pt, exc) from None
+    require_finite("H", [value], [pt])
     return value
 
 
@@ -443,33 +462,53 @@ def p_mean_curvature(
     return curvature_at(h, conorm_sq_expr(S, phi), point, eps_sing)
 
 
-def masked_curvature(h_fn, sing_fn, points, eps_sq: float):
-    """``(values, low)``: compiled H at each point, ``None`` where no
-    curvature value exists, and ``{position: sq}`` where the squared norm
-    ``sq`` is not ``>= eps_sq`` (singular, or NaN); each norm is evaluated once.
+def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
+    """Generate one loop ``sweep(points) -> (values, hs, low)``.  At each
+    point it evaluates u (``graph = (name, u)``, when given; else ``values``
+    stays empty), then the squared norm ``sq`` under the rule of
+    :func:`is_singular`, and H only where that leaves the point regular.
+    ``hs`` holds H, or ``None`` where the point is singular or H raises a
+    domain or overflow error or is not finite; ``low`` maps each position
+    whose norm is not ``>= eps_sq`` (singular, or NaN) to that norm.  The
+    three share one :func:`calculus.emitter`, so a shared subtree is computed
+    once.  Errors, first one first: the first point where u has no value,
+    the first where it is not finite, then the first norm hole or indefinite
+    norm; each names its chart point."""
+    lines, emit = ca.emitter(nvars)
 
-    A point is masked where the squared-norm rule :func:`is_singular` holds
-    for the compiled ``sing_fn``, or where ``h_fn`` raises a domain or
-    overflow error or returns a non-finite value.  A norm domain hole raises,
-    naming the point.
-    """
-    out = []
-    low = {}
-    for k, pt in enumerate(points):
-        h = None
-        try:
-            sq = sing_fn(pt)
-        except ca.EvaluationError as exc:
-            raise ca.EvaluationError(f"|dphi|*^2 undefined at chart point {pt}: {exc}") from None
-        if not sq >= eps_sq:
-            low[k] = sq
-        if not (sq < eps_sq and is_singular(sq, pt, eps_sq)):
-            try:
-                h = h_fn(pt)
-            except (ca.EvaluationError, OverflowError):
-                pass
-        out.append(h if h is not None and math.isfinite(h) else None)
-    return out, low
+    def block(e: Expr, result: str) -> str:
+        # the statements new to e, inside the loop's try, then result = e
+        start = len(lines)
+        text = emit(e)
+        return "".join(f"\n            {line}" for line in lines[start:] + [f"{result} = {text}"])
+
+    norm, value, tail = "|dphi|*^2", "", ""
+    if graph is not None:
+        name, u = graph
+        norm = f"graph {name}: {norm}"
+        value = (f"        try:{block(u, 'u')}\n        except _FAULTS as exc:\n"
+                 f"            raise _undefined('graph {name}', p, exc) from None\n"
+                 "        values.append(u)\n")
+        tail = f"    _require_finite('graph {name}', values, points)\n"
+    # the three `hs.append(None)`: a norm hole, a singular point, no H value
+    src = (
+        "def sweep(points):\n    values, hs, low, bad = [], [], {}, None\n"
+        f"    for k, p in enumerate(points):\n{value}"
+        f"        try:{block(sq, 'sq')}\n        except _FAULTS as exc:\n"
+        f"            bad = bad or _undefined({norm!r}, p, exc)\n"
+        "            hs.append(None)\n            continue\n"
+        f"        if not sq >= {eps_sq!r}:\n            low[k] = sq\n"
+        f"            if sq < {eps_sq!r}:\n                if sq < {-PSD_TOL!r}:\n"
+        "                    bad = bad or IndefiniteCometric(p, sq)\n"
+        "                hs.append(None)\n                continue\n"
+        f"        try:{block(h, 'h')}\n            hs.append(h if _isfinite(h) else None)\n"
+        f"        except _FAULTS:\n            hs.append(None)\n{tail}"
+        "    if bad is not None:\n        raise bad\n    return values, hs, low\n"
+    )
+    faults = (ca.EvaluationError, OverflowError)
+    return ca.compile_source(src, "sweep", "sweep", _FAULTS=faults, _undefined=undefined_at,
+                             _require_finite=require_finite, _isfinite=math.isfinite,
+                             IndefiniteCometric=IndefiniteCometric, **ca.KERNEL_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,16 @@ those measurements; the harness never asserts a theorem, only
 instance-level consistency.
 
 Each graph is swept once over the grid's points (``GridSpec.points()``)
-into a record that every later measurement reads by grid position, so no
-norm is evaluated after the sweep; a grid point carries no curvature
-value where the graph is singular or H cannot be evaluated there
-(:func:`core.masked_curvature`).  Multi-indices (``GridSpec.indices()``)
-are built only for a measurement that names cells: the touching list,
-the singular clusters and the 5-cell balls.  If the data comes in
-with the larger graph labelled u, the engine swaps the two records, and
-every later measurement (rank and propagation included) reads the lower
-graph as u: exchanging u and v changes only the report's ``swapped`` flag.
+by one loop generated for it (:func:`core.compile_sweep`) into a record
+that every later measurement reads by grid position, so no norm is
+evaluated after the sweep; a grid point carries no curvature value where
+the graph is singular or H cannot be evaluated there.  Multi-indices
+(``GridSpec.indices()``) are built only for a measurement that names
+cells: the touching list, the singular clusters and the 5-cell balls.
+If the data comes in with the larger graph labelled u, the engine swaps
+the two records, and every later measurement (rank and propagation
+included) reads the lower graph as u: exchanging u and v changes only
+the report's ``swapped`` flag.
 
 Each operator carries its own map to the ambient manifold where the rank
 condition is checked: ``structure``, ``phi(u)`` (the defining function of
@@ -45,12 +46,13 @@ from .core import (
     SingularPoint,
     SubriemannianStructure,
     VectorFieldExpr,
+    compile_sweep,
     conorm_sq_expr,
     default_eps_sing,
     grid_clusters,
-    masked_curvature,
     newton_refiner,
     p_mean_curvature_expr,
+    require_finite,
 )
 from .brackets import bracket_generate_rank, tangent_distribution_fields
 from .heisenberg import (
@@ -370,31 +372,21 @@ class ScenarioReport:
 
 
 class _SweptGraph:
-    """One graph swept over the grid: ``expr``, its value kernel ``fn``, the
-    ``values``, the masked curvature ``h`` and ``low``, the positions whose
-    squared norm is not ``>= eps_sq``, with that norm.  A domain hole names
-    the graph and the chart point, an indefinite cometric the graph and its
-    ambient point (``op.lift``)."""
+    """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``,
+    its value kernel ``fn`` (for ``box_stop`` and ``lift``), the ``values``,
+    the masked curvature ``h`` and ``low``, the positions whose squared norm
+    is not ``>= eps_sq``, with that norm.  An indefinite cometric names the
+    graph and its ambient point (``op.lift``)."""
 
     __slots__ = ("expr", "fn", "values", "h", "low")
 
     def __init__(self, op, name: str, expr: Expr, points, eps_sq: float):
         nvars = len(op.chart)
-        h, sing = op.build(expr)
         self.expr = expr
         self.fn = fn = ca.compile_expr(expr, nvars)
-        sing_fn = ca.compile_expr(sing, nvars)
-        self.values = values = []
+        sweep = compile_sweep(*op.build(expr), nvars, eps_sq, graph=(name, expr))
         try:
-            for pt in points:
-                values.append(fn(pt))
-        except EvaluationError as exc:
-            raise EvaluationError(f"graph {name} undefined at chart point {pt}: {exc}") from None
-        _require_finite(f"graph {name}", values, points)
-        try:
-            self.h, self.low = masked_curvature(ca.compile_expr(h, nvars), sing_fn, points, eps_sq)
-        except EvaluationError as exc:
-            raise EvaluationError(f"graph {name}: {exc}") from None
+            self.values, self.h, self.low = sweep(points)
         except IndefiniteCometric as exc:
             pt = exc.point
             raise IndefiniteCometric(op.lift(pt, fn(pt)), exc.sq, name) from None
@@ -421,7 +413,7 @@ class _ScenarioEngine:
         u = _SweptGraph(op, "u", scenario.u.expr, self.points, eps_sq)
         v = _SweptGraph(op, "v", scenario.v.expr, self.points, eps_sq)
         du = [b - a for a, b in zip(u.values, v.values)]
-        _require_finite("v - u", du, self.points)
+        require_finite("v - u", du, self.points)
         eps = tol.eps_order
         du_min, du_max = min(du), max(du)
         holds = du_min >= -eps or du_max <= eps
@@ -516,14 +508,6 @@ class _ScenarioEngine:
         devs = []
         names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u.fn, v=self.v.fn, record=devs.append)
         return ca.compile_source(src, "f", "box-stop", **names), devs
-
-
-def _require_finite(what: str, values, points):
-    """Refuse a non-finite value (an overflow raises nothing) as a domain hole."""
-    if not all(map(math.isfinite, values)):
-        k = list(map(math.isfinite, values)).index(False)
-        raise EvaluationError(f"{what} undefined at chart point {points[k]}: "
-                              f"non-finite value {values[k]}")
 
 
 def _in_box(pt, box) -> bool:

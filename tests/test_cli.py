@@ -18,6 +18,7 @@ from subcurv import smp
 from subcurv.calculus import CoordSystem
 from subcurv.cli import (
     ConfigError,
+    _csv,
     dumps_report,
     format_number,
     main,
@@ -242,6 +243,32 @@ class TestFormatting:
             format_number(value)
         with pytest.raises(ValueError, match="non-finite number"):
             dumps_report({"a": [1.0, value]})
+
+    # equal numbers of different types, and repeats, in one writer call
+    MIXED = [True, 1, 1.0, 0, 0.0, -0.0, False, 0.1, 0.1, 1 / 3, -0.0, 1, True, 1.0, None, 1 / 3]
+
+    def test_csv_bytes_are_format_number_per_cell(self):
+        rows = [self.MIXED, self.MIXED[::-1], [0.0, False, 0, -0.0, None, 2.5] * 3]
+        expected = "".join(
+            ",".join("" if v is None else format_number(v) for v in row) + "\n" for row in rows)
+        assert _csv(["h"], rows) == "h\n" + expected
+        assert _csv(["h"], rows).splitlines()[1].startswith("true,1,1,0,0,0,false,0.1000")
+
+    def test_report_bytes_are_format_number_per_cell(self):
+        obj = {"a": self.MIXED, "b": [self.MIXED[::-1], {"c": -0.0, "d": 0, "e": False}]}
+        out = dumps_report(obj)
+        assert json.loads(out) == json.loads(json.dumps(obj))
+        cells = ["null" if v is None else format_number(v) for v in self.MIXED]
+        assert out.startswith('{\n  "a": [\n    ' + ",\n    ".join(cells) + "\n  ],")
+        assert out.endswith('"c": 0,\n      "d": 0,\n      "e": false\n    }\n  ]\n}')
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_csv_refuses_a_non_finite_cell_after_finite_ones(self, value):
+        for rows in ([[1.0, 1.0], [value]], [[value], [value]], [[2.0, value, 2.0]]):
+            with pytest.raises(ValueError, match="non-finite number"):
+                _csv(["h"], rows)
+        with pytest.raises(ValueError, match="non-finite number"):
+            dumps_report([1.0, value, value])
 
     @pytest.mark.parametrize("value", [{1}, object(), Fraction(1, 3), b"x"])
     def test_unsupported_type_is_refused(self, value):
@@ -688,6 +715,41 @@ class TestExitCodeContract:
         assert code == 3
         assert f"evaluation error: {needle}" in err
 
+    @pytest.mark.parametrize(
+        "u, box, needle",
+        [
+            # 5.75^400 is finite and 6^400 is not
+            ("x1^400", "5:6, -0.5:0.5", "graph u undefined at chart point (6.0, -0.5)"),
+            ("x1^2", "1e200:2e200, -0.5:0.5", "graph u undefined at chart point (1e+200, -0.5)"),
+            # u is finite, and x1^198 in its squared norm is not
+            ("x1^100", "1000:1001, -0.5:0.5",
+             "graph u: |dphi|*^2 undefined at chart point (1000.0, -0.5)"),
+        ],
+        ids=["value-power", "value-square", "norm"],
+    )
+    def test_overflow_in_a_graph_names_the_graph_and_the_point(self, cfg, u, box, needle):
+        text = SCENARIO.replace("expr = x1^2 + y1^2\nbox = 0.5:1.5, -0.5:0.5",
+                                f"expr = {u}\nbox = {box}", 1)
+        path = cfg("overflow.cfg", text)
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 3
+        assert f"evaluation error: {needle}: outside the float range ((34, " in err, err
+
+    @pytest.mark.parametrize(
+        "command, point",
+        [(["--grid", "3", "--out", os.devnull], "(1000.0, -1.0, -1.0)"),
+         (["--at", "1000,0,0"], "(1000.0, 0.0, 0.0)")],
+        ids=["grid", "at"],
+    )
+    def test_overflow_in_the_norm_names_the_point(self, cfg, command, point):
+        text = HEIS1.replace("expr = -z\nbox = -1:1, -1:1, -1:1",
+                             "expr = x1^100 - z\nbox = 1000:1001, -1:1, -1:1")
+        path = cfg("overflow.cfg", text)
+        code, err = run_main_quietly(["curvature", "--config", path, "--function", "negz"]
+                                     + command)
+        assert code == 3
+        assert f"|dphi|*^2 undefined at chart point {point}: outside the float range" in err, err
+
     def test_custom_structure_undefined_on_its_box(self, cfg, capsys):
         bad = CUSTOM_FLAT.replace("density = 1", "density = 1/x")
         path = cfg("hole.cfg", bad)
@@ -749,8 +811,10 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv",
         [["curvature", "--p", "abc"], ["curvature", "--p", "1/0"], ["curvature", "--p", "-1"],
-         ["curvature", "--grid", "0"], ["rank", "--depth", "0"]],
-        ids=["p-word", "p-zero-denominator", "p-negative", "grid-zero", "depth-zero"],
+         ["curvature", "--grid", "0"], ["rank", "--depth", "0"],
+         ["scenario", "run", "--jobs", "-3"], ["scenario", "run", "--jobs", "0"]],
+        ids=["p-word", "p-zero-denominator", "p-negative", "grid-zero", "depth-zero",
+             "jobs-negative", "jobs-zero"],
     )
     def test_bad_command_line_number_is_usage_error(self, cfg, argv, capsys):
         path = cfg("h1.cfg", HEIS1)

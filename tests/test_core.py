@@ -14,8 +14,8 @@ from subcurv.core import (
     SingularPoint,
     SubriemannianStructure,
     conorm,
+    compile_sweep,
     covector_pairing,
-    masked_curvature,
     newton_refiner,
     p_mean_curvature,
     p_mean_curvature_expr,
@@ -318,43 +318,45 @@ class TestValidation:
         assert grid.npoints == 6
 
 
+XY = CoordSystem(("x", "y"))
+
+
+def sweep(sq, h, points, eps_sq=1e-14):
+    """``(hs, low)`` of :func:`compile_sweep` on the (x, y) chart, no graph."""
+    values, hs, low = compile_sweep(ca.parse_expr(h, XY), ca.parse_expr(sq, XY), 2, eps_sq)(points)
+    assert values == []
+    return hs, low
+
+
 class TestMaskedCurvature:
     def test_singular_failing_and_nonfinite_points_map_to_none(self):
-        calls = []
-
-        def sing(pt):
-            return {0: 0.0, 5: math.nan}.get(pt[0], 1.0)
-
-        def h(pt):
-            calls.append(pt[0])
-            if pt[0] == 2:
-                raise ca.DivisionByZero("0.0 raised to integer power -1")
-            if pt[0] == 3:
-                raise OverflowError("out of range")
-            return {4: math.inf, 5: 7.0, 6: math.nan, 7: -math.inf}.get(pt[0], 1.5)
-
-        points = [(k,) for k in range(9)]
-        values, low = masked_curvature(h, sing, points, 1e-14)
-        # a NaN norm is not below eps^2, so point 5 keeps its value
-        assert values == [None, 1.5, None, None, None, 7.0, None, None, 1.5]
-        assert calls == [1, 2, 3, 4, 5, 6, 7, 8]  # H is never called where singular
-        # ...but it is not >= eps^2 either, so the map keeps it with the singular point
-        assert list(low) == [0, 5] and low[0] == 0.0 and math.isnan(low[5])
+        # H = 1/x would raise at the singular point, where it is not evaluated
+        assert sweep("x^2", "x^-1", [(0.0, 0.0), (2.0, 0.0)]) == ([None, 0.5], {0: 0.0})
+        big = (1e200, 1e200)
+        for h, pt in [("(x - 2)^-1", (2.0, 0.0)),  # a domain error
+                      ("x^400", (50.0, 0.0)),  # an overflow
+                      ("x*y", big), ("-x*y", big),  # inf and -inf
+                      ("x*y - (x + 1)*(y + 1)", big)]:  # inf - inf
+            assert sweep("1", h, [pt, (1.0, 1.0)])[0] == [None, ca.evaluate(ca.parse_expr(h, XY),
+                                                                              (1.0, 1.0))], h
+        # a NaN norm is not below eps^2, so H keeps its value...
+        hs, low = sweep("x*y - (x + 1)*(y + 1)", "7", [big])
+        # ...but it is not >= eps^2 either, so the map keeps it
+        assert hs == [7.0] and list(low) == [0] and math.isnan(low[0])
 
     def test_compiled_kernels(self):
-        x = ca.var(0)
-        h = ca.compile_expr(ca.pow_(x, -1), 1)
-        sing = ca.compile_expr(ca.pow_(x, 2), 1)
-        assert masked_curvature(h, sing, [(0.0,), (1e-9,), (2.0,)], 1e-14) == (
-            [None, None, 0.5], {0: 0.0, 1: 1e-18})
-        assert masked_curvature(h, sing, [(0.0,)], 0.0)[0] == [None]  # 1/0 raises
+        points = [(0.0, 0.0), (1e-9, 0.0), (2.0, 0.0)]
+        assert sweep("x^2", "x^-1", points) == ([None, None, 0.5], {0: 0.0, 1: 1e-18})
+        assert sweep("x^2", "x^-1", [(0.0, 0.0)], 0.0)[0] == [None]  # 1/0 raises
+        # the norm, H and the graph share one memo: x^2 is computed once per point
+        source = compile_sweep(ca.parse_expr("x^2 + 1", XY), ca.parse_expr("x^2", XY), 2, 1e-14,
+                               graph=("u", ca.parse_expr("x^2", XY))).source
+        assert source.count("** 2") == 1
 
     def test_roundoff_norm_is_singular_and_nan_norm_is_not(self):
-        norms = {(0,): 1.0, (1,): -1e-12, (2,): math.nan}
-        values = masked_curvature(lambda pt: 2.0, norms.get, list(norms), 1e-14)[0]
-        assert values == [2.0, None, 2.0]
+        points = [(0.0, 1.0), (0.0, -1e-12), (0.0, math.nan)]
+        assert sweep("y", "2", points)[0] == [2.0, None, 2.0]
 
     def test_indefinite_norm_raises_naming_the_point(self):
-        norms = {(0,): 1.0, (3,): -3.0}
-        with pytest.raises(IndefiniteCometric, match=r"not PSD at \(3,\): .* is -3\.0"):
-            masked_curvature(lambda pt: 2.0, norms.get, list(norms), 1e-14)
+        with pytest.raises(IndefiniteCometric, match=r"not PSD at \(3\.0, -3\.0\): .* is -3\.0"):
+            sweep("y", "2", [(0.0, 1.0), (3.0, -3.0)])

@@ -1,5 +1,6 @@
 """Comparison harness: touching, gaps, propagation, classification."""
 
+import ast
 import cProfile
 import functools
 import math
@@ -10,14 +11,16 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcurv import calculus as ca
 from subcurv import smp
 from subcurv.cli import write_scenario_csv
+from subcurv.calculus import EvaluationError
 from subcurv.core import (
-    ScalarField, SingularPoint, VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
+    PSD_TOL, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
+    VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
 )
 from subcurv.brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
 from subcurv.heisenberg import (
@@ -737,3 +740,159 @@ class TestNormRule:
         assert d["rank"]["point"] == list(regular[0])
         starts = [p for p in pts[: sc.max_propagation_starts] if sq_lo(p) >= eps_sq]
         assert list(dict.fromkeys(tuple(r["start"]) for r in d["propagation"])) == starts
+
+
+AB = ca.CoordSystem(("a", "b"))
+ABC = ca.CoordSystem(("a", "b", "c"))
+
+
+def custom_line_scenario(u_src, g00, g11):
+    """A generic graph b = u(a), a in [0.5, 1.5] at 5 points, on the custom
+    structure diag(g00, g11) over (a, b)."""
+    S = SubriemannianStructure(
+        AB, [[ca.parse_expr(g00, AB), ca.ZERO], [ca.ZERO, ca.parse_expr(g11, AB)]], ca.ONE)
+    u = ca.parse_expr(u_src, AB)
+    return ComparisonScenario("line", GenericOperator(S, 0, 1), u, ca.add(u, ca.ONE),
+                              box=((0.5, 1.5),), grid_counts=5)
+
+
+class TestSweepErrors:
+    """Which error a sweep raises first: a value hole anywhere, then a
+    non-finite value, then the first norm hole or indefinite norm."""
+
+    @pytest.mark.parametrize(
+        "u, g00, g11, error, needle",
+        [
+            # the norm hole at a = 0.5 comes first in grid order
+            ("sqrt(1.2 - a)", "sqrt(a - 0.7)", "1", EvaluationError,
+             "graph u undefined at chart point (1.25,): non-integer power"),
+            # |dphi|*^2 = sqrt(a - 0.7) - a: a hole at 0.5, indefinite from 0.75
+            ("a", "sqrt(a - 0.7)", "-a", EvaluationError,
+             "graph u: |dphi|*^2 undefined at chart point (0.5,): non-integer power"),
+            # |dphi|*^2 = sqrt(1.1 - a) - 2a: indefinite at 0.5, a hole from 1.25
+            ("a", "sqrt(1.1 - a)", "-2*a", IndefiniteCometric,
+             "graph u: cometric not PSD at (0.5, 0.5): |dphi|*^2 is -0.2254"),
+        ],
+        ids=["value-hole-after-norm-hole", "norm-hole-before-indefinite",
+             "indefinite-before-norm-hole"],
+    )
+    def test_value_errors_come_first_then_the_first_norm_error(self, u, g00, g11, error,
+                                                                needle):
+        with pytest.raises(error) as exc:
+            run_scenario(custom_line_scenario(u, g00, g11))
+        assert needle in str(exc.value)
+
+
+# graph pieces with rational and negative-integer powers and holes at a, b = t
+GRAPH_PIECES = ["a + b", "a*b", "b^3", "(a + 2)^(3/2)", "sqrt(a - {t})", "(b - {t})^-1",
+                "(a - {t})^-2", "(b + 3)^(-1/2)*a", "{t}*a^2"]
+# custom cometric entries: holes, indefinite signs, and products that
+# overflow to inf (inf - inf is a NaN norm)
+COMETRIC_ENTRIES = ["1", "a^2 + 1", "sqrt(a - {t})", "-1", "b - {t}", "a*b + 1",
+                    "a*b - (a + 1)*(b + 1)", "(c - {t})^-2"]
+# a density hole reaches H only
+DENSITIES = ["1", "sqrt(b - {t})", "(a + 3)^-1"]
+T_VALUES = ["0", "1/2", "1", "-1/2"]
+COORDS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e200])
+
+
+def filled(pool):
+    """A pool entry with its hole position ``t`` drawn."""
+    return st.tuples(st.sampled_from(pool), st.sampled_from(T_VALUES)).map(
+        lambda pair: pair[0].format(t=pair[1]))
+
+
+def sweep_operator(build, cometric, density, p):
+    if build == "la_graph":
+        return LaGraphOperator(1)
+    if build == "graph_HF":
+        return GraphHFOperator(standard_drift(2), 2)
+    diag = [ca.parse_expr(entry, ABC) for entry in cometric]
+    S = SubriemannianStructure(ABC, [[diag[i] if i == k else ca.ZERO for k in range(3)]
+                                     for i in range(3)], ca.parse_expr(density, ABC))
+    return GenericOperator(S, Fraction(p), 2)
+
+
+def reference_sweep(op, u, points, eps_sq):
+    """The sweep rule per point by ``ca.evaluate``: ``(values, H, low)``,
+    or the first error as ``(kind, point)``."""
+    h, sq = op.build(u)
+    faults = (EvaluationError, OverflowError)
+    values = []
+    for pt in points:
+        try:
+            values.append(ca.evaluate(u, pt))
+        except faults:
+            return "value", pt
+    for pt, value in zip(points, values):
+        if not math.isfinite(value):
+            return "non-finite", pt
+    hs, low = [], {}
+    for k, pt in enumerate(points):
+        try:
+            s = ca.evaluate(sq, pt)
+        except faults:
+            return "norm", pt
+        if s < -PSD_TOL:
+            return "indefinite", op.lift(pt, values[k])
+        if not s >= eps_sq:
+            low[k] = s
+        value = None
+        if not s < eps_sq:
+            try:
+                value = ca.evaluate(h, pt)
+            except faults:
+                pass
+        hs.append(value if value is not None and math.isfinite(value) else None)
+    return values, hs, low
+
+
+def first_error(exc):
+    """``(kind, point)`` of a sweep error."""
+    if isinstance(exc, IndefiniteCometric):
+        return "indefinite", exc.point
+    kinds = [("non-finite", r"graph u undefined at chart point (\(.*?\)): non-finite value"),
+             ("value", r"graph u undefined at chart point (\(.*?\)): "),
+             ("norm", r"graph u: \|dphi\|\*\^2 undefined at chart point (\(.*?\)): ")]
+    for kind, pattern in kinds:
+        m = re.match(pattern, str(exc))
+        if m:
+            return kind, ast.literal_eval(m.group(1))
+    raise AssertionError(f"unexpected sweep error {exc}")
+
+
+def bitwise(low):
+    return {k: struct.pack("<d", v) for k, v in low.items()}
+
+
+class TestGeneratedSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(build=st.sampled_from(["generic", "la_graph", "graph_HF"]),
+           cometric=st.tuples(*[filled(COMETRIC_ENTRIES)] * 3), density=filled(DENSITIES),
+           p=st.sampled_from(["0", "1/2", "1", "3"]),
+           u=st.lists(filled(GRAPH_PIECES), min_size=1, max_size=3).map(" + ".join),
+           points=st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=12),
+           eps_sq=st.sampled_from([1e-14, 0.5]))
+    @example(build="generic", cometric=("1", "1", "a*b - (a + 1)*(b + 1)"), density="1",
+             p="0", u="a + b", points=[(-1.0, -1.0), (1e200, 1e200)], eps_sq=1e-14)  # NaN norm
+    def test_sweep_is_the_evaluate_reference(self, build, cometric, density, p, u, points,
+                                             eps_sq):
+        op = sweep_operator(build, cometric, density, p)
+        u = ca.parse_expr(u, AB)
+        expected = reference_sweep(op, u, points, eps_sq)
+        try:
+            swept = smp._SweptGraph(op, "u", u, points, eps_sq)
+        except (EvaluationError, IndefiniteCometric) as exc:
+            assert first_error(exc) == expected
+            return
+        assert (swept.values, swept.h, bitwise(swept.low)) == (
+            expected[0], expected[1], bitwise(expected[2]))
+
+    def test_profiles_list_one_sweep_per_swept_graph(self):
+        profiler = cProfile.Profile()
+        profiler.runcall(run_scenario, builtin_scenario("translate-coincide"))
+        stats = pstats.Stats(profiler).stats
+        sweeps = [key for key in stats if key[2] == "sweep"]
+        assert len({filename for filename, _, _ in sweeps}) == len(sweeps) == 2
+        assert all(re.fullmatch(r"<sweep-\d+>", filename) for filename, _, _ in sweeps)
+        assert [stats[key][1] for key in sweeps] == [1, 1]  # one call, no per-point call
