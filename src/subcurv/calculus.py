@@ -690,14 +690,15 @@ def free_vars(e: Expr) -> set:
 # ---------------------------------------------------------------------------
 
 
-def emitter(nvars: int):
+def emitter(nvars: int, var: str = "p[{}]"):
     """``(lines, emit)``: ``emit(e)`` appends to ``lines`` a statement
     ``tN = ...`` for each distinct subtree of ``e`` that no earlier call
-    emitted, over a point ``p`` of ``nvars`` coordinates, and returns the
-    Python expression of e's value.  Powers call the helpers of
-    :func:`evaluate` (in scope as :data:`KERNEL_NAMES`), so the code gives the
-    same double and the same error at the same point; a negative integer
-    power stays inline as ``t ** -n if t else _zero_pow(-n)``."""
+    emitted, over ``nvars`` coordinates (coordinate i is ``var.format(i)``:
+    by default a point ``p``), and returns the Python expression of e's
+    value.  Powers call the helpers of :func:`evaluate` (in scope as
+    :data:`KERNEL_NAMES`), so the code gives the same double and the same
+    error at the same point; a negative integer power stays inline as
+    ``t ** -n if t else _zero_pow(-n)``."""
     lines = []
 
     def line(rhs: str) -> str:
@@ -710,7 +711,7 @@ def emitter(nvars: int):
             raise ValueError(
                 f"variable index {node.index} out of range for {nvars} coords"
             )
-        return f"p[{node.index}]"
+        return var.format(node.index)
 
     def emit_pow(node, kids):
         b, q = kids[0], node.exponent

@@ -546,10 +546,11 @@ def format_number(x) -> str:
 
 
 class _Formatted(dict):
-    """``format_number`` of each float, once per writer call (``True == 1 == 1.0``)."""
+    """The text of each float (``format_number``) and each string (JSON),
+    once per writer call; ints and bools stay out, since ``True == 1 == 1.0``."""
 
-    def __missing__(self, x: float) -> str:
-        text = self[x] = format_number(x)
+    def __missing__(self, x) -> str:
+        text = self[x] = json.dumps(x, ensure_ascii=False) if isinstance(x, str) else format_number(x)
         return text
 
 
@@ -564,13 +565,12 @@ def _dumps(obj, indent: int, text: _Formatted) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return text[obj]
     if isinstance(obj, (list, tuple)):
         brackets, items = "[]", [_dumps(v, indent + 1, text) for v in obj]
     elif isinstance(obj, dict):
         brackets, items = "{}", [
-            json.dumps(str(k), ensure_ascii=False) + ": " + _dumps(v, indent + 1, text)
-            for k, v in obj.items()
+            text[str(k)] + ": " + _dumps(v, indent + 1, text) for k, v in obj.items()
         ]
     else:
         return format_number(obj)
@@ -589,11 +589,12 @@ def _write_text(path: Optional[str], text: str):
 
 
 def _csv(header: Sequence[str], rows) -> str:
-    """CSV text: one line per row, ``None`` as an empty cell."""
+    """CSV text: one line per row, ``None`` as an empty cell.  An exact
+    ``int`` (a 0/1 mask cell) is ``str``, which is its ``format_number``."""
     text = _Formatted()
     lines = [",".join(header)]
-    lines += [",".join([text[v] if type(v) is float else "" if v is None else format_number(v)
-                        for v in row]) for row in rows]
+    lines += [",".join([text[v] if type(v) is float else str(v) if type(v) is int
+                        else "" if v is None else format_number(v) for v in row]) for row in rows]
     lines.append("")  # the final line break, with no second copy of the whole text
     return "\n".join(lines)
 

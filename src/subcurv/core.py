@@ -187,7 +187,7 @@ class ScalarField:
 class VectorFieldExpr:
     """Vector field with symbolic coefficients in a fixed chart."""
 
-    __slots__ = ("coords", "components", "_kernel", "_step", "_jacobian")
+    __slots__ = ("coords", "components", "_run", "_jacobian")
 
     def __init__(self, coords: CoordSystem, components: Sequence[Expr]):
         # smart-constructor trees are already canonical (simplify is the
@@ -199,34 +199,40 @@ class VectorFieldExpr:
             )
         self.coords = coords
         self.components = components
-        self._kernel = self._step = self._jacobian = None
+        self._run = self._jacobian = None
 
-    def kernel(self):
-        """Compiled ``f(point) -> [X^1(point), ..., X^n(point)]``, built once."""
-        if self._kernel is None:
-            self._kernel = ca.compile_expr(self.components, len(self.coords))
-        return self._kernel
-
-    def stepper(self):
-        """Classical RK4 step ``step(x, h) -> tuple``, generated once: the
-        stages are unrolled into locals around four :meth:`kernel` calls,
-        with the float operations of ``x + 0.5 * h * k1``, ...,
+    def integrator(self):
+        """Classical RK4 loop ``run(x, h, nsteps, stop) -> (points, completed,
+        note)``, generated once (``<rk4-N>``), with the components inline at
+        each stage and the float operations of ``x + 0.5 * h * k1``, ...,
         ``x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` in that order."""
-        if self._step is None:
-            idx = range(len(self.coords))
+        if self._run is None:
+            n = len(self.coords)
 
             def row(fmt):
-                return ", ".join(fmt.format(i=i) for i in idx) + ","
+                return ", ".join(fmt.format(i=i) for i in range(n)) + ","
 
-            src = "\n    ".join([
-                "def step(x, h):", f"{row('x{i}')} = x", f"{row('a{i}')} = f(x)", "hh = 0.5 * h",
-                f"{row('b{i}')} = f(({row('x{i} + hh * a{i}')}))",
-                f"{row('c{i}')} = f(({row('x{i} + hh * b{i}')}))",
-                f"{row('d{i}')} = f(({row('x{i} + h * c{i}')}))", "h6 = h / 6.0",
-                f"return ({row('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')})\n",
-            ])
-            self._step = ca.compile_source(src, "step", "rk4-step", f=self.kernel())
-        return self._step
+            def stage(var, into):  # one emitter per stage: each reads its own point
+                lines, emit = ca.emitter(n, var)
+                values = ", ".join([emit(c) for c in self.components])
+                return [*lines, f"{row(into + '{i}')} = {values},"]
+
+            src = "\n            ".join([
+                "def run(x, h, nsteps, stop):\n    pts = [x]\n    if stop is not None and stop(x):\n"
+                f"        return pts, False, 'stopped at step 0'\n    {row('x{i}')} = x\n    hh = 0.5 * h\n"
+                "    h6 = h / 6.0\n    for k in range(1, nsteps + 1):\n        try:",
+                *stage("x{}", "a"), f"{row('y{i}')} = {row('x{i} + hh * a{i}')}",
+                *stage("y{}", "b"), f"{row('y{i}')} = {row('x{i} + hh * b{i}')}",
+                *stage("y{}", "c"), f"{row('y{i}')} = {row('x{i} + h * c{i}')}", *stage("y{}", "d"),
+            ]) + (
+                "\n        except _FAULTS as exc:\n            return pts, False, f'integration aborted: {exc}'\n"
+                f"        {row('x{i}')} = {row('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}\n"
+                f"        x = ({row('x{i}')})\n        pts.append(x)\n        if stop is not None and stop(x):\n"
+                "            return pts, False, f'stopped at step {k}'\n    return pts, True, ''\n"
+            )
+            faults = (ca.EvaluationError, OverflowError)
+            self._run = ca.compile_source(src, "run", "rk4", _FAULTS=faults, **ca.KERNEL_NAMES)
+        return self._run
 
     def jacobian(self) -> list:
         """``J[k][l] = d_k X^l``, built once, one shared fold memo per k."""

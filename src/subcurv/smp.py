@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import calculus as ca
-from .calculus import CoordSystem, Expr, EvaluationError
+from .calculus import CoordSystem, Expr
 from .core import (
     GridSpec,
     IndefiniteCometric,
@@ -373,10 +373,10 @@ class ScenarioReport:
 
 class _SweptGraph:
     """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``,
-    its value kernel ``fn`` (for ``box_stop`` and ``lift``), the ``values``,
-    the masked curvature ``h`` and ``low``, the positions whose squared norm
-    is not ``>= eps_sq``, with that norm.  An indefinite cometric names the
-    graph and its ambient point (``op.lift``)."""
+    its value kernel ``fn`` (for ``lift`` only: the stop test emits ``expr``
+    inline), the ``values``, the masked curvature ``h`` and ``low``, the
+    positions whose squared norm is not ``>= eps_sq``, with that norm.  An
+    indefinite cometric names the graph and its ambient point (``op.lift``)."""
 
     __slots__ = ("expr", "fn", "values", "h", "low")
 
@@ -497,16 +497,20 @@ class _ScenarioEngine:
     def box_stop(self):
         """``(stop, devs)``, generated once: ``stop(p)`` is true once the
         chart projection (``project_source()``) of ``p`` leaves the box, by
-        the test of :func:`_in_box`; else it appends |v - u| there to ``devs``."""
+        the test of :func:`_in_box`; else it appends |v - u| there to ``devs``,
+        v then u inline by one emitter, so what they share is evaluated once."""
         chart = self.sc.operator.project_source()
         cs = ", ".join(f"c{i}" for i in range(len(chart))) + ","
         inside = " and ".join(f"{lo!r} <= c{i} <= {hi!r}" for i, (lo, hi) in enumerate(self.sc.box))
+        lines, emit = ca.emitter(self.nvars, "c{}")
+        v, u = emit(self.v.expr), emit(self.u.expr)
         src = (
-            f"def f(p):\n    {cs} = {', '.join(chart)},\n    if not ({inside}):\n"
-            f"        return True\n    c = ({cs})\n    record(abs(v(c) - u(c)))\n    return False\n"
+            f"def f(p):\n    {cs} = {', '.join(chart)},\n    if not ({inside}):\n        return True\n"
+            + "".join(f"    {line}\n" for line in lines)
+            + f"    record(abs({v} - {u}))\n    return False\n"
         )
         devs = []
-        names = dict(_sqrt=math.sqrt, inf=math.inf, u=self.u.fn, v=self.v.fn, record=devs.append)
+        names = dict(_sqrt=math.sqrt, inf=math.inf, record=devs.append, **ca.KERNEL_NAMES)
         return ca.compile_source(src, "f", "box-stop", **names), devs
 
 
@@ -549,22 +553,10 @@ def integrate_field(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    rk4 = X.stepper()
     nsteps = max(1, math.ceil(abs(T) / step)) if T != 0 else 0
     h = T / nsteps if nsteps else 0.0
     x = tuple(float(c) for c in x0)
-    pts = [x]
-    if stop is not None and stop(x):
-        return IntegrationResult(pts, False, "stopped at step 0")
-    for k in range(1, nsteps + 1):
-        try:
-            x = rk4(x, h)
-        except (EvaluationError, OverflowError) as exc:
-            return IntegrationResult(pts, False, f"integration aborted: {exc}")
-        pts.append(x)
-        if stop is not None and stop(x):
-            return IntegrationResult(pts, False, f"stopped at step {k}")
-    return IntegrationResult(pts, True)
+    return IntegrationResult(*X.integrator()(x, h, nsteps, stop))
 
 
 class PropagationResult:

@@ -11,7 +11,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from subcurv import calculus as ca
@@ -242,17 +242,33 @@ class TestGeneratedStep:
         assert out.note.startswith("integration aborted: non-integer power 0.5")
         assert 15 < len(out.points) < 25
 
-    def test_step_is_built_once_and_calls_the_kernel(self):
+    def test_loop_is_built_once_per_field_with_the_components_inline(self):
         X = VectorFieldExpr(CS2, [ca.neg(ca.var(1)), ca.var(0)])
-        assert X.stepper() is X.stepper()
-        assert "= f(x)" in X.stepper().source
+        assert X.integrator() is X.integrator()
+        src = X.integrator().source
+        assert "(-1.0) * y1" in src and "f(" not in src
 
-    def test_profiles_keep_each_generated_step_apart(self):
-        profiler = cProfile.Profile()
-        profiler.runcall(run_scenario, builtin_scenario("vertical-hyperplane"))
-        steps = [key for key in pstats.Stats(profiler).stats if key[2] == "step"]
-        assert len(steps) > 1
-        assert all(re.fullmatch(r"<rk4-step-\d+>", filename) for filename, _, _ in steps)
+    def test_profiles_keep_each_generated_loop_apart(self, monkeypatch):
+        # profiled inside integrate_field only: one `run` per trajectory, in
+        # one <rk4-N> file per field, no kernel call, one stop per point
+        profiler, fields, npoints = cProfile.Profile(), {}, []
+        real = smp.integrate_field
+
+        def profiled(X, *args, **kwargs):
+            fields[id(X)] = X
+            traj = profiler.runcall(real, X, *args, **kwargs)
+            npoints.append(len(traj.points))
+            return traj
+
+        monkeypatch.setattr(smp, "integrate_field", profiled)
+        run_scenario(builtin_scenario("vertical-hyperplane"))
+        stats = pstats.Stats(profiler).stats
+        loops = {key: value[1] for key, value in stats.items() if key[2] == "run"}
+        assert all(re.fullmatch(r"<rk4-\d+>", filename) for filename, _, _ in loops)
+        assert 1 < len(loops) == len(fields) and sum(loops.values()) == len(npoints) == 96
+        assert not [key for key in stats if key[0].startswith("<kernel-")]
+        stops = [value[1] for key, value in stats.items() if re.fullmatch(r"<box-stop-\d+>", key[0])]
+        assert stops == [sum(npoints)]
 
 
 class TestPropagateMax:
@@ -509,6 +525,33 @@ class TestGeneratedProjection:
                 assert stop(pt) is not inside
                 expected = [abs(engine.v.fn(chart_pt) - engine.u.fn(chart_pt))] if inside else []
                 assert bits([devs]) == bits([expected])
+
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), same=st.booleans())
+    def test_stop_records_the_evaluated_deviation_bitwise(self, case, seed, same):
+        # u is v, or u and v share a rational-power subtree
+        op, _, box, _ = ambient_case(case)
+        rng, n = random.Random(seed), len(op.chart)
+        shared = random_rational_power_expr(rng, n)
+        u = ca.add(shared, random_polynomial(rng, n, 3, 2))
+        v = u if same else ca.mul(shared, random_rational_power_expr(rng, n))
+        try:
+            engine = smp._ScenarioEngine(ComparisonScenario(case, op, u, v, box=box, grid_counts=3))
+        except EvaluationError:
+            reject()  # the sweep refuses the pair (a norm hole), so no stop is built
+        stop, devs = engine.box_stop
+        recorded = re.search(r"record\(abs\((\S+) - (\S+)\)\)", stop.source).groups()
+        assert (recorded[0] == recorded[1]) is same  # u is v: evaluated once
+        for _ in range(20):
+            pt = op.lift(tuple(rng.uniform(lo, hi) for lo, hi in box), 0.0)
+            chart_pt = op.project(pt)
+            if not all(lo <= c <= hi for c, (lo, hi) in zip(chart_pt, box)):
+                continue
+            devs.clear()
+            assert stop(pt) is False
+            du = ca.evaluate(engine.v.expr, chart_pt) - ca.evaluate(engine.u.expr, chart_pt)
+            assert bits([devs]) == bits([[abs(du)]])
 
 
 class TestVariationCheck:
