@@ -5,7 +5,7 @@ Subpackages:
 - :mod:`subcurv.calculus`: symbolic expression engine (parse,
   differentiate, evaluate, compile).
 - :mod:`subcurv.core`: cometric structures, covector norms, the
-  weighted-divergence curvature, singular-set scans.
+  weighted-divergence curvature, the generated grid sweep.
 - :mod:`subcurv.heisenberg`: group law, isometries, builtin structures,
   and the explicit graph curvature operators.
 - :mod:`subcurv.brackets`: Lie brackets, bracket-closure rank, tangent
@@ -36,7 +36,6 @@ from .core import (
     conorm,
     p_mean_curvature,
     raise_covector,
-    singular_scan,
 )
 from .heisenberg import (
     HeisenbergPoint,

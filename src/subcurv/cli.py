@@ -615,9 +615,9 @@ def _parse_point(text: str, expected: int) -> tuple:
     if len(parts) != expected:
         raise ConfigError(f"point has {len(parts)} coordinates, chart needs {expected}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(_real(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"bad point {text!r}") from exc
+        raise ConfigError(f"bad point {text!r}: {exc}") from None
 
 
 def cmd_curvature(args) -> int:
@@ -688,7 +688,7 @@ def cmd_rank(args) -> int:
             m = [[ca.sub(ca.differentiate(w[j], k), ca.differentiate(w[k], j))
                   for j in range(S.dim)] for k in range(S.dim)]
             tf_rank = two_form_rank(m, point, restriction_basis=S.frame_fields or None)
-    except EvaluationError as exc:
+    except (EvaluationError, OverflowError) as exc:
         raise EvaluationError(f"rank undefined at point {point}: {exc}") from None
     hormander = report.rank >= target
     payload = {

@@ -8,11 +8,10 @@ weighted divergence
 
     H = A^{-1} sum_l d_l( A * |dphi|^(p-1) * sum_k g^{lk} d_k phi ),
 
-one generated grid sweep per graph (:func:`compile_sweep`: its value,
-the squared norm, the singular test, then H at each point), and grid
-scans for singular points (|dphi|* = 0).  No coframe choices are ever
-made; frame fields are optional metadata consumed by the bracket
-machinery.
+and one generated grid sweep per graph (:func:`compile_sweep`: its
+value, the squared norm, the singular test |dphi|* < eps_sing, then H at
+each point).  No coframe choices are ever made; frame fields are
+optional metadata consumed by the bracket machinery.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "VectorFieldExpr",
     "SubriemannianStructure",
     "GridSpec",
-    "SingularHit",
-    "SingularScanResult",
     "grid_clusters",
     "newton_refiner",
     "raise_covector",
@@ -54,7 +51,6 @@ __all__ = [
     "undefined_at",
     "require_finite",
     "compile_sweep",
-    "singular_scan",
     "probe_validate",
 ]
 
@@ -108,8 +104,7 @@ def is_singular(sq: float, point: Sequence[float], eps_sq: float) -> bool:
     """The squared-norm rule of every path: below ``-PSD_TOL`` the cometric is
     indefinite and this raises, naming ``point``; below ``eps_sq`` the point
     is singular; a NaN norm is neither.  :func:`compile_sweep` writes the
-    same tests inline, and :func:`singular_scan` tests ``sq < eps_sq`` first,
-    so a regular point costs no call."""
+    same tests inline, so a swept point costs no call."""
     if sq < -PSD_TOL:
         raise IndefiniteCometric(point, sq)
     return sq < eps_sq
@@ -518,7 +513,7 @@ def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
 
 
 # ---------------------------------------------------------------------------
-# Grids and singular scans
+# Grids, grid clusters and Newton refinement
 # ---------------------------------------------------------------------------
 
 
@@ -573,42 +568,6 @@ class GridSpec:
 
     def as_dict(self) -> dict:
         return {"axes": [[lo, hi, count] for lo, hi, count in self.axes]}
-
-
-class SingularHit:
-    """One grid cell inside the singular tolerance."""
-
-    __slots__ = ("index", "grid_point", "point", "residual", "refined")
-
-    def __init__(self, index, grid_point, point, residual, refined):
-        self.index = index
-        self.grid_point = grid_point
-        self.point = point
-        self.residual = residual
-        self.refined = refined
-
-    def __repr__(self):
-        tag = "refined" if self.refined else "unrefined"
-        return f"SingularHit({self.point}, residual={self.residual:.2e}, {tag})"
-
-
-class SingularScanResult:
-    __slots__ = ("grid", "eps_sing", "hits")
-
-    def __init__(self, grid: GridSpec, eps_sing: float, hits):
-        self.grid = grid
-        self.eps_sing = eps_sing
-        self.hits = list(hits)
-
-    def clusters(self) -> list:
-        """Group hits into connected components of adjacent grid cells."""
-        groups = grid_clusters([h.index for h in self.hits])
-        return [[self.hits[i] for i in group] for group in groups]
-
-    def __repr__(self):
-        return (
-            f"SingularScanResult({len(self.hits)} hits / {self.grid.npoints} cells)"
-        )
 
 
 def grid_clusters(cells) -> list:
@@ -666,41 +625,6 @@ def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
             return list(map(float, x0)), False  # a step left the domain
 
     return refine
-
-
-def singular_scan(
-    S: SubriemannianStructure,
-    phi,
-    grid: GridSpec,
-    eps_sing: Optional[float] = None,
-) -> SingularScanResult:
-    """All grid cells with |dphi|* < eps_sing, Newton-refined where possible.
-
-    Refinement minimizes |dphi|*^2 with its symbolic gradient and Hessian
-    over the non-frozen grid axes; cells where Newton stalls (flat
-    directions: the singular set may be a positive-dimensional set) are
-    reported at the grid point and flagged unrefined.
-    """
-    eps = default_eps_sing() if eps_sing is None else eps_sing
-    if eps <= 0:
-        raise ValueError("eps_sing must be positive")
-    n = S.dim
-    sq = conorm_sq_expr(S, phi)
-    sq_fn = ca.compile_expr(sq, n)
-    refine = newton_refiner(sq, n, grid)
-    threshold = eps * eps
-    hits = []
-    for idx, pt in zip(grid.indices(), grid.points()):
-        val = sq_fn(pt)
-        if not (val < threshold and is_singular(val, pt, threshold)):
-            continue
-        refined_pt, converged = refine(pt)
-        if converged and is_singular(res_sq := sq_fn(refined_pt), refined_pt, threshold):
-            residual = math.sqrt(max(res_sq, 0.0))
-            hits.append(SingularHit(idx, pt, tuple(refined_pt), residual, True))
-        else:
-            hits.append(SingularHit(idx, pt, pt, math.sqrt(max(val, 0.0)), False))
-    return SingularScanResult(grid, eps, hits)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ produces (charts up to a handful of coordinates).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Optional, Sequence
 
 __all__ = [
@@ -69,11 +70,14 @@ def matrix_rank(rows: Sequence[Sequence[float]]):
 
     The threshold is ``1e-9 *`` the largest row norm, which keeps rank
     decisions stable under the roundoff amplification of iterated bracket
-    trees.  Returns ``(rank, threshold_used)``.
+    trees.  Returns ``(rank, threshold_used)``; a threshold outside the
+    float range (the row norm overflows) raises ``OverflowError``.
     """
     work = [list(map(float, r)) for r in rows]
     row_norm = max((sum(v * v for v in r) ** 0.5 for r in work), default=0.0)
     pivot_tol = 1e-9 * row_norm
+    if not math.isfinite(pivot_tol):
+        raise OverflowError(f"pivot threshold outside the float range (largest row norm {row_norm})")
     if pivot_tol == 0.0:
         return 0, 0.0
     return len(_row_reduce(work, len(work[0]), pivot_tol)[0]), pivot_tol

@@ -23,8 +23,10 @@ the report's ``swapped`` flag.
 
 Each operator carries its own map to the ambient manifold where the rank
 condition is checked: ``structure``, ``phi(u)`` (the defining function of
-the graph there), ``lift(chart_pt, u_val)`` and ``project(pt)``.  The
-rank target is the hypersurface dimension ``structure.dim - 1``.
+the graph there), ``lift(chart_pt, u_val)`` and ``project_source()``, the
+chart coordinates of an ambient point ``p`` as Python expressions, which
+the propagation stop test is generated from.  The rank target is the
+hypersurface dimension ``structure.dim - 1``.
 ``lift`` raises ``ValueError`` outside the chart, and a scenario's box
 must lift at every corner.
 """
@@ -120,21 +122,7 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 
 
-class _AmbientMap:
-    """``project``, compiled once from ``project_source()``: the chart
-    coordinates of an ambient point ``p`` as Python expressions, which the
-    propagation stop test is compiled from too."""
-
-    _project = None
-
-    def project(self, pt):
-        if self._project is None:
-            src = f"def f(p):\n    return ({', '.join(self.project_source())},)\n"
-            self._project = ca.compile_source(src, "f", "project", _sqrt=math.sqrt)
-        return self._project(pt)
-
-
-class GenericOperator(_AmbientMap):
+class GenericOperator:
     """Weighted-divergence curvature of the graph x^g = u on a structure.
 
     The defining function is u - x^g (compatible with shifting the graph
@@ -206,7 +194,7 @@ class GraphHFOperator(GenericOperator):
         return {"F": [ca.unparse(f, self.chart) for f in self.F]}
 
 
-class _TranslationGraphOperator(_AmbientMap):
+class _TranslationGraphOperator:
     """Graphs x^1 = u(eta, tau) along x1-translations, on the (eta, tau)
     chart with tau = z + sign x^1 eta^(n+1); the ambient manifold is the
     standard group chart."""
@@ -257,7 +245,7 @@ class LaGraphOperator(_TranslationGraphOperator):
         return la_graph_exprs(u, self.n)
 
 
-class RadialCylinderOperator(_AmbientMap):
+class RadialCylinderOperator:
     """Rotationally symmetric graphs z = u(r) on the punctured cylinder,
     r = sqrt(sum of the 2n squared horizontal coordinates) > 0; the
     ambient manifold is the cylinder structure."""
@@ -373,23 +361,20 @@ class ScenarioReport:
 
 class _SweptGraph:
     """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``,
-    its value kernel ``fn`` (for ``lift`` only: the stop test emits ``expr``
-    inline), the ``values``, the masked curvature ``h`` and ``low``, the
-    positions whose squared norm is not ``>= eps_sq``, with that norm.  An
-    indefinite cometric names the graph and its ambient point (``op.lift``)."""
+    the ``values``, the masked curvature ``h`` and ``low``, the positions
+    whose squared norm is not ``>= eps_sq``, with that norm.  An indefinite
+    cometric names the graph and its ambient point (``op.lift``)."""
 
-    __slots__ = ("expr", "fn", "values", "h", "low")
+    __slots__ = ("expr", "values", "h", "low")
 
     def __init__(self, op, name: str, expr: Expr, points, eps_sq: float):
-        nvars = len(op.chart)
         self.expr = expr
-        self.fn = fn = ca.compile_expr(expr, nvars)
-        sweep = compile_sweep(*op.build(expr), nvars, eps_sq, graph=(name, expr))
+        sweep = compile_sweep(*op.build(expr), len(op.chart), eps_sq, graph=(name, expr))
         try:
             self.values, self.h, self.low = sweep(points)
         except IndefiniteCometric as exc:
             pt = exc.point
-            raise IndefiniteCometric(op.lift(pt, fn(pt)), exc.sq, name) from None
+            raise IndefiniteCometric(op.lift(pt, ca.evaluate(expr, pt)), exc.sq, name) from None
 
 
 class _ScenarioEngine:
@@ -597,16 +582,18 @@ def propagate_max(
     if scenario.operator.structure.frame_fields is None:
         raise ValueError("scenario operator's ambient structure has no frames")
     engine = _ScenarioEngine(scenario)
-    return _propagate(engine, fields, start, T, step)
+    start = tuple(start)
+    lifted = scenario.operator.lift(start, ca.evaluate(engine.u.expr, start))
+    return _propagate(engine, fields, start, lifted, T, step)
 
 
-def _propagate(engine, fields, start, T=None, step=None):
+def _propagate(engine, fields, start, lifted, T=None, step=None):
+    """The records of :func:`propagate_max` from chart point ``start``,
+    whose lift onto the lower graph is ``lifted``."""
     sc = engine.sc
-    op = sc.operator
     T = sc.T if T is None else float(T)
     step = sc.step if step is None else float(step)
     eps = engine.tol.eps_touch
-    lifted = op.lift(tuple(start), engine.u.fn(tuple(start)))
     stop, devs = engine.box_stop  # devs: |v - u| at each trajectory point inside the box
     out = []
     for fi, X in enumerate(fields):
@@ -796,10 +783,11 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
                 "expected": target,
                 "point": list(rank_point),
             }
-            starts = [engine.points[k] for k in hits[: scenario.max_propagation_starts]
-                      if k not in u.low]
-            for start in starts:
-                propagation.extend(r.as_dict() for r in _propagate(engine, fields, start))
+            for k in hits[: scenario.max_propagation_starts]:
+                if k not in u.low:
+                    start = engine.points[k]
+                    lifted = op.lift(start, u.values[k])
+                    propagation.extend(r.as_dict() for r in _propagate(engine, fields, start, lifted))
 
     measurements = {
         "schema_version": "1",

@@ -534,6 +534,24 @@ class TestExitCodeContract:
         assert run_cli(["rank", "--config", flat, "--surface", "lin",
                         "--at", "0,0"]).returncode == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [["curvature", "--function", "negz"], ["rank"]],
+                             ids=["curvature", "rank"])
+    def test_non_finite_point_is_config_error(self, cfg, command, value):
+        path = cfg("h1.cfg", HEIS1)
+        code, err = run_main_quietly([command[0], "--config", path, *command[1:],
+                                      f"--at=0.5,{value},0"])
+        assert code == 2
+        assert f"config error: bad point '0.5,{value},0': not a finite number" in err
+
+    def test_rank_threshold_overflow_names_the_point(self, cfg):
+        # at x1 = 1e160 the frame rows' norm overflows, so no pivot threshold exists
+        path = cfg("h1.cfg", HEIS1)
+        code, err = run_main_quietly(["rank", "--config", path, "--at", "1e160,0,0"])
+        assert code == 3
+        assert ("evaluation error: rank undefined at point (1e+160, 0.0, 0.0): "
+                "pivot threshold outside the float range") in err
+
     def test_scenario_template_runs(self, cfg, capsys):
         path = cfg("ok.cfg", SCENARIO)
         assert main(["scenario", "run", "--config", path, "--out", os.devnull]) == 0

@@ -1,4 +1,5 @@
-"""Core engine: raising map, norms, weighted-divergence curvature, scans."""
+"""Core engine: raising map, norms, weighted-divergence curvature, the
+generated grid sweep, Newton refinement and structure validation."""
 
 import itertools
 import math
@@ -21,7 +22,6 @@ from subcurv.core import (
     p_mean_curvature_expr,
     probe_validate,
     raise_covector,
-    singular_scan,
 )
 from subcurv.heisenberg import (
     graph_operator_HF,
@@ -213,52 +213,6 @@ class TestNewtonRefiner:
         # Newton on x^(3/2) steps from x to -x, where the gradient raises
         refine = newton_refiner(ca.pow_(ca.var(0), Fraction(3, 2)), 1, GridSpec([(0.5, 1.5, 5)]))
         assert refine((0.5,)) == ([0.5], False)
-
-
-class TestSingularScan:
-    def test_isolated_zero_of_flat_graph(self):
-        S = standard_structure(1)
-        phi = ca.neg(ca.var(2))
-        grid = GridSpec([(-1.0, 1.0, 33), (-1.0, 1.0, 33), (0.0, 0.0, 1)])
-        result = singular_scan(S, phi, grid, eps_sing=0.08)
-        assert result.hits, "scan must find the singular column"
-        clusters = result.clusters()
-        assert len(clusters) == 1
-        for hit in result.hits:
-            assert hit.refined
-            assert math.hypot(hit.point[0], hit.point[1]) <= 1e-8
-            assert conorm(S, phi, hit.point) < 0.08
-
-    def test_nowhere_singular(self):
-        S = euclidean_structure()
-        grid = GridSpec([(-1.0, 1.0, 9), (-1.0, 1.0, 9)])
-        assert singular_scan(S, ca.var(0), grid, 1e-7).hits == []
-
-    def test_singular_line_of_graph_chart(self):
-        # graph structure with u = x1*x2: degenerate exactly on {x1 = 0}
-        F = standard_drift(2)
-        S = drift_graph_structure(F, 2)
-        u = ca.parse_expr("x1*x2", ca.CoordSystem(("x1", "x2")))
-        phi = ca.sub(u, ca.var(2))
-        grid = GridSpec([(-1.0, 1.0, 17), (-1.0, 1.0, 17), (0.0, 0.0, 1)])
-        result = singular_scan(S, phi, grid, eps_sing=0.05)
-        assert result.hits
-        for hit in result.hits:
-            assert abs(hit.grid_point[0]) <= 0.05 / 2.0 + 1e-12
-
-    def test_indefinite_cometric_raises_naming_the_point(self):
-        S, phi = indefinite_structure()
-        grid = GridSpec([(-1.0, 1.0, 3), (-1.0, 1.0, 3)])
-        with pytest.raises(IndefiniteCometric, match=r"not PSD at \(-1\.0, -1\.0\)"):
-            singular_scan(S, phi, grid, eps_sing=0.1)
-
-    def test_every_hit_below_threshold(self):
-        S = standard_structure(1)
-        phi = ca.neg(ca.var(2))
-        grid = GridSpec([(-1.0, 1.0, 21), (-1.0, 1.0, 21), (0.0, 0.0, 1)])
-        res = singular_scan(S, phi, grid, eps_sing=0.2)
-        for hit in res.hits:
-            assert conorm(S, phi, hit.point) < 0.2
 
 
 class TestValidation:

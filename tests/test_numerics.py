@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,13 @@ def test_principal_minors_by_size_then_index_set():
 def test_rank_of_zero_and_empty_matrices():
     assert matrix_rank([]) == (0, 0.0)
     assert matrix_rank([[0.0, 0.0], [0.0, 0.0]]) == (0, 0.0)
+
+
+def test_rank_threshold_outside_the_float_range_raises():
+    # the row norm of (1e160, 0) overflows; a finite threshold is unchanged
+    with pytest.raises(OverflowError, match="outside the float range"):
+        matrix_rank([[1e160, 0.0], [0.0, 1.0]])
+    assert matrix_rank([[1e150, 0.0], [0.0, 1.0]]) == (1, 1e141)
 
 
 @settings(max_examples=400, deadline=None)

@@ -290,6 +290,25 @@ class TestPropagateMax:
         for r, k in exits:
             assert k <= r["steps_used"] + 1
 
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_run_scenario_lifts_each_start_as_propagate_max_does(self, name):
+        # run_scenario lifts a start from the swept value of its grid point,
+        # propagate_max from ca.evaluate at the start: the records agree bitwise
+        sc = builtin_scenario(name)
+        report = run_scenario(sc).as_dict()
+        records = report["propagation"]
+        assert records
+        lower = sc.v if report["swapped"] else sc.u
+        fields = tangent_distribution_fields(sc.operator.structure, sc.operator.phi(lower.expr))
+        starts = list(dict.fromkeys(tuple(r["start"]) for r in records))
+        expected = [r.as_dict() for start in starts for r in propagate_max(sc, start, fields)]
+
+        def exact(record):
+            return {k: bits([v])[0] if k == "start" else v.hex() if isinstance(v, float) else v
+                    for k, v in record.items()}
+
+        assert list(map(exact, records)) == list(map(exact, expected))
+
     def test_counterexample_axis_orbit_holds(self):
         sc = builtin_scenario("h1-counterexample")
         op = sc.operator
@@ -411,7 +430,7 @@ class TestAmbientMaps:
         pt = data.draw(st.tuples(*[st.floats(lo, hi) for lo, hi in box]))
         lifted = op.lift(pt, ca.evaluate(u, pt))
         assert len(lifted) == op.structure.dim
-        assert all(abs(a - b) <= 1e-12 for a, b in zip(op.project(lifted), pt, strict=True))
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(reference_project(op, lifted), pt, strict=True))
         assert abs(ca.evaluate(phi, lifted)) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
@@ -474,7 +493,7 @@ def phi_along_tangent_fields(op, box, phi, lifted, T=0.3, step=1e-3):
     devs = []
 
     def leaves_box(pt):
-        if not all(lo <= c <= hi for c, (lo, hi) in zip(op.project(pt), box)):
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(reference_project(op, pt), box)):
             return True
         devs.append(abs(phi_fn(pt)))
         return False
@@ -486,7 +505,7 @@ def phi_along_tangent_fields(op, box, phi, lifted, T=0.3, step=1e-3):
 
 def reference_project(op, pt):
     """Each operator's chart projection written out by hand, the reference
-    the generated ``project`` must match bitwise."""
+    the stop test's projection (``project_source()``) must match bitwise."""
     if isinstance(op, GenericOperator):
         g = op.graph_dir
         return tuple(pt[:g]) + tuple(pt[g + 1 :])
@@ -499,12 +518,29 @@ def reference_project(op, pt):
 
 class TestGeneratedProjection:
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
-    def test_project_is_the_reference_formula_bitwise(self, case):
-        op = ambient_case(case)[0]
+    def test_stop_projects_by_the_reference_formula_bitwise(self, case):
+        # ambient points off the graph and off the lift's coordinate planes,
+        # where a wrong sign or a missing square in project_source() shows;
+        # v - u is linear with a distinct weight on each chart coordinate
+        op, u, box, _ = ambient_case(case)
+        v = ca.add(u, *[ca.mul(ca.const(Fraction(i + 2, 7)), ca.var(i)) for i in range(len(box))])
+        engine = smp._ScenarioEngine(ComparisonScenario(case, op, u, v, box=box, grid_counts=3))
+        stop, devs = engine.box_stop
         rng = random.Random(case)
-        for _ in range(50):
-            pt = tuple(rng.uniform(-1.5, 1.5) for _ in range(op.structure.dim))
-            assert bits([op.project(pt)]) == bits([reference_project(op, pt)])
+        wide = [(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)) for lo, hi in box]
+        pts = [tuple(rng.uniform(-1.5, 1.5) for _ in range(op.structure.dim)) for _ in range(100)]
+        pts += [op.lift(tuple(rng.uniform(lo, hi) for lo, hi in wide), rng.uniform(-1.5, 1.5))
+                for _ in range(100)]
+        inside_count = 0
+        for pt in pts:
+            chart_pt = reference_project(op, pt)
+            inside = all(lo <= c <= hi for c, (lo, hi) in zip(chart_pt, box))
+            inside_count += inside
+            devs.clear()
+            assert stop(pt) is not inside
+            du = ca.evaluate(engine.v.expr, chart_pt) - ca.evaluate(engine.u.expr, chart_pt)
+            assert bits([devs]) == bits([[abs(du)] if inside else []])
+        assert inside_count >= 20
 
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
     def test_stop_matches_the_reference_box_test_at_faces(self, case):
@@ -523,7 +559,8 @@ class TestGeneratedProjection:
                 inside = all(lo <= x <= hi for x, (lo, hi) in zip(chart_pt, box))
                 devs.clear()
                 assert stop(pt) is not inside
-                expected = [abs(engine.v.fn(chart_pt) - engine.u.fn(chart_pt))] if inside else []
+                du = ca.evaluate(engine.v.expr, chart_pt) - ca.evaluate(engine.u.expr, chart_pt)
+                expected = [abs(du)] if inside else []
                 assert bits([devs]) == bits([expected])
 
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
@@ -545,7 +582,7 @@ class TestGeneratedProjection:
         assert (recorded[0] == recorded[1]) is same  # u is v: evaluated once
         for _ in range(20):
             pt = op.lift(tuple(rng.uniform(lo, hi) for lo, hi in box), 0.0)
-            chart_pt = op.project(pt)
+            chart_pt = reference_project(op, pt)
             if not all(lo <= c <= hi for c, (lo, hi) in zip(chart_pt, box)):
                 continue
             devs.clear()
