@@ -518,7 +518,7 @@ def reference_project(op, pt):
 
 class TestGeneratedProjection:
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
-    def test_stop_projects_by_the_reference_formula_bitwise(self, case):
+    def test_project_is_the_reference_formula_bitwise(self, case):
         # ambient points off the graph and off the lift's coordinate planes,
         # where a wrong sign or a missing square in project_source() shows;
         # v - u is linear with a distinct weight on each chart coordinate
