@@ -10,8 +10,8 @@ Configuration files are minimal INI-style text (sections + key=value,
 ``#`` comments) with all expressions parsed by the expression grammar.
 Reports are deterministic: floats are serialized with 17 significant
 digits and keys and arrays have fixed order.  ``scenario run --jobs N``
-(N >= 1) is accepted for compatibility; runs are sequential, so the
-output never depends on it.
+with N >= 2 sweeps v in a forked child process while u is swept; the
+output, errors included, never depends on N.
 
 Exit codes: 0 success, 2 configuration error (a bad SUBCURV_EPS_SING
 included), 3 evaluation error (a value outside the float range
@@ -788,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None)
     s.add_argument("--out", default=None)
     s.add_argument("--csv", default=None)
-    s.add_argument("--jobs", type=_at_least(int, 1), default=1)
+    s.add_argument("--jobs", type=_at_least(int, 1), default=1,
+                   help="2 or more: sweep v in a forked child (same output at any value)")
     s.set_defaults(func=cmd_scenario)
     return parser
 

@@ -19,7 +19,8 @@ cells: the touching list, the singular clusters and the 5-cell balls.
 If the data comes in with the larger graph labelled u, the engine swaps
 the two records, and every later measurement (rank and propagation
 included) reads the lower graph as u: exchanging u and v changes only
-the report's ``swapped`` flag.
+the report's ``swapped`` flag.  At ``jobs >= 2`` a forked child sweeps
+v while this process sweeps u (:class:`_ForkedSweep`).
 
 Each operator carries its own map to the ambient manifold where the rank
 condition is checked: ``structure``, ``phi(u)`` (the defining function of
@@ -35,7 +36,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import math
+import os
+import signal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -363,18 +367,59 @@ class _SweptGraph:
     """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``,
     the ``values``, the masked curvature ``h`` and ``low``, the positions
     whose squared norm is not ``>= eps_sq``, with that norm.  An indefinite
-    cometric names the graph and its ambient point (``op.lift``)."""
+    cometric names the graph and its ambient point (``op.lift``).  The
+    record of a ``child`` (:class:`_ForkedSweep`) is taken if it succeeded;
+    else the graph is swept here, so its error keeps its type and message."""
 
     __slots__ = ("expr", "values", "h", "low")
 
-    def __init__(self, op, name: str, expr: Expr, points, eps_sq: float):
+    def __init__(self, op, name: str, expr: Expr, points, eps_sq: float, child=None):
         self.expr = expr
-        sweep = compile_sweep(*op.build(expr), len(op.chart), eps_sq, graph=(name, expr))
-        try:
-            self.values, self.h, self.low = sweep(points)
-        except IndefiniteCometric as exc:
-            pt = exc.point
-            raise IndefiniteCometric(op.lift(pt, ca.evaluate(expr, pt)), exc.sq, name) from None
+        swept = child.result() if child is not None else None
+        if swept is None:
+            sweep = compile_sweep(*op.build(expr), len(op.chart), eps_sq, graph=(name, expr))
+            try:
+                swept = sweep(points)
+            except IndefiniteCometric as exc:
+                pt = exc.point
+                raise IndefiniteCometric(op.lift(pt, ca.evaluate(expr, pt)), exc.sq, name) from None
+        self.values, self.h, self.low = swept
+
+
+class _ForkedSweep:
+    """Graph v swept in a forked child while this process sweeps u.  The
+    child sends only a successful record over a pipe and leaves by
+    ``os._exit``; :meth:`result` reaps it and returns ``(values, h, low)``,
+    or ``None`` after an exception, a non-zero exit or a signal.
+    :meth:`close` kills and reaps a child not yet reaped."""
+
+    def __init__(self, op, expr: Expr, points, eps_sq: float):
+        fd, w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(fd)
+            code = 1
+            try:
+                v = _SweptGraph(op, "v", expr, points, eps_sq)
+                with open(w, "wb") as out:
+                    out.write(marshal.dumps((v.values, v.h, v.low)))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self.pipe = open(fd, "rb")
+
+    def result(self):
+        data = self.pipe.read()  # to EOF: the child has exited
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        return marshal.loads(data) if status == 0 else None
+
+    def close(self):
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 class _ScenarioEngine:
@@ -384,10 +429,12 @@ class _ScenarioEngine:
     the larger graph labelled u, the engine swaps its two graph records
     (the scenario is never changed), so every measurement below reads one
     orientation: ``u`` is always the lower graph.  ``hits`` are the grid
-    positions where |v - u| <= eps_touch.
+    positions where |v - u| <= eps_touch.  One record serves u and v when
+    they are one expression; else, at ``jobs >= 2`` where ``os.fork``
+    exists, a child sweeps v, and it does not outlive ``__init__``.
     """
 
-    def __init__(self, scenario: ComparisonScenario):
+    def __init__(self, scenario: ComparisonScenario, jobs: int = 1):
         self.sc = scenario
         op = scenario.operator
         self.nvars = len(op.chart)
@@ -395,8 +442,15 @@ class _ScenarioEngine:
         self.grid = scenario.grid()
         self.points = tuple(self.grid.points())
         eps_sq = tol.eps_sing ** 2
-        u = _SweptGraph(op, "u", scenario.u.expr, self.points, eps_sq)
-        v = _SweptGraph(op, "v", scenario.v.expr, self.points, eps_sq)
+        u_expr, v_expr = scenario.u.expr, scenario.v.expr  # interned: equal means identical
+        child = (_ForkedSweep(op, v_expr, self.points, eps_sq)
+                 if jobs >= 2 and v_expr is not u_expr and hasattr(os, "fork") else None)
+        try:
+            u = _SweptGraph(op, "u", u_expr, self.points, eps_sq)
+            v = u if v_expr is u_expr else _SweptGraph(op, "v", v_expr, self.points, eps_sq, child)
+        finally:
+            if child is not None:
+                child.close()
         du = [b - a for a, b in zip(u.values, v.values)]
         require_finite("v - u", du, self.points)
         eps = tol.eps_order
@@ -738,10 +792,11 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     bracket closure misses the hypersurface dimension at the touching
     point); anything else is smp-consistent or inconclusive.
 
-    ``jobs`` is accepted and never changes the report; every measurement
-    runs sequentially in this process.
+    ``jobs >= 2`` sweeps v in a forked child while u is swept here, where
+    ``os.fork`` exists and u and v differ; the report, or the error, is
+    the same at every ``jobs``.
     """
-    engine = _ScenarioEngine(scenario)
+    engine = _ScenarioEngine(scenario, jobs)
     touching = engine.touching()
     gap = engine.gap()
     frac_u, clusters_u = engine.singular(engine.u)

@@ -4,10 +4,13 @@ import ast
 import cProfile
 import functools
 import math
+import os
 import pstats
 import random
 import re
+import signal
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from subcurv import calculus as ca
 from subcurv import smp
-from subcurv.cli import write_scenario_csv
+from subcurv.cli import dumps_report, write_scenario_csv
 from subcurv.calculus import EvaluationError
 from subcurv.core import (
     PSD_TOL, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
@@ -826,41 +829,167 @@ AB = ca.CoordSystem(("a", "b"))
 ABC = ca.CoordSystem(("a", "b", "c"))
 
 
-def custom_line_scenario(u_src, g00, g11):
+def custom_line_scenario(u_src, g00, g11, v_src=None):
     """A generic graph b = u(a), a in [0.5, 1.5] at 5 points, on the custom
-    structure diag(g00, g11) over (a, b)."""
+    structure diag(g00, g11) over (a, b), against v (u + 1 by default)."""
     S = SubriemannianStructure(
         AB, [[ca.parse_expr(g00, AB), ca.ZERO], [ca.ZERO, ca.parse_expr(g11, AB)]], ca.ONE)
     u = ca.parse_expr(u_src, AB)
-    return ComparisonScenario("line", GenericOperator(S, 0, 1), u, ca.add(u, ca.ONE),
+    v = ca.add(u, ca.ONE) if v_src is None else ca.parse_expr(v_src, AB)
+    return ComparisonScenario("line", GenericOperator(S, 0, 1), u, v,
                               box=((0.5, 1.5),), grid_counts=5)
+
+
+# (u, g00, g11, error, needle): u and v = u + 1 both fail, u first
+SWEEP_ERRORS = [
+    # the norm hole at a = 0.5 comes first in grid order
+    pytest.param("sqrt(1.2 - a)", "sqrt(a - 0.7)", "1", EvaluationError,
+                 "graph u undefined at chart point (1.25,): non-integer power",
+                 id="value-hole-after-norm-hole"),
+    # |dphi|*^2 = sqrt(a - 0.7) - a: a hole at 0.5, indefinite from 0.75
+    pytest.param("a", "sqrt(a - 0.7)", "-a", EvaluationError,
+                 "graph u: |dphi|*^2 undefined at chart point (0.5,): non-integer power",
+                 id="norm-hole-before-indefinite"),
+    # |dphi|*^2 = sqrt(1.1 - a) - 2a: indefinite at 0.5, a hole from 1.25
+    pytest.param("a", "sqrt(1.1 - a)", "-2*a", IndefiniteCometric,
+                 "graph u: cometric not PSD at (0.5, 0.5): |dphi|*^2 is -0.2254",
+                 id="indefinite-before-norm-hole"),
+]
 
 
 class TestSweepErrors:
     """Which error a sweep raises first: a value hole anywhere, then a
     non-finite value, then the first norm hole or indefinite norm."""
 
-    @pytest.mark.parametrize(
-        "u, g00, g11, error, needle",
-        [
-            # the norm hole at a = 0.5 comes first in grid order
-            ("sqrt(1.2 - a)", "sqrt(a - 0.7)", "1", EvaluationError,
-             "graph u undefined at chart point (1.25,): non-integer power"),
-            # |dphi|*^2 = sqrt(a - 0.7) - a: a hole at 0.5, indefinite from 0.75
-            ("a", "sqrt(a - 0.7)", "-a", EvaluationError,
-             "graph u: |dphi|*^2 undefined at chart point (0.5,): non-integer power"),
-            # |dphi|*^2 = sqrt(1.1 - a) - 2a: indefinite at 0.5, a hole from 1.25
-            ("a", "sqrt(1.1 - a)", "-2*a", IndefiniteCometric,
-             "graph u: cometric not PSD at (0.5, 0.5): |dphi|*^2 is -0.2254"),
-        ],
-        ids=["value-hole-after-norm-hole", "norm-hole-before-indefinite",
-             "indefinite-before-norm-hole"],
-    )
+    @pytest.mark.parametrize("u, g00, g11, error, needle", SWEEP_ERRORS)
     def test_value_errors_come_first_then_the_first_norm_error(self, u, g00, g11, error,
                                                                 needle):
         with pytest.raises(error) as exc:
             run_scenario(custom_line_scenario(u, g00, g11))
         assert needle in str(exc.value)
+
+
+def paraboloid_pair():
+    """Unshifted paraboloids c r^2 on the punctured cylinder chart, u below
+    v, as in the benchmark's sweep ops."""
+    op = GenericOperator(cylinder_structure(1), 0, 2)
+    u, v = (ca.parse_expr(f"{c}*(x1^2 + y1^2)", op.chart) for c in ("0.3", "0.7"))
+    return ComparisonScenario("paraboloids", op, u, v, box=((0.5, 1.5), (-0.5, 0.5)),
+                              grid_counts=21)
+
+
+def output_bytes(sc, jobs):
+    """The report and CSV text of ``sc`` run at ``jobs``, as the CLI writes them."""
+    report = run_scenario(sc, jobs=jobs)
+    return dumps_report(report.as_dict()), write_scenario_csv(report, sc.operator.chart.names)
+
+
+def raised(sc, jobs):
+    """The type and message of the error ``run_scenario(sc, jobs=jobs)`` raises."""
+    with pytest.raises(Exception) as exc:
+        run_scenario(sc, jobs=jobs)
+    return type(exc.value), str(exc.value)
+
+
+def no_child_left() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+PAIRS = {**{name: functools.partial(builtin_scenario, name) for name in builtin_names()},
+         "paraboloid-pair": paraboloid_pair}
+
+
+class TestForkedSweep:
+    """``jobs >= 2`` sweeps v in a forked child: the same bytes and the same
+    errors as ``jobs == 1``, and no child outlives ``run_scenario``."""
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_report_and_csv_bytes_equal_at_jobs_1_and_2(self, name):
+        assert output_bytes(PAIRS[name](), 2) == output_bytes(PAIRS[name](), 1)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("u, g00, g11, v, error, needle", [
+        *[pytest.param(*case.values[:3], None, *case.values[3:], id=case.id)
+          for case in SWEEP_ERRORS],
+        pytest.param("a", "1", "1", "sqrt(1.2 - a)", EvaluationError,
+                     "graph v undefined at chart point (1.25,): non-integer power",
+                     id="value-hole-only-in-v"),
+        # |dphi|*^2 = (slope)^2 - 1: 3 on u, -0.75 on v, lifted onto v at a = 0.5
+        pytest.param("2*a", "1", "-1", "a/2 + 1", IndefiniteCometric,
+                     "graph v: cometric not PSD at (0.5, 1.25): |dphi|*^2 is -0.75",
+                     id="indefinite-only-in-v"),
+        # u has a value hole, v an indefinite norm: u's error wins
+        pytest.param("sqrt(1.2 - a)", "1", "-1", "a/2 + 1", EvaluationError,
+                     "graph u undefined at chart point (1.25,): non-integer power",
+                     id="both-fail-u-wins"),
+    ])
+    def test_errors_equal_at_jobs_1_and_2(self, u, g00, g11, v, error, needle):
+        sc = custom_line_scenario(u, g00, g11, v)
+        kind, message = raised(sc, 1)
+        assert kind is error and needle in message
+        assert raised(sc, 2) == (kind, message)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("fail", [None, "exit-3", "sigkill", "raises"])
+    def test_a_failed_child_falls_back_to_the_parents_sweep(self, monkeypatch, fail):
+        sc = paraboloid_pair()
+        expected = output_bytes(sc, 1)
+        parent, real = os.getpid(), smp.compile_sweep
+        compiled, forks, fork = [], [], os.fork
+
+        def compile_sweep(*args, graph):
+            if os.getpid() == parent:
+                compiled.append(graph[0])
+            elif fail == "exit-3":
+                os._exit(3)
+            elif fail == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif fail == "raises":
+                raise RuntimeError("the child's sweep failed")
+            return real(*args, graph=graph)
+
+        monkeypatch.setattr(smp, "compile_sweep", compile_sweep)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert output_bytes(sc, 2) == expected
+        # v is swept here only when the child failed
+        assert forks == [1] and compiled == (["u"] if fail is None else ["u", "v"])
+        assert no_child_left()
+
+    def test_u_error_kills_and_reaps_a_running_child(self, monkeypatch):
+        # v's child is still sweeping when u's value hole raises
+        sc = custom_line_scenario("sqrt(1.2 - a)", "1", "1", "a")
+        parent, real = os.getpid(), smp._SweptGraph
+
+        def slow_in_child(*args):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return real(*args)
+
+        monkeypatch.setattr(smp, "_SweptGraph", slow_in_child)
+        t0 = time.monotonic()
+        assert raised(sc, 2) == raised(sc, 1)
+        assert time.monotonic() - t0 < 10  # the child was killed, not waited for
+        assert no_child_left()
+
+    @pytest.mark.parametrize("name, jobs", [("h1-counterexample", 1), ("translate-coincide", 2)])
+    def test_jobs_1_and_coinciding_graphs_never_fork(self, monkeypatch, name, jobs):
+        expected = output_bytes(builtin_scenario(name), 1)
+
+        def refused():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert output_bytes(builtin_scenario(name), jobs) == expected
+
+    def test_no_fork_on_this_platform_runs_sequentially(self, monkeypatch):
+        expected = output_bytes(paraboloid_pair(), 1)
+        monkeypatch.delattr(os, "fork")
+        assert output_bytes(paraboloid_pair(), 2) == expected
 
 
 # graph pieces with rational and negative-integer powers and holes at a, b = t
@@ -968,11 +1097,19 @@ class TestGeneratedSweep:
         assert (swept.values, swept.h, bitwise(swept.low)) == (
             expected[0], expected[1], bitwise(expected[2]))
 
-    def test_profiles_list_one_sweep_per_swept_graph(self):
+    @staticmethod
+    def sweep_calls(name):
+        """The call count of each generated sweep in a profile of ``name``."""
         profiler = cProfile.Profile()
-        profiler.runcall(run_scenario, builtin_scenario("translate-coincide"))
+        profiler.runcall(run_scenario, builtin_scenario(name))
         stats = pstats.Stats(profiler).stats
         sweeps = [key for key in stats if key[2] == "sweep"]
-        assert len({filename for filename, _, _ in sweeps}) == len(sweeps) == 2
+        assert len({filename for filename, _, _ in sweeps}) == len(sweeps)
         assert all(re.fullmatch(r"<sweep-\d+>", filename) for filename, _, _ in sweeps)
-        assert [stats[key][1] for key in sweeps] == [1, 1]  # one call, no per-point call
+        return [stats[key][1] for key in sweeps]
+
+    def test_profiles_list_one_sweep_per_swept_graph(self):
+        assert self.sweep_calls("h1-counterexample") == [1, 1]  # one call, no per-point call
+
+    def test_coinciding_graphs_share_one_sweep(self):
+        assert self.sweep_calls("translate-coincide") == [1]
