@@ -546,8 +546,8 @@ def format_number(x) -> str:
 
 
 class _Formatted(dict):
-    """The text of each float (``format_number``) and each string (JSON),
-    once per writer call; ints and bools stay out, since ``True == 1 == 1.0``."""
+    """The text of each float (``format_number``) and each string (JSON), once per writer
+    call; ints and bools stay out (``True == 1 == 1.0``), in :func:`_csv` too."""
 
     def __missing__(self, x) -> str:
         text = self[x] = json.dumps(x, ensure_ascii=False) if isinstance(x, str) else format_number(x)
@@ -588,21 +588,35 @@ def _write_text(path: Optional[str], text: str):
             fh.write(text)
 
 
-def _csv(header: Sequence[str], rows) -> str:
-    """CSV text: one line per row, ``None`` as an empty cell.  An exact
-    ``int`` (a 0/1 mask cell) is ``str``, which is its ``format_number``."""
-    text = _Formatted()
-    lines = [",".join(header)]
-    lines += [",".join([text[v] if type(v) is float else str(v) if type(v) is int
-                        else "" if v is None else format_number(v) for v in row]) for row in rows]
-    lines.append("")  # the final line break, with no second copy of the whole text
-    return "\n".join(lines)
+def _csv(header: Sequence[str], columns) -> str:
+    """CSV text, one line per row, from columns of equal length: a column of
+    ``str`` as it is, a column of floats and ``None`` through one memo
+    (``None`` as an empty cell), any other column cell by cell."""
+    text, texts = _Formatted({None: ""}).__getitem__, []
+    for column in columns:
+        kinds = {*map(type, column)}
+        texts.append(column if kinds == {str} else map(text, column) if kinds <= {float, type(None)}
+                     else ["" if v is None else format_number(v) for v in column])
+    return "\n".join([",".join(header), *map(",".join, zip(*texts, strict=True)), ""])
+
+
+def _grid_columns(grid: GridSpec) -> list:
+    """``grid.points()`` as text columns: each axis value is formatted once
+    and repeated in row-major order."""
+    shape, columns = grid.shape, []
+    for i in range(len(shape)):
+        repeats = range(math.prod(shape[i + 1:]))  # a value's points in a row
+        column = [t for t in map(format_number, grid.axis_values(i)) for _ in repeats]
+        columns.append(column * math.prod(shape[:i]))
+    return columns
 
 
 def write_scenario_csv(report: smp.ScenarioReport, coords: Sequence[str]) -> str:
-    """The per-point table of a scenario run (see the README for its columns)."""
+    """The per-point table of a scenario run (see the README for its columns),
+    from the report's columns; the 0/1 mask columns are text of the H columns."""
     header = [*coords, "v_minus_u", "H_u", "H_v", "singular_u", "singular_v"]
-    return _csv(header, report.table)
+    masks = [["1" if h is None else "0" for h in column] for column in (report.h_u, report.h_v)]
+    return _csv(header, [*_grid_columns(report.grid), report.du, report.h_u, report.h_v, *masks])
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +653,7 @@ def cmd_curvature(args) -> int:
     _, values, _ = compile_sweep(p_mean_curvature_expr(S, phi, p), conorm_sq_expr(S, phi), S.dim,
                                  default_eps_sing() ** 2)(points)
     if args.format == "csv":
-        rows = [(*pt, h) for pt, h in zip(points, values)]
-        _write_text(args.out, _csv([*S.coords.names, "H"], rows))
+        _write_text(args.out, _csv([*S.coords.names, "H"], [*_grid_columns(grid), values]))
     else:
         payload = {
             "schema_version": "1",

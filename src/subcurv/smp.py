@@ -38,6 +38,7 @@ import functools
 import itertools
 import marshal
 import math
+import operator
 import os
 import signal
 from fractions import Fraction
@@ -340,12 +341,17 @@ class ComparisonScenario:
 
 
 class ScenarioReport:
-    """Measurements plus the classification derived from them; ``table``
-    holds the per-point rows of the CSV (see :class:`_ScenarioEngine`)."""
+    """Measurements plus the classification derived from them, and the CSV's
+    columns over ``grid`` in grid order: ``du`` (v - u), ``h_u``, ``h_v``."""
 
-    def __init__(self, data: dict, table: list):
-        self.data = data
-        self.table = table
+    def __init__(self, data: dict, grid: GridSpec, du: list, h_u: list, h_v: list):
+        self.data, self.grid, self.du, self.h_u, self.h_v = data, grid, du, h_u, h_v
+
+    @property
+    def table(self) -> list:
+        """The CSV's rows, built on each call, with the masks as 0/1 ints."""
+        return [(*pt, d, a, b, int(a is None), int(b is None))
+                for pt, d, a, b in zip(self.grid.points(), self.du, self.h_u, self.h_v)]
 
     @property
     def classification(self) -> str:
@@ -428,10 +434,11 @@ class _ScenarioEngine:
     Everything is measured in ``__init__``.  When the data arrives with
     the larger graph labelled u, the engine swaps its two graph records
     (the scenario is never changed), so every measurement below reads one
-    orientation: ``u`` is always the lower graph.  ``hits`` are the grid
-    positions where |v - u| <= eps_touch.  One record serves u and v when
-    they are one expression; else, at ``jobs >= 2`` where ``os.fork``
-    exists, a child sweeps v, and it does not outlive ``__init__``.
+    orientation: ``u`` is always the lower graph, also in the column
+    ``du`` (v - u), in ``hits`` (|v - u| <= eps_touch) and in the ordering's
+    first least ``du``.  One record serves u and v when they are one
+    expression; else, at ``jobs >= 2`` where ``os.fork`` exists, a child
+    sweeps v, and it does not outlive ``__init__``.
     """
 
     def __init__(self, scenario: ComparisonScenario, jobs: int = 1):
@@ -451,7 +458,7 @@ class _ScenarioEngine:
         finally:
             if child is not None:
                 child.close()
-        du = [b - a for a, b in zip(u.values, v.values)]
+        du = list(map(operator.sub, v.values, u.values))
         require_finite("v - u", du, self.points)
         eps = tol.eps_order
         du_min, du_max = min(du), max(du)
@@ -460,13 +467,11 @@ class _ScenarioEngine:
         self.swapped = not du_min >= -eps and du_max <= eps
         if self.swapped:
             u, v = v, u
-            du = [-d for d in du]
+            du = list(map(operator.neg, du))
         self.u, self.v, self.du = u, v, du
-        self.hits = [k for k, d in enumerate(du) if abs(d) <= tol.eps_touch]
-        # the CSV rows: coords, v - u, H_u, H_v, then u and v masked as 0/1
-        self.rows = [(*pt, d, a, b, int(a is None), int(b is None))
-                     for pt, d, a, b in zip(self.points, du, u.h, v.h)]
-        k_min = min(range(len(du)), key=du.__getitem__)
+        near = map(tol.eps_touch.__ge__, map(abs, du))
+        self.hits = list(itertools.compress(range(len(du)), near))
+        k_min = du.index(min(du))
         self.ordering = {
             "min_v_minus_u": du[k_min],
             "argmin": list(self.points[k_min]),
@@ -510,25 +515,21 @@ class _ScenarioEngine:
         return out
 
     def gap(self):
-        """max H(v) - H(u) over jointly nonsingular grid points."""
-        best = best_k = None
-        evaluated = 0
-        for k, (hu, hv) in enumerate(zip(self.u.h, self.v.h)):
-            if hu is None or hv is None:
-                continue
-            evaluated += 1
-            g = hv - hu
-            if best is None or g > best:
-                best, best_k = g, k
+        """max H(v) - H(u) over jointly nonsingular grid points, at the first one."""
+        gaps = [None if a is None or b is None else b - a for a, b in zip(self.u.h, self.v.h)]
+        found = [g for g in gaps if g is not None]
+        best = max(found, default=None)
         return {
             "max": best,
-            "argmax": list(self.points[best_k]) if best_k is not None else None,
-            "points_evaluated": evaluated,
+            "argmax": list(self.points[gaps.index(best)]) if found else None,
+            "points_evaluated": len(found),
         }
 
     def singular(self, graph: _SweptGraph):
         """Fraction and connected clusters (grid adjacency) of the cells
-        where ``graph`` carries no curvature value."""
+        where ``graph`` carries no curvature value; no scan without one."""
+        if None not in graph.h:
+            return 0.0, 0
         cells = [self.indices[k] for k, h in enumerate(graph.h) if h is None]
         return len(cells) / len(self.points), len(grid_clusters(cells))
 
@@ -743,21 +744,18 @@ def variation_check(
 
 def _coincide_check(engine):
     """Every touching point's 5-cell index ball stays within eps_touch."""
-    du = engine.du
-    eps = engine.tol.eps_touch
-    if all(abs(d) <= eps for d in du):
+    du, eps = engine.du, engine.tol.eps_touch
+    if len(engine.hits) == len(du):  # every point is within eps_touch
         return True, None
     shape = engine.grid.shape
-    position = {idx: k for k, idx in enumerate(engine.indices)}
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]  # row-major
     radius = 5
-    for k in engine.hits:
-        ranges = [
-            range(max(0, i - radius), min(c, i + radius + 1))
-            for i, c in zip(engine.indices[k], shape)
-        ]
+    for k in engine.hits:  # offsets along each axis, summing to a grid position
+        ranges = [range(max(0, i - radius) * s, min(c, i + radius + 1) * s, s)
+                  for i, c, s in zip(engine.indices[k], shape, strides)]
         for nb in itertools.product(*ranges):
-            if abs(du[position[nb]]) > eps:
-                return False, list(nb)
+            if abs(du[sum(nb)]) > eps:
+                return False, [o // s for o, s in zip(nb, strides)]
     return True, None
 
 
@@ -824,12 +822,8 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
             rank_point = engine.points[rank_k]
             lifted = op.lift(rank_point, u.values[rank_k])
             target = op.structure.dim - 1  # the dimension of the hypersurface
-            report = bracket_generate_rank(
-                fields,
-                lifted,
-                max_depth=scenario.rank_depth,
-                target_rank=target,
-            )
+            report = bracket_generate_rank(fields, lifted, max_depth=scenario.rank_depth,
+                                           target_rank=target)
             rank_data = {
                 "rank": report.rank,
                 "depth": report.depth,
@@ -848,10 +842,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         "schema_version": "1",
         "scenario": scenario.name,
         "description": scenario.description,
-        "operator": {
-            "kind": op.kind,
-            **op.params(),
-        },
+        "operator": {"kind": op.kind, **op.params()},
         "grid": engine.grid.as_dict(),
         "tolerances": engine.tol.as_dict(),
         "swapped": engine.swapped,
@@ -870,14 +861,10 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         "rank": rank_data,
         "propagation": propagation,
     }
-    if singular_touch:
-        measurements["notes"] = [
-            "singular-touch: curvature comparison verified on annulus"
-        ]
-    else:
-        measurements["notes"] = []
+    measurements["notes"] = (["singular-touch: curvature comparison verified on annulus"]
+                             if singular_touch else [])
     measurements["classification"] = classify(measurements)
-    return ScenarioReport(measurements, engine.rows)
+    return ScenarioReport(measurements, engine.grid, engine.du, engine.u.h, engine.v.h)
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,16 @@ class TestFormatting:
     MIXED = [True, 1, 1.0, 0, 0.0, -0.0, False, 0.1, 0.1, 1 / 3, -0.0, 1, True, 1.0, None, 1 / 3]
 
     def test_csv_bytes_are_format_number_per_cell(self):
-        rows = [self.MIXED, self.MIXED[::-1], [0.0, False, 0, -0.0, None, 2.5] * 3]
-        expected = "".join(
-            ",".join("" if v is None else format_number(v) for v in row) + "\n" for row in rows)
-        assert _csv(["h"], rows) == "h\n" + expected
-        assert _csv(["h"], rows).splitlines()[1].startswith("true,1,1,0,0,0,false,0.1000")
+        # _csv takes columns; the last column of the first call holds floats
+        # equal to the bools and ints beside it
+        for columns in ([self.MIXED, self.MIXED[::-1], [1.0, 0.0, -0.0, None] * 4],
+                        [[0.0, False, 0, -0.0, None, 2.5] * 3]):
+            header = ["h"] * len(columns)
+            expected = "".join(",".join("" if v is None else format_number(v) for v in row) + "\n"
+                               for row in zip(*columns))
+            assert _csv(header, columns) == ",".join(header) + "\n" + expected
+        cells = _csv(["h"], [self.MIXED]).splitlines()[1:9]
+        assert cells == ["true", "1", "1", "0", "0", "0", "false", "0.10000000000000001"]
 
     def test_report_bytes_are_format_number_per_cell(self):
         obj = {"a": self.MIXED, "b": [self.MIXED[::-1], {"c": -0.0, "d": 0, "e": False}]}
@@ -264,9 +269,10 @@ class TestFormatting:
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_csv_refuses_a_non_finite_cell_after_finite_ones(self, value):
-        for rows in ([[1.0, 1.0], [value]], [[value], [value]], [[2.0, value, 2.0]]):
+        # columns: a later row, the same row twice, and between finite cells of a row
+        for columns in ([[1.0, 1.0, value]], [[value], [value]], [[2.0], [value], [2.0]]):
             with pytest.raises(ValueError, match="non-finite number"):
-                _csv(["h"], rows)
+                _csv(["h"] * len(columns), columns)
         with pytest.raises(ValueError, match="non-finite number"):
             dumps_report([1.0, value, value])
 

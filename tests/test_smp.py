@@ -3,6 +3,7 @@
 import ast
 import cProfile
 import functools
+import itertools
 import math
 import os
 import pstats
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from subcurv import calculus as ca
 from subcurv import smp
-from subcurv.cli import dumps_report, write_scenario_csv
+from subcurv.cli import dumps_report, format_number, write_scenario_csv
 from subcurv.calculus import EvaluationError
 from subcurv.core import (
     PSD_TOL, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
@@ -1113,3 +1114,126 @@ class TestGeneratedSweep:
 
     def test_coinciding_graphs_share_one_sweep(self):
         assert self.sweep_calls("translate-coincide") == [1]
+
+
+# ---------------------------------------------------------------------------
+# The columnar record and the CSV writer
+# ---------------------------------------------------------------------------
+
+
+def reference_csv(report, coords) -> str:
+    """The scenario CSV written row by row from ``report.table``, each cell
+    by ``format_number`` and ``None`` as an empty cell."""
+    lines = [",".join([*coords, "v_minus_u", "H_u", "H_v", "singular_u", "singular_v"])]
+    lines += [",".join("" if v is None else format_number(v) for v in row) for row in report.table]
+    return "\n".join(lines) + "\n"
+
+
+def parsed_csv(text: str) -> list:
+    """The rows of a scenario CSV as ``report.table`` holds them."""
+    rows = []
+    for line in text.splitlines()[1:]:
+        *numbers, su, sv = line.split(",")
+        rows.append((*(None if c == "" else float(c) for c in numbers), int(su), int(sv)))
+    return rows
+
+
+RECORDS = {**PAIRS, "lo-hi-swapped": lambda: swapped(lo_hi_pair()),
+           "h1-counterexample-swapped": lambda: swapped(builtin_scenario("h1-counterexample"))}
+
+
+class TestColumnarRecord:
+    """The engine keeps v - u and H as columns, and ``write_scenario_csv``
+    writes them column by column; ``table`` builds the rows on request."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_csv_is_the_row_wise_reference(self, name):
+        sc = RECORDS[name]()
+        report = run_scenario(sc)
+        names = sc.operator.chart.names
+        text = write_scenario_csv(report, names)
+        assert text == reference_csv(report, names)
+        assert parsed_csv(text) == report.table
+
+    def test_scenarios_cover_masked_and_swapped_records(self):
+        masked = run_scenario(builtin_scenario("hyperplane-z"))
+        assert None in masked.h_u or None in masked.h_v
+        assert run_scenario(RECORDS["lo-hi-swapped"]()).as_dict()["swapped"] is True
+
+    def test_writer_never_reads_the_row_table(self, monkeypatch):
+        sc = builtin_scenario("hyperplane-z")
+        report = run_scenario(sc)
+        expected = reference_csv(report, sc.operator.chart.names)
+
+        def table(self):
+            raise AssertionError("write_scenario_csv read report.table")
+
+        monkeypatch.setattr(smp.ScenarioReport, "table", property(table))
+        assert write_scenario_csv(report, sc.operator.chart.names) == expected
+
+    @pytest.mark.parametrize("u, v, relabelled", [("2*x1", "x1", True), ("x1", "2*x1", False)],
+                             ids=["swapped", "in-order"])
+    def test_argmin_is_taken_after_relabelling(self, u, v, relabelled):
+        # v = x1 below u = 2 x1: v - u = -x1 as given is least at x1 = 1.5, and
+        # x1 after relabelling is least at x1 = 0.5, the first grid point
+        d = run_scenario(flat_scenario(u, v, grid=9)).as_dict()
+        assert d["swapped"] is relabelled
+        assert d["ordering"] == {"min_v_minus_u": 0.5, "argmin": [0.5, -0.4], "holds": True}
+
+    @pytest.mark.parametrize("u, v, box, relabelled, first, sign", [
+        # +0.0 at (-1, 0) first, -0.0 along x1 = 0 later
+        ("0", "-x1*x2^2", ((-1.0, 0.0), (-1.0, 1.0)), False, 1, 1.0),
+        # -0.0 at (-1, 0) first, +0.0 at (0, -1) and (0, -0.5) later
+        ("0", "-x2*x1^2", ((-1.0, 1.0), (-1.0, 0.0)), False, 2, -1.0),
+        # v <= u as given: +0.0 first, the negation of v - u = -0.0 there
+        ("0", "x1*x2^2", ((-1.0, 0.0), (-1.0, 1.0)), True, 1, 1.0),
+    ], ids=["plus-first", "minus-first", "swapped"])
+    def test_signed_zero_tie_takes_the_first_index(self, u, v, box, relabelled, first, sign):
+        report = run_scenario(flat_scenario(u, v, box=box, grid=3))
+        assert report.as_dict()["swapped"] is relabelled
+        du = report.du
+        zeros = {math.copysign(1.0, d) for d in du if d == 0}
+        assert min(du) == 0 and zeros == {1.0, -1.0}  # a true tie of signed zeros
+        assert du.index(0.0) == first
+        ordering = report.as_dict()["ordering"]
+        assert ordering["argmin"] == list(list(report.grid.points())[first])
+        assert math.copysign(1.0, ordering["min_v_minus_u"]) == sign
+
+
+def reference_coincide(engine):
+    """``_coincide_check`` with a map from multi-index to grid position."""
+    du, eps = engine.du, engine.tol.eps_touch
+    if all(abs(d) <= eps for d in du):
+        return True, None
+    cells = list(engine.grid.indices())
+    position = {idx: k for k, idx in enumerate(cells)}
+    for k in engine.hits:
+        ranges = [range(max(0, i - 5), min(c, i + 6)) for i, c in zip(cells[k], engine.grid.shape)]
+        for nb in itertools.product(*ranges):
+            if abs(du[position[nb]]) > eps:
+                return False, list(nb)
+    return True, None
+
+
+def reference_singular(engine, graph):
+    cells = [idx for idx, h in zip(engine.grid.indices(), graph.h) if h is None]
+    return len(cells) / len(graph.h), len(smp.grid_clusters(cells))
+
+
+class TestGridPositions:
+    """The 5-cell balls find grid positions by row-major strides, and a
+    graph with nothing masked is not scanned for singular cells."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_balls_and_singular_cells_match_the_reference(self, name):
+        engine = smp._ScenarioEngine(RECORDS[name]())
+        if engine.hits:
+            assert smp._coincide_check(engine) == reference_coincide(engine)
+        for graph in (engine.u, engine.v):
+            assert engine.singular(graph) == reference_singular(engine, graph)
+
+    def test_witness_off_the_first_row(self):
+        # v - u = x1 touches along x1 = 0; the ball of (0, 0) first leaves
+        # eps_touch at (1, 0), one stride of the first axis along
+        engine = smp._ScenarioEngine(lo_hi_pair())
+        assert smp._coincide_check(engine) == reference_coincide(engine) == (False, [1, 0])
