@@ -567,14 +567,21 @@ def _dumps(obj, indent: int, text: _Formatted) -> str:
     if isinstance(obj, str):
         return text[obj]
     if isinstance(obj, (list, tuple)):
-        brackets, items = "[]", [_dumps(v, indent + 1, text) for v in obj]
+        # a list of floats only or of ints only is one map; bools (not of
+        # type int) and mixed or nested lists are written item by item
+        kinds = set(map(type, obj))
+        brackets, items = "[]", (
+            map(text.__getitem__, obj) if kinds == {float}
+            else map(str, obj) if kinds == {int}
+            else [_dumps(v, indent + 1, text) for v in obj]
+        )
     elif isinstance(obj, dict):
         brackets, items = "{}", [
             text[str(k)] + ": " + _dumps(v, indent + 1, text) for k, v in obj.items()
         ]
     else:
         return format_number(obj)
-    if not items:
+    if not obj:
         return brackets
     inner = "\n" + "  " * (indent + 1)
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * indent + brackets[1]

@@ -198,30 +198,57 @@ class VectorFieldExpr:
 
     def integrator(self):
         """Classical RK4 loop ``run(x, h, nsteps, stop) -> (points, completed,
-        note)``, generated once (``<rk4-N>``), with the components inline at
-        each stage and the float operations of ``x + 0.5 * h * k1``, ...,
-        ``x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` in that order."""
-        if self._run is None:
-            n = len(self.coords)
+        note)``, generated once (``<rk4-N>``), with the float operations of
+        ``x + 0.5 * h * k1``, ..., ``x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``
+        in that order, and each non-constant component inline at each stage.
 
-            def row(fmt):
-                return ", ".join(fmt.format(i=i) for i in range(n)) + ","
+        A constant component K is loop-invariant: ``hh * (K)``, ``h * (K)``
+        and ``h6 * ((K) + 2.0 * (K) + 2.0 * (K) + (K))`` are computed once,
+        before the loop, and no stage assigns it.  Python evaluates
+        ``x + hh * K`` as ``hh * K`` first, so ``x + hk`` is the same double,
+        signed zeros and h < 0 included.  A stage coordinate ``y_j`` is
+        computed only where some component reads coordinate j, so a field
+        whose components are all constant has no stage code at all."""
+        if self._run is None:
+            n, comps = len(self.coords), self.components
+            _, literal = ca.emitter(n)
+            const = {i: literal(c) for i, c in enumerate(comps) if isinstance(c, ca.Const)}
+            live = [i for i in range(n) if i not in const]
+            read = sorted(set().union(*map(ca.free_vars, comps)))
+
+            def row(fmt, idx=range(n)):
+                return ", ".join(fmt.format(i=i) for i in idx) + ","
 
             def stage(var, into):  # one emitter per stage: each reads its own point
                 lines, emit = ca.emitter(n, var)
-                values = ", ".join([emit(c) for c in self.components])
-                return [*lines, f"{row(into + '{i}')} = {values},"]
+                values = ", ".join([emit(comps[i]) for i in live])
+                return [*lines, f"{row(into + '{i}', live)} = {values},"] if live else []
 
-            src = "\n            ".join([
+            def point(scale, k, hk):  # the next stage's coordinates that some component reads
+                ys = [f"x{j} + {hk}{j}" if j in const else f"x{j} + {scale} * {k}{j}" for j in read]
+                return [f"{row('y{i}', read)} = {', '.join(ys)},"] if read else []
+
+            body = [
+                *stage("x{}", "a"), *point("hh", "a", "hk"), *stage("y{}", "b"), *point("hh", "b", "hk"),
+                *stage("y{}", "c"), *point("h", "c", "hc"), *stage("y{}", "d"),
+            ]
+            stages = "".join(f"            {line}\n" for line in body)
+            if stages:  # only a non-constant component can fail, and a field without one has no stage
+                stages = ("        try:\n" + stages + "        except _FAULTS as exc:\n"
+                          "            return pts, False, f'integration aborted: {exc}'\n")
+            hoisted = "".join(
+                f"    hk{i}, hc{i}, inc{i} = hh * {K}, h * {K}, h6 * ({K} + 2.0 * {K} + 2.0 * {K} + {K})\n"
+                for i, K in const.items()
+            )
+            steps = ", ".join(
+                f"x{i} + inc{i}" if i in const else f"x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                for i in range(n)
+            )
+            src = (
                 "def run(x, h, nsteps, stop):\n    pts = [x]\n    if stop is not None and stop(x):\n"
                 f"        return pts, False, 'stopped at step 0'\n    {row('x{i}')} = x\n    hh = 0.5 * h\n"
-                "    h6 = h / 6.0\n    for k in range(1, nsteps + 1):\n        try:",
-                *stage("x{}", "a"), f"{row('y{i}')} = {row('x{i} + hh * a{i}')}",
-                *stage("y{}", "b"), f"{row('y{i}')} = {row('x{i} + hh * b{i}')}",
-                *stage("y{}", "c"), f"{row('y{i}')} = {row('x{i} + h * c{i}')}", *stage("y{}", "d"),
-            ]) + (
-                "\n        except _FAULTS as exc:\n            return pts, False, f'integration aborted: {exc}'\n"
-                f"        {row('x{i}')} = {row('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}\n"
+                f"    h6 = h / 6.0\n{hoisted}    for k in range(1, nsteps + 1):\n{stages}"
+                f"        {row('x{i}')} = {steps},\n"
                 f"        x = ({row('x{i}')})\n        pts.append(x)\n        if stop is not None and stop(x):\n"
                 "            return pts, False, f'stopped at step {k}'\n    return pts, True, ''\n"
             )

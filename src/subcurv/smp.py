@@ -321,8 +321,7 @@ class ComparisonScenario:
         self.tolerances = tolerances or Tolerances()
         self.T = float(T)
         self.step = float(step)
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        _rk4_steps(self.T, self.step)
         self.max_propagation_starts = int(max_propagation_starts)
         if self.max_propagation_starts < 0:
             raise ValueError("max_propagation_starts must be >= 0")
@@ -581,19 +580,36 @@ class IntegrationResult:
         return len(self.points)
 
 
+# a trajectory keeps every point: 10**6 points of five coordinates take about 0.2 GB
+MAX_RK4_STEPS = 10**6
+
+
+def _rk4_steps(T: float, step: float) -> int:
+    """The number of steps that integrate over time T at most ``step`` apart:
+    ``ceil(|T| / step)``, and at least one unless T is 0.  A step that is not
+    positive, or a count that is not finite or over :data:`MAX_RK4_STEPS`,
+    raises ``ValueError``."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    count = abs(T) / step
+    if not count <= MAX_RK4_STEPS:
+        raise ValueError(f"|T| / step asks for {count!r} RK4 steps, over the bound of {MAX_RK4_STEPS}")
+    return max(1, math.ceil(count)) if T != 0 else 0
+
+
 def integrate_field(
     X: VectorFieldExpr, x0: Sequence[float], T: float, step: float, stop=None
 ) -> IntegrationResult:
     """Classical 4th-order integration of dx/dt = X(x) over [0, T].
 
-    Negative T integrates backwards.  Evaluation failure aborts with the
+    Negative T integrates backwards, in ``ceil(|T| / step)`` equal steps;
+    a step that is not positive, or more than :data:`MAX_RK4_STEPS` steps,
+    raises ``ValueError``.  Evaluation failure aborts with the
     partial trajectory flagged.  ``stop(point)``, when given, is called
     on the start point and on each new point; the first point for which
     it returns true ends the trajectory, flagged incomplete.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    nsteps = max(1, math.ceil(abs(T) / step)) if T != 0 else 0
+    nsteps = _rk4_steps(T, step)
     h = T / nsteps if nsteps else 0.0
     x = tuple(float(c) for c in x0)
     return IntegrationResult(*X.integrator()(x, h, nsteps, stop))

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from subcurv import calculus as ca
@@ -19,6 +19,7 @@ from subcurv.calculus import CoordSystem
 from subcurv.cli import (
     ConfigError,
     _csv,
+    _Value,
     dumps_report,
     format_number,
     main,
@@ -194,6 +195,44 @@ class TestConfigParsing:
         assert f((2.0, 1.0, 0.0)) == 5.0
 
 
+def reference_dumps(obj, indent=0):
+    """The report writer as a plain recursion, each value formatted where it
+    is met: the bytes ``dumps_report`` must write."""
+    if type(obj) is float:
+        return format_number(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [reference_dumps(v, indent + 1) for v in obj]
+    elif isinstance(obj, dict):
+        brackets, items = "{}", [
+            json.dumps(str(k), ensure_ascii=False) + ": " + reference_dumps(v, indent + 1)
+            for k, v in obj.items()
+        ]
+    else:
+        return format_number(obj)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (indent + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * indent + brackets[1]
+
+
+# floats with repeats and signed zeros, and equal values of the other types
+_REPORT_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, 1 / 3, -2.5, 1e300, 5e-324]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_REPORT_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | _REPORT_FLOATS
+                  | st.text(max_size=3) | st.text(max_size=3).map(_Value))
+_REPORT_TREES = st.recursive(
+    _REPORT_LEAVES | st.lists(_REPORT_FLOATS, max_size=8) | st.lists(_REPORT_FLOATS, max_size=8).map(tuple)
+    | st.lists(st.integers(-3, 3) | st.integers(), max_size=8),
+    lambda kids: st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=40,
+)
+
+
 class TestFormatting:
     def test_17_significant_digits(self):
         assert format_number(1 / 3) == "0.33333333333333331"
@@ -236,6 +275,14 @@ class TestFormatting:
             '  "null": null\n'
             '}'
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_REPORT_TREES, indent=st.integers(0, 2))
+    @example(obj={"a": [1, True], "b": [1.0, 1], "c": [0.0, False], "d": [[], (), {}]}, indent=0)
+    @example(obj=[[-0.0, 0.0, -0.0, 0.1, 0.1], (1, 2, 1), (True, False), [None, 1.0], ()], indent=1)
+    @example(obj=[_Value("x"), "x", 1.0, [1.0, 1.0], {_Value("k"): (0.5, 0.5)}], indent=0)
+    def test_report_bytes_are_the_recursive_reference(self, obj, indent):
+        assert dumps_report(obj, indent) == reference_dumps(obj, indent)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_number_is_refused(self, value):
@@ -549,6 +596,15 @@ class TestExitCodeContract:
                                       f"--at=0.5,{value},0"])
         assert code == 2
         assert f"config error: bad point '0.5,{value},0': not a finite number" in err
+
+    def test_rk4_step_count_over_the_bound_is_config_error(self, cfg):
+        # 1e308 / step overflows to inf, so no step count exists
+        text = _SIZED.format(op="la_graph", u="1/3", box="-0.5:0.5, -0.5:0.5") + "T = 1e308\n"
+        code, err = run_main_quietly(["scenario", "run", "--config", cfg("long.cfg", text),
+                                      "--out", os.devnull])
+        assert code == 2
+        assert ("config error: [scenario]: |T| / step asks for inf RK4 steps, "
+                "over the bound of 1000000") in err
 
     def test_rank_threshold_overflow_names_the_point(self, cfg):
         # at x1 = 1e160 the frame rows' norm overflows, so no pivot threshold exists

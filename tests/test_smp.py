@@ -179,6 +179,35 @@ class TestIntegrateField:
         start = integrate_field(X, (0.0, 0.0), 1.0, 1.0 / 128, stop=lambda p: True)
         assert start.points == [(0.0, 0.0)] and not start.completed
 
+    @staticmethod
+    def third_pair(**kw):
+        third = ca.const(Fraction(1, 3))
+        return ComparisonScenario("third", LaGraphOperator(1), third, third,
+                                  box=((-0.5, 0.5), (-0.5, 0.5)), grid_counts=3, **kw)
+
+    @pytest.mark.parametrize("T, step", [(1e308, 1e-3), (1.0, 1e-300), (1.0, 0.999999e-6),
+                                         (-1e308, 1e-3), (float("inf"), 1.0), (1.0, float("nan"))])
+    def test_scenario_refuses_a_step_count_over_the_bound(self, T, step):
+        # constructed only: the 1e300 steps that step = 1e-300 asks for would never end
+        with pytest.raises(ValueError, match="RK4 steps, over the bound of 1000000"):
+            self.third_pair(T=T, step=step)
+
+    def test_step_count_at_the_bound_is_accepted(self):
+        sc = self.third_pair(T=0.5, step=5e-7)
+        assert smp._rk4_steps(sc.T, sc.step) == smp.MAX_RK4_STEPS == 10**6
+        assert smp._rk4_steps(-sc.T, sc.step) == 10**6 and smp._rk4_steps(0.0, sc.step) == 0
+
+    def test_integration_refuses_a_step_count_over_the_bound(self):
+        # 1e308 / 1e-3 overflows to inf
+        with pytest.raises(ValueError, match="asks for inf RK4 steps"):
+            integrate_field(VectorFieldExpr(CS2, [ca.ZERO, ca.ZERO]), (0.0, 0.0), 1e308, 1e-3)
+        sc = self.third_pair()
+        fields = tangent_distribution_fields(sc.operator.structure, sc.operator.phi(sc.u.expr))
+        with pytest.raises(ValueError, match="asks for inf RK4 steps"):
+            propagate_max(sc, (0.0, 0.0), fields, T=1e308)
+        with pytest.raises(ValueError, match="step must be positive"):
+            propagate_max(sc, (0.0, 0.0), fields, step=0.0)
+
 
 def reference_rk4(X, x0, T, step, stop=None):
     """RK4 as a loop over per-stage lists, the reference the generated
@@ -234,6 +263,45 @@ class TestGeneratedStep:
         x0 = tuple(rng.uniform(-1.0, 1.0) for _ in range(nvars))
         stop = (lambda p: abs(p[0] - x0[0]) > 0.02) if stopping else None
         assert_same_as_reference(X, x0, T, step, stop)
+
+    # constants a component may be: zero, units, an inexact third, a power
+    # of two and a huge value whose weighted sum still fits in a double
+    THIRD = ca.const(Fraction(1, 3))
+    HOISTED = [ca.ZERO, ca.ONE, ca.const(-1), THIRD, ca.const(Fraction(1, 8)), ca.const(1e300)]
+    # (component, start coordinate): a constant, a coordinate ("v", so that
+    # another component may read a constant coordinate) or a polynomial ("p")
+    PARTS = st.tuples(st.sampled_from(HOISTED) | st.sampled_from("vp"),
+                      st.sampled_from([-0.0, 0.0]) | st.floats(-1.0, 1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.lists(PARTS, min_size=2, max_size=5),
+           T=st.sampled_from([0.4, -0.4, 0.05, -0.05, 0.0]),
+           step=st.sampled_from([1e-2, 3e-2, 0.1]), stopping=st.booleans())
+    # the vertical-plane shape, an all-constant field and the zero field
+    @example(seed=1, parts=[(ca.ZERO, 0.5), (ca.ONE, -0.0), (ca.ZERO, 0.1), (ca.ZERO, -0.2), ("v", 0.0)],
+             T=0.4, step=1e-2, stopping=False)
+    @example(seed=2, parts=[(THIRD, -0.0), (ca.const(-1), 0.3), (ca.ONE, 0.0)], T=-0.4, step=3e-2,
+             stopping=True)
+    @example(seed=3, parts=[(ca.ZERO, -0.0)] * 5, T=-0.05, step=1e-2, stopping=False)
+    def test_hoisted_constants_bitwise_equal_to_the_reference_loop(self, seed, parts, T, step, stopping):
+        rng, n = random.Random(seed), len(parts)
+        cs = ca.CoordSystem(tuple(f"c{i}" for i in range(n)))
+        make = {"v": lambda: ca.var(rng.randrange(n)), "p": lambda: random_polynomial(rng, n, 3, 2)}
+        X = VectorFieldExpr(cs, [make[c]() if isinstance(c, str) else c for c, _ in parts])
+        x0 = tuple(x for _, x in parts)
+        stop = (lambda p: abs(p[0] - x0[0]) > 0.02) if stopping else None
+        assert_same_as_reference(X, x0, T, step, stop)
+
+    def test_constant_components_are_hoisted_and_unread_coordinates_skipped(self):
+        cs = ca.CoordSystem(("c0", "c1", "c2"))
+        src = VectorFieldExpr(cs, [ca.ONE, ca.ZERO, ca.var(0)]).integrator().source
+        loop = src.split("    for k in")[1]
+        assert not re.findall(r"\b[abcd][01]\b", src)  # no stage assigns a constant component
+        assert not re.findall(r"\by[12]\b", src) and "y0, = x0 + hk0," in loop
+        assert "y0, = x0 + hc0," in loop and "x0 + inc0, x1 + inc1, x2 + h6 * (a2" in loop
+        assert "hk0, hc0, inc0 = hh * (1.0), h * (1.0), h6 * ((1.0) + 2.0 * (1.0)" in src
+        zero = VectorFieldExpr(cs, [ca.ZERO] * 3).integrator().source
+        assert "try:" not in zero and not re.findall(r"\b[abcdy]\d\b", zero)
 
     @pytest.mark.parametrize("T", [1.0, -1.0])
     def test_domain_hole_mid_trajectory_gives_the_same_partial_points(self, T):
