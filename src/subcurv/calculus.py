@@ -435,20 +435,19 @@ def mul(*factors) -> Expr:
 
     if acc == 0:
         return ZERO
-    flat = []
+    flat, products = [], []
     for base in order:
         rebuilt = pow_(base, powers[base])
         if isinstance(rebuilt, Const):
             acc *= rebuilt.value
         elif isinstance(rebuilt, Mul):
-            # constant-base fold may hand back a product; flatten once more
-            for c in rebuilt.children:
-                if isinstance(c, Const):
-                    acc *= c.value
-                else:
-                    flat.append(c)
+            products.append(rebuilt)
         else:
             flat.append(rebuilt)
+    if products:
+        # a product base whose exponents sum to 1 comes back as that product
+        # (x*y from sqrt(x*y)^2), and its factors may share bases with the others
+        return mul(Const(acc), *flat, *products)
     if acc == 0:
         return ZERO
     if len(flat) == 1 and isinstance(flat[0], Add) and acc != 1:
@@ -690,7 +689,7 @@ def free_vars(e: Expr) -> set:
 # ---------------------------------------------------------------------------
 
 
-def emitter(nvars: int, var: str = "p[{}]"):
+def emitter(nvars: int, var: str = "p[{}]", *, temp: str = "t"):
     """``(lines, emit)``: ``emit(e)`` appends to ``lines`` a statement
     ``tN = ...`` for each distinct subtree of ``e`` that no earlier call
     emitted, over ``nvars`` coordinates (coordinate i is ``var.format(i)``:
@@ -698,11 +697,13 @@ def emitter(nvars: int, var: str = "p[{}]"):
     value.  Powers call the helpers of :func:`evaluate` (in scope as
     :data:`KERNEL_NAMES`), so the code gives the same double and the same
     error at the same point; a negative integer power stays inline as
-    ``t ** -n if t else _zero_pow(-n)``."""
+    ``t ** -n if t else _zero_pow(-n)``.  ``temp`` replaces the ``t`` of
+    the temporaries' names, so that one function can hold the lines of
+    two emitters."""
     lines = []
 
     def line(rhs: str) -> str:
-        name = f"t{len(lines) + 1}"
+        name = f"{temp}{len(lines) + 1}"
         lines.append(f"{name} = {rhs}")
         return name
 

@@ -189,20 +189,18 @@ def heisenberg_coords(n: int) -> CoordSystem:
     return CoordSystem(names)
 
 
+def _lifted_field(coords: CoordSystem, i: int, coeff: Expr) -> VectorFieldExpr:
+    """The field d_i + coeff d_last on ``coords``."""
+    comps = [ca.ZERO] * len(coords)
+    comps[i] = ca.ONE
+    comps[-1] = coeff
+    return VectorFieldExpr(coords, comps)
+
+
 def _standard_frames(coords: CoordSystem, n: int) -> list:
-    dim = 2 * n + 1
-    fields = []
-    for j in range(n):
-        comps = [ca.ZERO] * dim
-        comps[j] = ca.ONE
-        comps[dim - 1] = ca.var(n + j)  # +y_j along z
-        fields.append(VectorFieldExpr(coords, comps))
-    for j in range(n):
-        comps = [ca.ZERO] * dim
-        comps[n + j] = ca.ONE
-        comps[dim - 1] = ca.neg(ca.var(j))  # -x_j along z
-        fields.append(VectorFieldExpr(coords, comps))
-    return fields
+    # d_xj + y_j d_z, then d_yj - x_j d_z
+    return ([_lifted_field(coords, j, ca.var(n + j)) for j in range(n)]
+            + [_lifted_field(coords, n + j, ca.neg(ca.var(j))) for j in range(n)])
 
 
 def _contact_coform(n: int) -> list:
@@ -342,12 +340,7 @@ def drift_graph_structure(F: Sequence[Expr], m: int) -> SubriemannianStructure:
     names = tuple(f"x{j + 1}" for j in range(m + 1))
     coords = CoordSystem(names)
     dim = m + 1
-    frames = []
-    for j in range(m):
-        comps = [ca.ZERO] * dim
-        comps[j] = ca.ONE
-        comps[m] = ca.neg(F[j])
-        frames.append(VectorFieldExpr(coords, comps))
+    frames = [_lifted_field(coords, j, ca.neg(F[j])) for j in range(m)]
     cometric = _frame_cometric(frames, dim)
     coform = list(F) + [ca.ONE]
     return SubriemannianStructure(
@@ -380,24 +373,10 @@ def _chart_frames(n: int, coords: CoordSystem, center_coeff: Expr) -> list:
     """The 2n-1 horizontal fields on the chart: for 2<=j<=n the pair
     d_{eta^j} +- eta^{n+-j} d_tau, and the middle field
     d_{eta^(n+1)} + center_coeff * d_tau."""
-    dim = 2 * n
-    tau = dim - 1
-    fields = []
-    for j in range(2, n + 1):
-        comps = [ca.ZERO] * dim
-        comps[_eta_index(j)] = ca.ONE
-        comps[tau] = ca.var(_eta_index(n + j))
-        fields.append(VectorFieldExpr(coords, comps))
-    comps = [ca.ZERO] * dim
-    comps[_eta_index(n + 1)] = ca.ONE
-    comps[tau] = center_coeff
-    fields.append(VectorFieldExpr(coords, comps))
-    for j in range(2, n + 1):
-        comps = [ca.ZERO] * dim
-        comps[_eta_index(n + j)] = ca.ONE
-        comps[tau] = ca.neg(ca.var(_eta_index(j)))
-        fields.append(VectorFieldExpr(coords, comps))
-    return fields
+    eta, pairs = _eta_index, range(2, n + 1)
+    return ([_lifted_field(coords, eta(j), ca.var(eta(n + j))) for j in pairs]
+            + [_lifted_field(coords, eta(n + 1), center_coeff)]
+            + [_lifted_field(coords, eta(n + j), ca.neg(ca.var(eta(j)))) for j in pairs])
 
 
 def _translation_graph_exprs(u: Expr, n: int, sign: int) -> tuple:

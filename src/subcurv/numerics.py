@@ -147,10 +147,6 @@ def newton_minimize(
         for k, i in enumerate(active):
             x[i] -= step[k]
         if max(abs(s) for s in step) < NEWTON_STEP_TOL:
-            g_full = grad(x)
-            if max(abs(g_full[i]) for i in active) < NEWTON_GRAD_TOL:
-                return x, True
-            return x, False
+            break
     g_full = grad(x)
-    converged = max(abs(g_full[i]) for i in active) < NEWTON_GRAD_TOL
-    return x, converged
+    return x, max(abs(g_full[i]) for i in active) < NEWTON_GRAD_TOL

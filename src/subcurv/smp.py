@@ -22,14 +22,16 @@ included) reads the lower graph as u: exchanging u and v changes only
 the report's ``swapped`` flag.  At ``jobs >= 2`` a forked child sweeps
 v while this process sweeps u (:class:`_ForkedSweep`).
 
-Each operator carries its own map to the ambient manifold where the rank
-condition is checked: ``structure``, ``phi(u)`` (the defining function of
-the graph there), ``lift(chart_pt, u_val)`` and ``project_source()``, the
-chart coordinates of an ambient point ``p`` as Python expressions, which
-the propagation stop test is generated from.  The rank target is the
-hypersurface dimension ``structure.dim - 1``.
-``lift`` raises ``ValueError`` outside the chart, and a scenario's box
-must lift at every corner.
+Each operator states its map to the ambient manifold, where the rank
+condition is checked, once, as expressions: ``projection`` (the chart
+coordinates of an ambient point), ``embedding`` (the ambient point over
+the chart coordinates, with the graph value as the last variable) and the
+graph's ambient ``axis``.  ``phi(u) = u o projection - x^axis`` defines
+the graph there, ``lift(chart_pt, u_val)`` evaluates the embedding, and
+the propagation stop test is generated from the projection.  The rank
+target is the hypersurface dimension ``structure.dim - 1``.  ``lift``
+raises ``ValueError`` outside the chart, and a scenario's box must lift
+at every corner.
 """
 
 from __future__ import annotations
@@ -127,14 +129,26 @@ class Tolerances:
 # ---------------------------------------------------------------------------
 
 
-class GenericOperator:
+class _GraphOperator:
+    """``phi`` and ``lift`` of every operator, from its ``projection``,
+    ``embedding`` and ``axis`` (see the module docstring)."""
+
+    def phi(self, u: Expr) -> Expr:
+        return ca.sub(ca.substitute(u, dict(enumerate(self.projection))), ca.var(self.axis))
+
+    def lift(self, chart_pt, u_val: float):
+        pt = (*chart_pt, u_val)
+        return tuple(ca.evaluate(e, pt) for e in self.embedding)
+
+
+class GenericOperator(_GraphOperator):
     """Weighted-divergence curvature of the graph x^g = u on a structure.
 
     The defining function is u - x^g (compatible with shifting the graph
     coordinate); H and the squared covector norm are restricted to the
-    graph and reindexed to the chart by one substitution: x^g = u, and
-    each later coordinate moves down one index.  The ambient manifold is
-    the structure itself.
+    graph through the embedding with w = u, which also moves each later
+    coordinate down one index.  The ambient manifold is the structure
+    itself.
     """
 
     kind = "generic"
@@ -144,39 +158,26 @@ class GenericOperator:
         self.p = Fraction(p)
         if self.p < 0:
             raise ValueError("p must be >= 0")
-        self.graph_dir = structure.dim - 1 if graph_dir is None else int(graph_dir)
-        if not 0 <= self.graph_dir < structure.dim:
+        dim = structure.dim
+        g = self.axis = dim - 1 if graph_dir is None else int(graph_dir)
+        if not 0 <= g < dim:
             raise ValueError("graph direction outside chart")
-        names = [
-            n for i, n in enumerate(structure.coords.names) if i != self.graph_dir
-        ]
-        self.chart = CoordSystem(names)
-
-    def phi(self, u: Expr) -> Expr:
-        g = self.graph_dir
-        up = {k: ca.var(k if k < g else k + 1) for k in range(self.structure.dim - 1)}
-        return ca.sub(ca.substitute(u, up), ca.var(g))
-
-    def lift(self, chart_pt, u_val: float):
-        pt = list(chart_pt)
-        pt.insert(self.graph_dir, u_val)
-        return tuple(pt)
-
-    def project_source(self) -> list:
-        return [f"p[{i}]" for i in range(self.structure.dim) if i != self.graph_dir]
+        self.chart = CoordSystem(n for i, n in enumerate(structure.coords.names) if i != g)
+        self.projection = [ca.var(i) for i in range(dim) if i != g]
+        chart = [ca.var(k) for k in range(dim - 1)]
+        self.embedding = chart[:g] + [ca.var(dim - 1)] + chart[g:]  # x^g = w
 
     def build(self, u: Expr):
-        S, g = self.structure, self.graph_dir
+        S = self.structure
         phi = self.phi(u)
-        # x^g = u, and the coordinates after x^g move down one chart index
-        chart = {g: u, **{k: ca.var(k - 1) for k in range(g + 1, S.dim)}}
+        on_graph = ca.substitute(self.embedding, {len(self.chart): u})
         exprs = [p_mean_curvature_expr(S, phi, self.p), conorm_sq_expr(S, phi)]
-        return tuple(ca.substitute(exprs, chart))
+        return tuple(ca.substitute(exprs, dict(enumerate(on_graph))))
 
     def params(self) -> dict:
         return {
             "p": str(self.p),
-            "graph_dir": self.structure.coords.names[self.graph_dir],
+            "graph_dir": self.structure.coords.names[self.axis],
         }
 
 
@@ -199,32 +200,23 @@ class GraphHFOperator(GenericOperator):
         return {"F": [ca.unparse(f, self.chart) for f in self.F]}
 
 
-class _TranslationGraphOperator:
+class _TranslationGraphOperator(_GraphOperator):
     """Graphs x^1 = u(eta, tau) along x1-translations, on the (eta, tau)
-    chart with tau = z + sign x^1 eta^(n+1); the ambient manifold is the
-    standard group chart."""
+    chart with eta^j = x^j (2 <= j <= n), eta^(n+j) = y^j and
+    tau = z + sign x^1 eta^(n+1); the ambient manifold is the standard
+    group chart."""
+
+    axis = 0
 
     def __init__(self, n: int):
         self.n = n
         self.chart = intrinsic_chart(n)
         self.structure = standard_structure(n)
-
-    def phi(self, u: Expr) -> Expr:
-        n = self.n
-        # eta^(c+2) -> std coordinate c+1; tau -> z + sign x^1 y^1
-        up = {c: ca.var(c + 1) for c in range(2 * n - 1)}
-        up[2 * n - 1] = ca.add(ca.var(2 * n), ca.mul(self.sign, ca.var(0), ca.var(n)))
-        return ca.sub(ca.substitute(u, up), ca.var(0))
-
-    def lift(self, chart_pt, u_val: float):
-        n = self.n
-        z = chart_pt[2 * n - 1] - self.sign * u_val * chart_pt[n - 1]
-        return (u_val,) + tuple(chart_pt[: 2 * n - 1]) + (z,)
-
-    def project_source(self) -> list:
-        n = self.n
-        tau = f"p[{2 * n}] + {self.sign} * p[0] * p[{n}]"
-        return [f"p[{i}]" for i in range(1, 2 * n)] + [tau]
+        eta = [ca.var(c) for c in range(2 * n - 1)]
+        tau, w = ca.var(2 * n - 1), ca.var(2 * n)
+        self.projection = [ca.var(c + 1) for c in range(2 * n - 1)]
+        self.projection.append(ca.add(ca.var(2 * n), ca.mul(self.sign, ca.var(0), ca.var(n))))
+        self.embedding = [w, *eta, ca.add(tau, ca.mul(-self.sign, w, eta[n - 1]))]
 
     def params(self) -> dict:
         return {"n": self.n}
@@ -250,7 +242,7 @@ class LaGraphOperator(_TranslationGraphOperator):
         return la_graph_exprs(u, self.n)
 
 
-class RadialCylinderOperator:
+class RadialCylinderOperator(_GraphOperator):
     """Rotationally symmetric graphs z = u(r) on the punctured cylinder,
     r = sqrt(sum of the 2n squared horizontal coordinates) > 0; the
     ambient manifold is the cylinder structure."""
@@ -261,18 +253,14 @@ class RadialCylinderOperator:
         self.n = n
         self.chart = CoordSystem(("r",))
         self.structure = cylinder_structure(n)
-
-    def phi(self, u: Expr) -> Expr:
-        r = ca.sqrt_(ca.add(*[ca.pow_(ca.var(i), 2) for i in range(2 * self.n)]))
-        return ca.sub(ca.substitute(u, {0: r}), ca.var(2 * self.n))
+        self.axis = 2 * n
+        self.projection = [ca.sqrt_(ca.add(*[ca.pow_(ca.var(i), 2) for i in range(2 * n)]))]
+        self.embedding = [ca.var(0), *[ca.ZERO] * (2 * n - 1), ca.var(1)]
 
     def lift(self, chart_pt, u_val: float):
         if not chart_pt[0] > 0:
             raise ValueError(f"the radial chart needs r > 0, got r = {chart_pt[0]}")
-        return (chart_pt[0],) + (0.0,) * (2 * self.n - 1) + (u_val,)
-
-    def project_source(self) -> list:
-        return ["_sqrt(" + " + ".join(f"p[{i}] * p[{i}]" for i in range(2 * self.n)) + ")"]
+        return super().lift(chart_pt, u_val)
 
     def build(self, u: Expr):
         return radial_curvature_expr(u, self.n)
@@ -535,21 +523,26 @@ class _ScenarioEngine:
     @functools.cached_property
     def box_stop(self):
         """``(stop, devs)``, generated once: ``stop(p)`` is true once the
-        chart projection (``project_source()``) of ``p`` leaves the box, by
-        the test of :func:`_in_box`; else it appends |v - u| there to ``devs``,
-        v then u inline by one emitter, so what they share is evaluated once."""
-        chart = self.sc.operator.project_source()
+        ``projection`` of ``p`` has no value or leaves the box (:func:`_in_box`);
+        else it appends |v - u| there to ``devs``, v then u inline by one
+        emitter, so what they share is evaluated once."""
+        op = self.sc.operator
+        proj_lines, project = ca.emitter(op.structure.dim, temp="q")
+        chart = [project(e) for e in op.projection]
         cs = ", ".join(f"c{i}" for i in range(len(chart))) + ","
         inside = " and ".join(f"{lo!r} <= c{i} <= {hi!r}" for i, (lo, hi) in enumerate(self.sc.box))
         lines, emit = ca.emitter(self.nvars, "c{}")
         v, u = emit(self.v.expr), emit(self.u.expr)
         src = (
-            f"def f(p):\n    {cs} = {', '.join(chart)},\n    if not ({inside}):\n        return True\n"
+            "def f(p):\n    try:\n" + "".join(f"        {line}\n" for line in proj_lines)
+            + f"        {cs} = {', '.join(chart)},\n    except _FAULTS:\n        return True\n"
+            f"    if not ({inside}):\n        return True\n"
             + "".join(f"    {line}\n" for line in lines)
             + f"    record(abs({v} - {u}))\n    return False\n"
         )
         devs = []
-        names = dict(_sqrt=math.sqrt, inf=math.inf, record=devs.append, **ca.KERNEL_NAMES)
+        names = dict(_FAULTS=(ca.EvaluationError, OverflowError), inf=math.inf, record=devs.append,
+                     **ca.KERNEL_NAMES)
         return ca.compile_source(src, "f", "box-stop", **names), devs
 
 
@@ -759,24 +752,29 @@ def variation_check(
 
 
 def _coincide_check(engine):
-    """Every touching point's 5-cell index ball stays within eps_touch."""
+    """``(coincides, separation_witness)`` of a nonempty touching set: every
+    touching point's 5-cell index ball stays within eps_touch exactly when
+    every grid point touches, as the grid is connected.  The witness is the
+    first point beyond eps_touch in the touching points' balls, in grid order."""
     du, eps = engine.du, engine.tol.eps_touch
-    if len(engine.hits) == len(du):  # every point is within eps_touch
+    if len(engine.hits) == len(du):
         return True, None
     shape = engine.grid.shape
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]  # row-major
     radius = 5
-    for k in engine.hits:  # offsets along each axis, summing to a grid position
-        ranges = [range(max(0, i - radius) * s, min(c, i + radius + 1) * s, s)
-                  for i, c, s in zip(engine.indices[k], shape, strides)]
-        for nb in itertools.product(*ranges):
-            if abs(du[sum(nb)]) > eps:
-                return False, [o // s for o, s in zip(nb, strides)]
-    return True, None
+
+    def ball(k):  # offsets along each axis, summing to a grid position
+        return itertools.product(*[range(max(0, i - radius) * s, min(c, i + radius + 1) * s, s)
+                                   for i, c, s in zip(engine.indices[k], shape, strides)])
+
+    far = next(nb for k in engine.hits for nb in ball(k) if abs(du[sum(nb)]) > eps)
+    return False, [o // s for o, s in zip(far, strides)]
 
 
 def classify(measurements: dict) -> str:
-    """Classification as a pure function of recorded measurements."""
+    """Classification as a pure function of recorded measurements.
+    ``inconclusive`` never comes from :func:`run_scenario`: there, a
+    touching set either coincides or separates."""
     if not measurements["ordering"]["holds"]:
         return "hypothesis-violated"
     gap = measurements["curvature_gap"]["max"]

@@ -290,6 +290,18 @@ class TestProperties:
         f = parse_expr("(x1+z)^2 - (x1+z)^2", XZ)
         assert f == ca.ZERO
 
+    @pytest.mark.parametrize("src, canonical", [
+        ("x1 * sqrt(x1*z) * sqrt(x1*z)", "x1^2*z"),
+        ("3 * x1 * (2*x1*z)^(1/3) * (2*x1*z)^(2/3)", "6*x1^2*z"),
+        ("z^(-1) * sqrt(x1*z) * sqrt(x1*z)", "x1"),
+    ])
+    def test_product_base_raised_to_one_merges_with_the_other_factors(self, src, canonical):
+        # the product comes back from the merged power; its factors must merge too
+        e = parse_expr(src, XZ)
+        assert e is parse_expr(canonical, XZ)
+        assert simplify(e) is e
+        assert ca.sub(e, parse_expr(canonical, XZ)) is ca.ZERO
+
 
 class TestSubstitute:
     def test_variable_remap(self):

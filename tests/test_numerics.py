@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcurv.numerics import _det, matrix_rank, principal_minors, solve_linear
+from subcurv.numerics import (
+    NEWTON_GRAD_TOL, NEWTON_STEP_TOL, _det, matrix_rank, newton_minimize, principal_minors,
+    solve_linear,
+)
 
 
 def exact_reduce(rows):
@@ -93,3 +96,24 @@ def test_solve_linear_rejects_a_zero_matrix_and_a_dependent_row():
     assert solve_linear([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0]) is None
     assert solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None
     assert solve_linear([[0.0, 2.0], [3.0, 0.0]], [4.0, 9.0]) == [3.0, 2.0]
+
+
+@pytest.mark.parametrize("stiffness, offset, converged", [(1e6, 1e-11, False), (1e3, 3e-12, True)])
+def test_newton_stops_once_a_step_is_below_the_step_tolerance(stiffness, offset, converged):
+    # f = stiffness/2 (x - 1)^2 + offset x has its minimum offset/stiffness
+    # below 1.0, so the first step is below NEWTON_STEP_TOL.  For the stiff
+    # one that is under one ulp of 1.0: x stays put and its gradient stays
+    # at the offset, above NEWTON_GRAD_TOL; the other one lands within it
+    hessians = []
+
+    def grad(x):
+        return [stiffness * (x[0] - 1.0) + offset]
+
+    def hess(x):
+        hessians.append(list(x))
+        return [[stiffness]]
+
+    x, ok = newton_minimize(grad, hess, [1.0], [0])
+    assert ok is converged and hessians == [[1.0]]
+    assert 0.0 <= 1.0 - x[0] < NEWTON_STEP_TOL
+    assert (abs(grad(x)[0]) < NEWTON_GRAD_TOL) is converged

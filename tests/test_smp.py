@@ -12,6 +12,7 @@ import re
 import signal
 import struct
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from subcurv import smp
 from subcurv.cli import dumps_report, format_number, write_scenario_csv
 from subcurv.calculus import EvaluationError
 from subcurv.core import (
-    PSD_TOL, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
+    PSD_TOL, GridSpec, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
     VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
 )
 from subcurv.brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
@@ -362,6 +363,18 @@ class TestPropagateMax:
         for r, k in exits:
             assert k <= r["steps_used"] + 1
 
+    def test_a_step_onto_the_radial_origin_stops_the_trajectory(self):
+        # -d_x1 from r = 0.75 lands exactly on the origin in one step of
+        # 0.75, where r = sqrt(0) has no value: the trajectory stops there,
+        # as a projection below the box does; +d_x1 leaves through r = 1.5
+        op = RadialCylinderOperator(1)
+        sc = ComparisonScenario("origin", op, ca.ZERO, ca.ZERO, box=((0.5, 1.0),), grid_counts=3)
+        minus_x1 = VectorFieldExpr(op.structure.coords, [ca.const(-1), ca.ZERO, ca.ZERO])
+        assert integrate_field(minus_x1, (0.75, 0.0, 0.0), 0.75, 0.75).endpoint == (0.0, 0.0, 0.0)
+        runs = propagate_max(sc, (0.75,), [minus_x1], T=1.5, step=0.75)
+        assert [(r.direction, r.steps_used, r.exited_box, r.ok) for r in runs] == [
+            (1, 0, True, True), (-1, 0, True, True)]
+
     @pytest.mark.parametrize("name", builtin_names())
     def test_run_scenario_lifts_each_start_as_propagate_max_does(self, name):
         # run_scenario lifts a start from the swept value of its grid point,
@@ -461,7 +474,7 @@ def two_stage_build(op, u):
     """The generic graph restricted in two substitutions per expression:
     x^g -> phi + x^g (which is u over the ambient coordinates), then each
     coordinate after x^g down one index."""
-    S, g = op.structure, op.graph_dir
+    S, g = op.structure, op.axis
     phi = op.phi(u)
     on_graph = {g: ca.add(phi, ca.var(g))}
     down = {k: ca.var(k - 1) for k in range(g + 1, S.dim)}
@@ -577,12 +590,14 @@ def phi_along_tangent_fields(op, box, phi, lifted, T=0.3, step=1e-3):
 
 def reference_project(op, pt):
     """Each operator's chart projection written out by hand, the reference
-    the stop test's projection (``project_source()``) must match bitwise."""
+    the stop test's projection (generated from ``op.projection``) must
+    match bitwise: r is the sum of the squares in coordinate order, to the
+    power 0.5, as the engine evaluates ``sqrt``."""
     if isinstance(op, GenericOperator):
-        g = op.graph_dir
+        g = op.axis
         return tuple(pt[:g]) + tuple(pt[g + 1 :])
     if isinstance(op, RadialCylinderOperator):
-        return (math.sqrt(sum(c * c for c in pt[: 2 * op.n])),)
+        return (sum(c ** 2 for c in pt[: 2 * op.n]) ** 0.5,)
     n = op.n
     tau = pt[2 * n] + op.sign * pt[0] * pt[n]
     return tuple(pt[1 : 2 * n]) + (tau,)
@@ -592,7 +607,7 @@ class TestGeneratedProjection:
     @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
     def test_project_is_the_reference_formula_bitwise(self, case):
         # ambient points off the graph and off the lift's coordinate planes,
-        # where a wrong sign or a missing square in project_source() shows;
+        # where a wrong sign or a missing square in the projection shows;
         # v - u is linear with a distinct weight on each chart coordinate
         op, u, box, _ = ambient_case(case)
         v = ca.add(u, *[ca.mul(ca.const(Fraction(i + 2, 7)), ca.var(i)) for i in range(len(box))])
@@ -1269,7 +1284,8 @@ class TestColumnarRecord:
 
 
 def reference_coincide(engine):
-    """``_coincide_check`` with a map from multi-index to grid position."""
+    """``_coincide_check`` as a full scan of every touching point's 5-cell
+    ball, with a map from multi-index to grid position."""
     du, eps = engine.du, engine.tol.eps_touch
     if all(abs(d) <= eps for d in du):
         return True, None
@@ -1299,6 +1315,23 @@ class TestGridPositions:
             assert smp._coincide_check(engine) == reference_coincide(engine)
         for graph in (engine.u, engine.v):
             assert engine.singular(graph) == reference_singular(engine, graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           density=st.sampled_from([0.01, 0.2, 0.6, 0.95, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_verdict_is_every_point_touching_and_the_witness_the_scans(self, shape, density, seed):
+        # the verdict is read off the hit count, the witness off the balls;
+        # both must be what the full scan of every touching ball finds
+        rng = random.Random(seed)
+        grid = GridSpec([(0.0, 1.0, c) for c in shape])
+        near = [rng.random() < density for _ in range(grid.npoints)]
+        near[rng.randrange(grid.npoints)] = True  # run_scenario checks a nonempty touching set only
+        du = [rng.uniform(-1e-6, 1e-6) if t else rng.choice([-1.0, 1.0]) * rng.uniform(2e-6, 1.0)
+              for t in near]
+        engine = types.SimpleNamespace(
+            du=du, tol=smp.Tolerances(), grid=grid, indices=tuple(grid.indices()),
+            hits=[k for k, d in enumerate(du) if abs(d) <= 1e-6])
+        assert smp._coincide_check(engine) == reference_coincide(engine)
 
     def test_witness_off_the_first_row(self):
         # v - u = x1 touches along x1 = 0; the ball of (0, 0) first leaves
