@@ -63,6 +63,7 @@ __all__ = [
     "substitute",
     "free_vars",
     "emitter",
+    "FAULTS",
     "KERNEL_NAMES",
     "compile_expr",
     "compile_source",
@@ -733,7 +734,8 @@ def emitter(nvars: int, var: str = "p[{}]", *, temp: str = "t"):
     return lines, lambda e: _fold(e, handlers, memo)
 
 
-KERNEL_NAMES = {"_frac_pow": _frac_pow, "_zero_pow": _zero_pow}  # what emitted code calls
+FAULTS = (EvaluationError, OverflowError)  # the one rule for "no value at this point"
+KERNEL_NAMES = {"_frac_pow": _frac_pow, "_zero_pow": _zero_pow, "_FAULTS": FAULTS}  # in every generated scope
 
 
 def compile_expr(
@@ -750,7 +752,7 @@ def compile_expr(
         result = "[" + ", ".join([emit(c) for c in e]) + "]"
     body = "\n".join(f"    {line}" for line in lines)
     src = f"def _f(p):\n{body}\n    return {result}\n"
-    return compile_source(src, "_f", "kernel", **KERNEL_NAMES)
+    return compile_source(src, "_f", "kernel")
 
 
 _SERIAL = itertools.count(1)
@@ -758,11 +760,12 @@ _SERIAL = itertools.count(1)
 
 def compile_source(src: str, name: str, kind: str = "generated", **names) -> Callable:
     """The function ``name`` that generated source ``src`` defines, with
-    ``names`` in scope; its text stays in ``.source`` for debugging.  Its
-    filename is ``<kind-N>`` with a fresh N, so profiles keep each
-    generated function apart."""
-    exec(compile(src, f"<{kind}-{next(_SERIAL)}>", "exec"), names)
-    f = names[name]
+    :data:`KERNEL_NAMES` and ``names`` in scope; its text stays in
+    ``.source`` for debugging.  Its filename is ``<kind-N>`` with a fresh
+    N, so profiles keep each generated function apart."""
+    scope = {**KERNEL_NAMES, **names}
+    exec(compile(src, f"<{kind}-{next(_SERIAL)}>", "exec"), scope)
+    f = scope[name]
     f.source = src
     return f
 

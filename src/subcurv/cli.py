@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import calculus as ca
-from .calculus import CalculusError, CoordSystem, EvaluationError
+from .calculus import CalculusError, CoordSystem, EvaluationError, Expr
 from .core import (
     GridSpec,
     IndefiniteCometric,
@@ -111,10 +111,7 @@ class ConfigDocument:
         raw = self.functions[name]
         if "expr" not in raw:
             raise ConfigError(f"function {name!r} has no expr")
-        try:
-            expr = ca.parse_expr(raw["expr"], coords)
-        except CalculusError as exc:
-            raise ConfigError(f"{_at(raw['expr'])}function {name!r}: {exc}") from exc
+        expr = _config_expr(raw["expr"], coords, f"function {name!r}")
         box = _parse_box(raw["box"], len(coords)) if "box" in raw else None
         try:
             return ScalarField(expr, coords, box)
@@ -190,16 +187,22 @@ def load_config(path: str) -> ConfigDocument:
     return parse_config(text)
 
 
+def _config_expr(text: str, coords: CoordSystem, where: str, value=None) -> Expr:
+    """``text`` parsed over ``coords``; a parse error is a config error that
+    names ``where`` and the line of ``value`` (by default of ``text``)."""
+    try:
+        return ca.parse_expr(text, coords)
+    except CalculusError as exc:
+        raise ConfigError(f"{_at(text if value is None else value)}{where}: {exc}") from exc
+
+
 def _parse_expr_list(value: str, coords: CoordSystem, where: str) -> list:
     out = []
     for part in value.split(","):
         part = part.strip()
         if not part:
             raise ConfigError(f"{where}: empty expression in list")
-        try:
-            out.append(ca.parse_expr(part, coords))
-        except CalculusError as exc:
-            raise ConfigError(f"{_at(value)}{where}: {exc}") from exc
+        out.append(_config_expr(part, coords, where, value))
     return out
 
 
@@ -322,10 +325,7 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
                 raise ConfigError(f"[structure]: bad cometric key {key!r}") from exc
             if not (0 <= l < n and 0 <= k < n):
                 raise ConfigError(f"[structure]: cometric index out of range in {key}")
-            try:
-                entry = ca.parse_expr(value, coords)
-            except CalculusError as exc:
-                raise ConfigError(f"{_at(value)}[structure] {key}: {exc}") from exc
+            entry = _config_expr(value, coords, f"[structure] {key}")
             cometric[l][k] = entry
             if cometric[k][l] is None:
                 cometric[k][l] = entry
@@ -333,13 +333,7 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             for k in range(n):
                 if cometric[l][k] is None:
                     cometric[l][k] = ca.ZERO
-        if "density" in raw:
-            try:
-                density = ca.parse_expr(raw["density"], coords)
-            except CalculusError as exc:
-                raise ConfigError(f"{_at(raw['density'])}[structure] density: {exc}") from exc
-        else:
-            density = ca.ONE
+        density = _config_expr(raw["density"], coords, "[structure] density") if "density" in raw else ca.ONE
         extra = {}
         if "degeneracy" in raw:
             extra["degeneracy"] = _number(raw, "degeneracy", "[structure]", int)
@@ -708,7 +702,7 @@ def cmd_rank(args) -> int:
             m = [[ca.sub(ca.differentiate(w[j], k), ca.differentiate(w[k], j))
                   for j in range(S.dim)] for k in range(S.dim)]
             tf_rank = two_form_rank(m, point, restriction_basis=S.frame_fields or None)
-    except (EvaluationError, OverflowError) as exc:
+    except ca.FAULTS as exc:
         raise EvaluationError(f"rank undefined at point {point}: {exc}") from None
     hormander = report.rank >= target
     payload = {

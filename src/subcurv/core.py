@@ -136,14 +136,14 @@ def curvature_at(
     pt = tuple(point)
     try:
         sq_val = ca.evaluate(sq, pt)
-    except (ca.EvaluationError, OverflowError) as exc:
+    except ca.FAULTS as exc:
         raise undefined_at("|dphi|*^2", pt, exc) from None
     eps_sq = (default_eps_sing() if eps_sing is None else eps_sing) ** 2
     if is_singular(sq_val, pt, eps_sq):
         raise SingularPoint(f"singular point at {pt}: |dphi|*^2 = {sq_val:.3e} < {eps_sq:g}")
     try:
         value = ca.evaluate(h, pt)
-    except (ca.EvaluationError, OverflowError) as exc:
+    except ca.FAULTS as exc:
         raise undefined_at("H", pt, exc) from None
     require_finite("H", [value], [pt])
     return value
@@ -197,10 +197,11 @@ class VectorFieldExpr:
         self._run = self._jacobian = None
 
     def integrator(self):
-        """Classical RK4 loop ``run(x, h, nsteps, stop) -> (points, completed,
-        note)``, generated once (``<rk4-N>``), with the float operations of
-        ``x + 0.5 * h * k1``, ..., ``x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``
-        in that order, and each non-constant component inline at each stage.
+        """Classical RK4 loop ``run(x, h, nsteps, stop) -> (points, end, note)``
+        (``end`` is completed, stopped or aborted), generated once (``<rk4-N>``),
+        with the float operations of ``x + 0.5 * h * k1``, ...,
+        ``x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` in that order, and
+        each non-constant component inline at each stage.
 
         A constant component K is loop-invariant: ``hh * (K)``, ``h * (K)``
         and ``h6 * ((K) + 2.0 * (K) + 2.0 * (K) + (K))`` are computed once,
@@ -235,7 +236,7 @@ class VectorFieldExpr:
             stages = "".join(f"            {line}\n" for line in body)
             if stages:  # only a non-constant component can fail, and a field without one has no stage
                 stages = ("        try:\n" + stages + "        except _FAULTS as exc:\n"
-                          "            return pts, False, f'integration aborted: {exc}'\n")
+                          "            return pts, 'aborted', f'integration aborted: {exc}'\n")
             hoisted = "".join(
                 f"    hk{i}, hc{i}, inc{i} = hh * {K}, h * {K}, h6 * ({K} + 2.0 * {K} + 2.0 * {K} + {K})\n"
                 for i, K in const.items()
@@ -246,14 +247,14 @@ class VectorFieldExpr:
             )
             src = (
                 "def run(x, h, nsteps, stop):\n    pts = [x]\n    if stop is not None and stop(x):\n"
-                f"        return pts, False, 'stopped at step 0'\n    {row('x{i}')} = x\n    hh = 0.5 * h\n"
-                f"    h6 = h / 6.0\n{hoisted}    for k in range(1, nsteps + 1):\n{stages}"
+                f"        return pts, 'stopped', 'stopped at step 0'\n    {row('x{i}')} = x\n"
+                f"    hh = 0.5 * h\n    h6 = h / 6.0\n{hoisted}    for k in range(1, nsteps + 1):\n{stages}"
                 f"        {row('x{i}')} = {steps},\n"
                 f"        x = ({row('x{i}')})\n        pts.append(x)\n        if stop is not None and stop(x):\n"
-                "            return pts, False, f'stopped at step {k}'\n    return pts, True, ''\n"
+                "            return pts, 'stopped', f'stopped at step {k}'\n"
+                "    return pts, 'completed', ''\n"
             )
-            faults = (ca.EvaluationError, OverflowError)
-            self._run = ca.compile_source(src, "run", "rk4", _FAULTS=faults, **ca.KERNEL_NAMES)
+            self._run = ca.compile_source(src, "run", "rk4")
         return self._run
 
     def jacobian(self) -> list:
@@ -533,10 +534,8 @@ def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
         f"        except _FAULTS:\n            hs.append(None)\n{tail}"
         "    if bad is not None:\n        raise bad\n    return values, hs, low\n"
     )
-    faults = (ca.EvaluationError, OverflowError)
-    return ca.compile_source(src, "sweep", "sweep", _FAULTS=faults, _undefined=undefined_at,
-                             _require_finite=require_finite, _isfinite=math.isfinite,
-                             IndefiniteCometric=IndefiniteCometric, **ca.KERNEL_NAMES)
+    return ca.compile_source(src, "sweep", "sweep", _undefined=undefined_at, _require_finite=require_finite,
+                             _isfinite=math.isfinite, IndefiniteCometric=IndefiniteCometric)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +647,7 @@ def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
     def refine(x0):
         try:
             return newton_minimize(grad_at, hess_at, x0, active)
-        except (ca.EvaluationError, OverflowError):
+        except ca.FAULTS:
             return list(map(float, x0)), False  # a step left the domain
 
     return refine

@@ -59,9 +59,11 @@ from .core import (
     conorm_sq_expr,
     default_eps_sing,
     grid_clusters,
+    is_singular,
     newton_refiner,
     p_mean_curvature_expr,
     require_finite,
+    undefined_at,
 )
 from .brackets import bracket_generate_rank, tangent_distribution_fields
 from .heisenberg import (
@@ -541,9 +543,7 @@ class _ScenarioEngine:
             + f"    record(abs({v} - {u}))\n    return False\n"
         )
         devs = []
-        names = dict(_FAULTS=(ca.EvaluationError, OverflowError), inf=math.inf, record=devs.append,
-                     **ca.KERNEL_NAMES)
-        return ca.compile_source(src, "f", "box-stop", **names), devs
+        return ca.compile_source(src, "f", "box-stop", inf=math.inf, record=devs.append), devs
 
 
 def _in_box(pt, box) -> bool:
@@ -556,13 +556,14 @@ def _in_box(pt, box) -> bool:
 
 
 class IntegrationResult:
-    """Fixed-step one-step integration output."""
+    """Fixed-step one-step integration output; ``end`` is completed, stopped or aborted."""
 
-    __slots__ = ("points", "completed", "note")
+    __slots__ = ("points", "end", "completed", "note")
 
-    def __init__(self, points, completed, note=""):
+    def __init__(self, points, end, note=""):
         self.points = points
-        self.completed = completed
+        self.end = end
+        self.completed = end == "completed"
         self.note = note
 
     @property
@@ -597,10 +598,10 @@ def integrate_field(
 
     Negative T integrates backwards, in ``ceil(|T| / step)`` equal steps;
     a step that is not positive, or more than :data:`MAX_RK4_STEPS` steps,
-    raises ``ValueError``.  Evaluation failure aborts with the
-    partial trajectory flagged.  ``stop(point)``, when given, is called
-    on the start point and on each new point; the first point for which
-    it returns true ends the trajectory, flagged incomplete.
+    raises ``ValueError``.  Evaluation failure ends the partial trajectory
+    as ``"aborted"``.  ``stop(point)``, when given, is called on the start
+    point and on each new point; the first point for which it returns true
+    ends the trajectory as ``"stopped"``.
     """
     nsteps = _rk4_steps(T, step)
     h = T / nsteps if nsteps else 0.0
@@ -663,8 +664,8 @@ def _propagate(engine, fields, start, lifted, T=None, step=None):
     for fi, X in enumerate(fields):
         for direction in (1.0, -1.0):
             devs.clear()
-            # stops at the first point outside the box, so an incomplete
-            # trajectory either left the box or hit an evaluation failure
+            # stops at the first point whose projection leaves the box or has
+            # no value; a field component with no value aborts it inside the box
             traj = integrate_field(X, lifted, direction * T, step, stop=stop)
             max_dev = max([0.0, *devs])
             first_violation = next((si for si, dev in enumerate(devs) if dev > eps), None)
@@ -676,7 +677,7 @@ def _propagate(engine, fields, start, lifted, T=None, step=None):
                     max_deviation=max_dev,
                     first_violation_step=first_violation,
                     steps_used=max(len(devs) - 1, 0),
-                    exited_box=not traj.completed,
+                    exited_box=traj.end == "stopped",
                     ok=max_dev <= eps,
                 )
             )
@@ -700,7 +701,9 @@ def variation_check(
     midpoint quadrature over f's box and returns |R| / (int|f| + 1); the
     identity R = 0 is the integration-by-parts statement that H_F is the
     divergence of the unit horizontal normal.  f must vanish on the box
-    boundary; singular points of u inside the support abort.
+    boundary.  :func:`core.compile_sweep` sweeps N_F(u) . grad f + f H_F(u)
+    over the midpoints where f is not 0, and a point it masks there raises
+    :class:`SingularPoint` if singular, else an evaluation error naming it.
     """
     if f.box is None:
         raise ValueError("test function needs a domain box")
@@ -715,33 +718,33 @@ def variation_check(
             face = [(edge, edge, 1) if i == axis else (lo, hi, 9) for i, (lo, hi) in enumerate(box)]
             for pt in GridSpec(face).points():
                 if abs(f_fn(pt)) > 1e-12:
-                    raise ValueError(
-                        f"test function does not vanish on the boundary at {pt}"
-                    )
+                    raise ValueError(f"test function does not vanish on the boundary at {pt}")
     h_expr, norm_sq = graph_HF_exprs(F, u.expr, m)
-    comps = [ca.add(ca.differentiate(u.expr, j), F[j]) for j in range(m)]
     inv_norm = ca.pow_(norm_sq, Fraction(-1, 2))
-    n_fns = [ca.compile_expr(ca.mul(c, inv_norm), m) for c in comps]
-    norm_fn = ca.compile_expr(norm_sq, m)
-    h_fn = ca.compile_expr(h_expr, m)
-    grad_f_fns = [
-        ca.compile_expr(ca.differentiate(f.expr, j), m) for j in range(m)
-    ]
+    integrand = ca.add(
+        *[ca.mul(ca.add(ca.differentiate(u.expr, j), F[j]), inv_norm, ca.differentiate(f.expr, j))
+          for j in range(m)],
+        ca.mul(f.expr, h_expr),
+    )
     eps_sq = default_eps_sing() ** 2
 
     widths = [(hi - lo) / grid for (lo, hi) in box]
     vol = math.prod(widths)
     mids = [[lo + (k + 0.5) * w for k in range(grid)] for (lo, _), w in zip(box, widths)]
     total = total_abs_f = 0.0
+    support = []  # outside it nothing contributes, and nothing is evaluated
     for pt in itertools.product(*mids):
         fv = f_fn(pt)
         total_abs_f += abs(fv) * vol
-        if fv == 0.0:
-            continue  # outside the support nothing contributes
-        if norm_fn(pt) < eps_sq:
-            raise SingularPoint(f"singular point inside test support at {pt}")
-        term = sum(n_fns[j](pt) * grad_f_fns[j](pt) for j in range(m))
-        term += fv * h_fn(pt)
+        if fv != 0.0:
+            support.append(pt)
+    _, terms, low = compile_sweep(integrand, norm_sq, m, eps_sq)(support)
+    for k, term in enumerate(terms):
+        if term is None:
+            pt = support[k]
+            if k in low and is_singular(low[k], pt, eps_sq):
+                raise SingularPoint(f"singular point inside test support at {pt}")
+            raise undefined_at("weak-form integrand", pt, "no finite value")
         total += term * vol
     return abs(total) / (total_abs_f + 1.0)
 

@@ -25,11 +25,11 @@ from subcurv.cli import dumps_report, format_number, write_scenario_csv
 from subcurv.calculus import EvaluationError
 from subcurv.core import (
     PSD_TOL, GridSpec, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
-    VectorFieldExpr, conorm_sq_expr, p_mean_curvature_expr,
+    VectorFieldExpr, compile_sweep, conorm_sq_expr, curvature_at, p_mean_curvature_expr,
 )
 from subcurv.brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
 from subcurv.heisenberg import (
-    cylinder_structure, graph_coords, standard_drift, standard_structure,
+    cylinder_structure, graph_coords, graph_HF_exprs, standard_drift, standard_structure,
 )
 from subcurv.smp import (
     ComparisonScenario,
@@ -130,7 +130,7 @@ class TestIntegrateField:
         X = VectorFieldExpr(CS2, [ca.ONE, ca.ZERO])
         # binary-friendly step: the increments accumulate without rounding
         out = integrate_field(X, (0.0, 0.0), 1.0, 1.0 / 128)
-        assert out.completed
+        assert out.completed and out.end == "completed"
         assert out.endpoint == (1.0, 0.0)
 
     def test_left_invariant_flow_from_origin(self):
@@ -174,7 +174,7 @@ class TestIntegrateField:
         out = integrate_field(
             X, (0.0, 0.0), 1.0, 1.0 / 128, stop=lambda p: seen.append(p) or p[0] > 0.1
         )
-        assert not out.completed and out.note == "stopped at step 13"
+        assert (out.completed, out.end, out.note) == (False, "stopped", "stopped at step 13")
         assert seen == out.points and len(out) == 14
         assert out.points[-2][0] <= 0.1 < out.endpoint[0]
         start = integrate_field(X, (0.0, 0.0), 1.0, 1.0 / 128, stop=lambda p: True)
@@ -312,7 +312,7 @@ class TestGeneratedStep:
         X = VectorFieldExpr(cs, [ca.const(-int(T)), ca.parse_expr("sqrt(c0) + c2", cs),
                                  ca.parse_expr("c1*c2 - 1", cs)])
         out = assert_same_as_reference(X, (0.2, 0.1, -0.3), T, 1e-2)
-        assert out.note.startswith("integration aborted: non-integer power 0.5")
+        assert out.end == "aborted" and out.note.startswith("integration aborted: non-integer power 0.5")
         assert 15 < len(out.points) < 25
 
     def test_loop_is_built_once_per_field_with_the_components_inline(self):
@@ -374,6 +374,23 @@ class TestPropagateMax:
         runs = propagate_max(sc, (0.75,), [minus_x1], T=1.5, step=0.75)
         assert [(r.direction, r.steps_used, r.exited_box, r.ok) for r in runs] == [
             (1, 0, True, True), (-1, 0, True, True)]
+
+    def test_a_trajectory_aborted_inside_the_box_has_not_exited_it(self):
+        # sqrt((x1 - 1.1)^2 - 1/10000) has no value on |x1 - 1.1| < 1/100, a
+        # strip between grid points: a trajectory that runs into it aborts there
+        op = GenericOperator(standard_structure(1))
+        u = ca.parse_expr("x1^2 + y1^2 + ((x1 - 1.1)^2 - 1/10000)^(1/2)", op.chart)
+        sc = ComparisonScenario("hole", op, u, u, box=((1.0, 1.5), (-0.5, 0.5)), grid_counts=9)
+        records = run_scenario(sc).as_dict()["propagation"]
+        fields = tangent_distribution_fields(op.structure, op.phi(u))
+        aborted = 0
+        for r in records:
+            start = op.lift(tuple(r["start"]), ca.evaluate(u, tuple(r["start"])))
+            traj = integrate_field(fields[r["field_index"]], start, r["direction"] * sc.T, sc.step)
+            left = any(not smp._in_box(reference_project(op, p), sc.box) for p in traj.points)
+            assert r["exited_box"] == left
+            aborted += not (left or traj.completed)  # no stop test: incomplete is aborted
+        assert (len(records), aborted) == (16, 5)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_run_scenario_lifts_each_start_as_propagate_max_does(self, name):
@@ -678,6 +695,27 @@ class TestGeneratedProjection:
             assert bits([devs]) == bits([[abs(du)]])
 
 
+def reference_variation(F, u, f, grid):
+    """The weak-form residual as a loop of ``ca.evaluate`` at each midpoint
+    where f is not 0: N . grad f term by term, then f H."""
+    m = len(f.coords)
+    h, sq = graph_HF_exprs(F, u.expr, m)
+    inv_norm = ca.pow_(sq, Fraction(-1, 2))
+    normal = [ca.mul(ca.add(ca.differentiate(u.expr, j), F[j]), inv_norm) for j in range(m)]
+    grad_f = ca.gradient(f.expr, m)
+    widths = [(hi - lo) / grid for lo, hi in f.box]
+    vol = math.prod(widths)
+    mids = [[lo + (k + 0.5) * w for k in range(grid)] for (lo, _), w in zip(f.box, widths)]
+    total = total_abs_f = 0.0
+    for pt in itertools.product(*mids):
+        fv = ca.evaluate(f.expr, pt)
+        total_abs_f += abs(fv) * vol
+        if fv != 0.0:
+            term = sum(ca.evaluate(n, pt) * ca.evaluate(g, pt) for n, g in zip(normal, grad_f))
+            total += (term + fv * ca.evaluate(h, pt)) * vol
+    return abs(total) / (total_abs_f + 1.0)
+
+
 class TestVariationCheck:
     def bump(self):
         return ScalarField(
@@ -697,6 +735,39 @@ class TestVariationCheck:
             r128 = variation_check(F, u, f, 128)
             assert r64 <= 2e-2
             assert r128 <= 1e-2
+
+    @pytest.mark.parametrize("src", ["x1*x2", "x1*x2 + x2^2"])
+    @pytest.mark.parametrize("grid", [64, 128])
+    def test_residual_is_the_evaluate_reference(self, src, grid):
+        # one swept integrand against the term-by-term loop: the sums
+        # round differently, by far less than the criterion-9 bound
+        F, f = standard_drift(2), self.bump()
+        u = ScalarField(ca.parse_expr(src, CS2), CS2)
+        assert abs(variation_check(F, u, f, grid) - reference_variation(F, u, f, grid)) <= 1e-15
+
+    @pytest.mark.parametrize("src", ["x1*x2", "x1*x2 + (x1^2)^(3/2)"])
+    def test_no_point_outside_the_support_is_evaluated(self, src):
+        # f = 0 on {x1 = 0}, where x1*x2 is singular and (x1^2)^(3/2) has
+        # no value; an odd cell count puts midpoints exactly on the line
+        F, u = standard_drift(2), ScalarField(ca.parse_expr(src, CS2), CS2)
+        f = ScalarField(ca.parse_expr("x1^2*((x1+1/2)*(1/2-x1)*(x2+1/2)*(1/2-x2))^2", CS2),
+                        CS2, box=((-0.5, 0.5), (-0.5, 0.5)))
+        h, sq = graph_HF_exprs(F, u.expr, 2)
+        with pytest.raises((SingularPoint, EvaluationError)):
+            curvature_at(h, sq, (0.0, 0.1))
+        r = variation_check(F, u, f, 15)
+        assert math.isfinite(r) and abs(r - reference_variation(F, u, f, 15)) <= 1e-15
+
+    def test_integrand_without_value_in_the_support_names_the_point(self, monkeypatch):
+        # eps_sing squares to 0, so the zero norm on {x1 = 0} is not
+        # singular: N = grad / |grad| has no value there
+        monkeypatch.setenv("SUBCURV_EPS_SING", "1e-200")
+        F, u = standard_drift(2), ScalarField(ca.parse_expr("x1*x2", CS2), CS2)
+        f = ScalarField(ca.parse_expr("((x1+1/2)*(1/2-x1)*(x2+1/2)*(1/2-x2))^2", CS2),
+                        CS2, box=((-0.5, 0.5), (-0.5, 0.5)))
+        first = (0.0, -0.5 + 0.5 / 15)
+        with pytest.raises(EvaluationError, match=re.escape(f"integrand undefined at chart point {first}")):
+            variation_check(F, u, f, 15)
 
     def test_zero_test_function(self):
         F = standard_drift(2)
@@ -1158,6 +1229,19 @@ def bitwise(low):
     return {k: struct.pack("<d", v) for k, v in low.items()}
 
 
+def test_every_generated_kind_has_the_one_no_value_rule_in_scope():
+    engine = smp._ScenarioEngine(builtin_scenario("h1-counterexample"))
+    generated = {
+        "kernel": ca.compile_expr(ca.var(0), 1),
+        "sweep": compile_sweep(ca.var(0), ca.ONE, 1, 1e-14),
+        "rk4": VectorFieldExpr(CS2, [ca.neg(ca.var(1)), ca.var(0)]).integrator(),
+        "box-stop": engine.box_stop[0],
+    }
+    for kind, fn in generated.items():
+        assert fn.__code__.co_filename.startswith(f"<{kind}-")
+        assert fn.__globals__["_FAULTS"] is ca.FAULTS
+
+
 class TestGeneratedSweep:
     @settings(max_examples=300, deadline=None)
     @given(build=st.sampled_from(["generic", "la_graph", "graph_HF"]),
@@ -1299,9 +1383,28 @@ def reference_coincide(engine):
     return True, None
 
 
+def flood_fill(cells):
+    """The connected components of grid cells under axis adjacency, as sets
+    of cells, by flood fill: the oracle for the cluster helpers."""
+    unseen, components = set(cells), []
+    while unseen:
+        stack = [unseen.pop()]
+        components.append(set(stack))
+        while stack:
+            cell = stack.pop()
+            for axis in range(len(cell)):
+                for delta in (-1, 1):
+                    nb = cell[:axis] + (cell[axis] + delta,) + cell[axis + 1 :]
+                    if nb in unseen:
+                        unseen.remove(nb)
+                        components[-1].add(nb)
+                        stack.append(nb)
+    return components
+
+
 def reference_singular(engine, graph):
     cells = [idx for idx, h in zip(engine.grid.indices(), graph.h) if h is None]
-    return len(cells) / len(graph.h), len(smp.grid_clusters(cells))
+    return len(cells) / len(graph.h), len(flood_fill(cells))
 
 
 class TestGridPositions:
@@ -1332,6 +1435,17 @@ class TestGridPositions:
             du=du, tol=smp.Tolerances(), grid=grid, indices=tuple(grid.indices()),
             hits=[k for k, d in enumerate(du) if abs(d) <= 1e-6])
         assert smp._coincide_check(engine) == reference_coincide(engine)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           density=st.sampled_from([0.05, 0.3, 0.6, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_clusters_are_the_flood_fill_components(self, shape, density, seed):
+        rng = random.Random(seed)
+        cells = [c for c in GridSpec([(0.0, 1.0, n) for n in shape]).indices() if rng.random() < density]
+        groups, components = smp.grid_clusters(cells), flood_fill(cells)
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        assert len(groups) == len(components)
+        assert {frozenset(cells[k] for k in g) for g in groups} == set(map(frozenset, components))
 
     def test_witness_off_the_first_row(self):
         # v - u = x1 touches along x1 = 0; the ball of (0, 0) first leaves
