@@ -40,6 +40,7 @@ __all__ = [
     "SubriemannianStructure",
     "GridSpec",
     "grid_clusters",
+    "row_major_strides",
     "newton_refiner",
     "raise_covector",
     "pairing_expr",
@@ -546,10 +547,10 @@ def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
 class GridSpec:
     """Tensor-product grid: per-axis (lo, hi, count) with count >= 1.
 
-    ``points()`` and ``indices()`` enumerate the points and their
-    multi-indices in the same row-major order (first axis slowest), which
-    fixes the deterministic ordering every consumer relies on; zip them
-    where both are needed.  Axes with count == 1 are frozen at lo.
+    ``points()`` enumerates the points in row-major order (first axis
+    slowest), which fixes the deterministic ordering every consumer relies
+    on; the k-th point's index along axis i is ``k // stride % count``
+    (:func:`row_major_strides`).  Axes with count == 1 are frozen at lo.
     """
 
     __slots__ = ("axes",)
@@ -588,41 +589,38 @@ class GridSpec:
         """The grid points, as tuples in row-major order."""
         return itertools.product(*[self.axis_values(i) for i in range(len(self.axes))])
 
-    def indices(self):
-        """The multi-index of each point of :meth:`points`, in the same order."""
-        return itertools.product(*[range(c) for c in self.shape])
-
     def as_dict(self) -> dict:
         return {"axes": [[lo, hi, count] for lo, hi, count in self.axes]}
 
 
-def grid_clusters(cells) -> list:
-    """Connected components of grid cells under axis adjacency.
+def row_major_strides(shape) -> list:
+    """The step in flat row-major grid position of one index step along each axis."""
+    return [math.prod(shape[i + 1 :]) for i in range(len(shape))]
 
-    ``cells`` are multi-indices; each component is a list of positions
-    into ``cells``, and components are ordered by their first position.
-    """
-    index = {c: i for i, c in enumerate(cells)}
-    parent = list(range(len(cells)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, cell in enumerate(cells):
-        for axis in range(len(cell)):
-            for delta in (-1, 1):
-                j = index.get(cell[:axis] + (cell[axis] + delta,) + cell[axis + 1 :])
-                if j is not None:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-    groups: dict = {}
-    for i in range(len(cells)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def grid_clusters(positions, shape) -> list:
+    """Connected components, under axis adjacency (never wrapping into the
+    next row), of the cells at the flat row-major ``positions`` of a grid of
+    ``shape``, by flood fill: each sorted, ordered by its first position."""
+    unseen = set(positions)
+    if len(unseen) == math.prod(shape):  # every cell, and the grid is connected
+        return [sorted(unseen)]
+    steps = [(s, s * c) for s, c in zip(row_major_strides(shape), shape) if c > 1]
+    clusters = []
+    for k in sorted(unseen):
+        if k not in unseen:
+            continue
+        cluster, frontier = [], [k]
+        while frontier:
+            unseen.difference_update(frontier)
+            cluster.extend(frontier)
+            reached = set()
+            for s, block in steps:  # j % block // s is j's index along the axis
+                reached.update([j + s for j in frontier if j % block < block - s])
+                reached.update([j - s for j in frontier if j % block >= s])
+            frontier = list(reached & unseen)
+        clusters.append(sorted(cluster))
+    return clusters
 
 
 def newton_refiner(f: Expr, nvars: int, grid: GridSpec):

@@ -13,9 +13,9 @@ Each graph is swept once over the grid's points (``GridSpec.points()``)
 by one loop generated for it (:func:`core.compile_sweep`) into a record
 that every later measurement reads by grid position, so no norm is
 evaluated after the sweep; a grid point carries no curvature value where
-the graph is singular or H cannot be evaluated there.  Multi-indices
-(``GridSpec.indices()``) are built only for a measurement that names
-cells: the touching list, the singular clusters and the 5-cell balls.
+the graph is singular or H cannot be evaluated there.  The touching and
+singular clusters and the 5-cell balls work on these flat positions and
+derive an index along an axis from its stride (:func:`core.row_major_strides`).
 If the data comes in with the larger graph labelled u, the engine swaps
 the two records, and every later measurement (rank and propagation
 included) reads the lower graph as u: exchanging u and v changes only
@@ -63,6 +63,7 @@ from .core import (
     newton_refiner,
     p_mean_curvature_expr,
     require_finite,
+    row_major_strides,
     undefined_at,
 )
 from .brackets import bracket_generate_rank, tangent_distribution_fields
@@ -359,12 +360,12 @@ class ScenarioReport:
 
 
 class _SweptGraph:
-    """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``,
-    the ``values``, the masked curvature ``h`` and ``low``, the positions
-    whose squared norm is not ``>= eps_sq``, with that norm.  An indefinite
-    cometric names the graph and its ambient point (``op.lift``).  The
-    record of a ``child`` (:class:`_ForkedSweep`) is taken if it succeeded;
-    else the graph is swept here, so its error keeps its type and message."""
+    """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``, the
+    ``values``, the masked curvature ``h`` and ``low``, the positions whose squared
+    norm is not ``>= eps_sq``, with that norm.  An indefinite cometric names the
+    graph and its ambient point (``op.lift``), an overflow while H is built names
+    the graph.  The record of a ``child`` (:class:`_ForkedSweep`) is taken if it
+    succeeded; else the graph is swept here, so its error keeps its type and message."""
 
     __slots__ = ("expr", "values", "h", "low")
 
@@ -372,7 +373,11 @@ class _SweptGraph:
         self.expr = expr
         swept = child.result() if child is not None else None
         if swept is None:
-            sweep = compile_sweep(*op.build(expr), len(op.chart), eps_sq, graph=(name, expr))
+            try:
+                built = op.build(expr)
+            except OverflowError as exc:  # a constant folded while building H left the float range
+                raise ca.EvaluationError(f"graph {name}: outside the float range while building H ({exc})") from None
+            sweep = compile_sweep(*built, len(op.chart), eps_sq, graph=(name, expr))
             try:
                 swept = sweep(points)
             except IndefiniteCometric as exc:
@@ -467,40 +472,37 @@ class _ScenarioEngine:
             "holds": holds,
         }
 
-    @functools.cached_property
-    def indices(self):
-        """The multi-index of each grid position, built only for a
-        measurement that names cells (touching, singular cells, the
-        5-cell balls)."""
-        return tuple(self.grid.indices())
-
     # -- measurements ----------------------------------------------------
 
-    def touching(self):
-        """The touching grid points (``hits``), Newton-refined."""
+    def touching_clusters(self):
+        """The clusters of ``hits`` (:func:`core.grid_clusters`), each with one
+        Newton-refined representative: the cell farthest in index steps from the
+        faces of the axes with more than one point, the first in grid order."""
         if not self.hits:
             return []
-        eps = self.tol.eps_touch
+        du, shape = self.du, self.grid.shape
         diff = ca.sub(self.v.expr, self.u.expr)
         refine = newton_refiner(diff, self.nvars, self.grid)
         diff_fn = ca.compile_expr(diff, self.nvars)
+        # each axis: its stride, its count and the index steps from each index to the nearer face
+        axes = [(s, c, [min(i, c - 1 - i) for i in range(c)]) for s, c in zip(row_major_strides(shape), shape)]
         out = []
-        for k in self.hits:
-            pt = self.points[k]
+        for cells in grid_clusters(self.hits, shape):
+            columns = [[k // s % c for k in cells] for s, c, _ in axes]  # each cell's index on each axis
+            faces = [list(map(steps.__getitem__, col)) for col, (_, c, steps) in zip(columns, axes) if c > 1]
+            depth = list(map(min, zip(*faces))) if faces else [0]  # a grid of one point: one cell
+            j = depth.index(max(depth))
+            k, pt = cells[j], self.points[cells[j]]
             refined, ok = refine(pt)
-            ok = ok and _in_box(refined, self.sc.box)
-            if ok:
-                value = diff_fn(refined)
-                ok = abs(value) <= eps
-            out.append(
-                {
-                    "index": list(self.indices[k]),
-                    "point": list(pt),
-                    "refined_point": [float(c) for c in refined] if ok else list(pt),
-                    "value": value if ok else self.du[k],
-                    "refined": ok,
-                }
-            )
+            value = diff_fn(refined) if ok and _in_box(refined, self.sc.box) else None
+            ok = value is not None and abs(value) <= self.tol.eps_touch
+            rep = {"index": [col[j] for col in columns], "point": list(pt),
+                   "refined_point": [float(c) for c in refined] if ok else list(pt),
+                   "value": value if ok else du[k], "refined": ok}
+            out.append({"cells": len(cells), "index_lo": list(map(min, columns)),
+                        "index_hi": list(map(max, columns)),
+                        "max_abs_v_minus_u": max(map(abs, map(du.__getitem__, cells))),
+                        "representative": rep})
         return out
 
     def gap(self):
@@ -517,10 +519,8 @@ class _ScenarioEngine:
     def singular(self, graph: _SweptGraph):
         """Fraction and connected clusters (grid adjacency) of the cells
         where ``graph`` carries no curvature value; no scan without one."""
-        if None not in graph.h:
-            return 0.0, 0
-        cells = [self.indices[k] for k, h in enumerate(graph.h) if h is None]
-        return len(cells) / len(self.points), len(grid_clusters(cells))
+        cells = [k for k, h in enumerate(graph.h) if h is None] if None in graph.h else []
+        return len(cells) / len(self.points), len(grid_clusters(cells, self.grid.shape))
 
     @functools.cached_property
     def box_stop(self):
@@ -763,12 +763,12 @@ def _coincide_check(engine):
     if len(engine.hits) == len(du):
         return True, None
     shape = engine.grid.shape
-    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]  # row-major
+    strides = row_major_strides(shape)
     radius = 5
 
-    def ball(k):  # offsets along each axis, summing to a grid position
+    def ball(k):  # offsets along each axis (k's index there is i), summing to a grid position
         return itertools.product(*[range(max(0, i - radius) * s, min(c, i + radius + 1) * s, s)
-                                   for i, c, s in zip(engine.indices[k], shape, strides)])
+                                   for s, c in zip(strides, shape) for i in (k // s % c,)])
 
     far = next(nb for k in engine.hits for nb in ball(k) if abs(du[sum(nb)]) > eps)
     return False, [o // s for o, s in zip(far, strides)]
@@ -812,12 +812,13 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     the same at every ``jobs``.
     """
     engine = _ScenarioEngine(scenario, jobs)
-    touching = engine.touching()
+    u, hits = engine.u, engine.hits
+    touching = engine.touching_clusters()
     gap = engine.gap()
-    frac_u, clusters_u = engine.singular(engine.u)
+    frac_u, clusters_u = engine.singular(u)
     frac_v, clusters_v = engine.singular(engine.v)
-    coincides, separation_witness = _coincide_check(engine) if touching else (False, None)
-    separates = bool(touching) and not coincides
+    coincides, separation_witness = _coincide_check(engine) if hits else (False, None)
+    separates = bool(hits) and not coincides
 
     # rank verdict at the first touching point (grid order), when the
     # operator's ambient structure has frames
@@ -825,13 +826,12 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     rank_data = None
     propagation = []
     eps_sq = engine.tol.eps_sing ** 2
-    u, hits = engine.u, engine.hits
     # a position outside ``low`` has squared norm >= eps_sq
     singular_touch = any(
         u.low.get(k, eps_sq) < eps_sq or engine.v.low.get(k, eps_sq) < eps_sq
         for k in hits
     )
-    if touching and op.structure.frame_fields is not None:
+    if hits and op.structure.frame_fields is not None:
         # the rank hypothesis is checked on the lower graph, at regular points
         fields = tangent_distribution_fields(op.structure, op.phi(u.expr))
         rank_k = next((k for k in hits if k not in u.low), None)
@@ -856,7 +856,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
                     propagation.extend(r.as_dict() for r in _propagate(engine, fields, start, lifted))
 
     measurements = {
-        "schema_version": "1",
+        "schema_version": "2",
         "scenario": scenario.name,
         "description": scenario.description,
         "operator": {"kind": op.kind, **op.params()},
@@ -864,8 +864,8 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         "tolerances": engine.tol.as_dict(),
         "swapped": engine.swapped,
         "ordering": engine.ordering,
-        "touching_count": len(touching),
-        "touching": touching,
+        "touching_count": len(hits),
+        "touching_clusters": touching,
         "curvature_gap": gap,
         "singular_fraction_u": frac_u,
         "singular_fraction_v": frac_v,
@@ -878,7 +878,8 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         "rank": rank_data,
         "propagation": propagation,
     }
-    measurements["notes"] = (["singular-touch: curvature comparison verified on annulus"]
+    measurements["notes"] = (["singular-touch: a touching grid point is singular for u or v; "
+                              "whether it is an isolated singular point is not measured"]
                              if singular_touch else [])
     measurements["classification"] = classify(measurements)
     return ScenarioReport(measurements, engine.grid, engine.du, engine.u.h, engine.v.h)

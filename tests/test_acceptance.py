@@ -139,8 +139,19 @@ def test_criterion_04_counterexample_reproduction():
                 assert abs(hv) <= 1e-10
         assert d["ordering"]["holds"] is True
         assert d["touching_count"] >= 5
-        for t in d["touching"]:
-            assert abs(t["point"][1]) <= 1e-12
+        # every touching point, read from the CSV rows, lies on x2 = 0, and
+        # so does each touching cluster's axis-1 index range
+        eps = d["tolerances"]["eps_touch"]
+        csv_text = cli.write_scenario_csv(report, ("x1", "x2"))
+        rows = [[float(c) for c in line.split(",")[:3]] for line in csv_text.splitlines()[1:]]
+        touching = [(x1, x2) for x1, x2, du in rows if abs(du) <= eps]
+        assert len(touching) == d["touching_count"]
+        for _, x2 in touching:
+            assert abs(x2) <= 1e-12
+        x2_values = report.grid.axis_values(1)
+        for c in d["touching_clusters"]:
+            assert c["index_lo"][1] == c["index_hi"][1]
+            assert abs(x2_values[c["index_lo"][1]]) <= 1e-12
         assert d["rank"]["rank"] == 1 < d["rank"]["expected"]
         assert (
             d["classification"] == "counterexample-detected;rank-condition-failed"

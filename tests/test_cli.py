@@ -500,7 +500,7 @@ class TestScenarioCommand:
         assert r.returncode == 0
         d = json.load(open(out))
         assert d["classification"] == expected
-        assert d["schema_version"] == "1"
+        assert d["schema_version"] == "2"
 
     def test_byte_determinism_and_jobs(self, tmp_path):
         a = str(tmp_path / "a.json")
@@ -701,8 +701,12 @@ class TestExitCodeContract:
         out = tmp_path / "out.json"
         code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", str(out)])
         assert code == 0, err
-        touching = json.loads(out.read_text())["touching"]
-        assert len(touching) == 25 and not any(t["refined"] for t in touching)
+        d = json.loads(out.read_text())
+        [cluster] = d["touching_clusters"]
+        assert d["touching_count"] == cluster["cells"] == 25
+        rep = cluster["representative"]
+        assert rep["index"] == [2, 2] and not rep["refined"]
+        assert rep["refined_point"] == rep["point"]
 
     def test_norm_domain_hole_names_the_graph_and_the_point(self, cfg, tmp_path):
         # no box, so nothing probes the cometric at load
@@ -854,6 +858,22 @@ class TestExitCodeContract:
         path = cfg("big.cfg", SCENARIO.replace("expr = x1^2 + y1^2\n", "expr = 1e200*x1^2\n", 1))
         code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
         assert code == 3 and "outside the float range" in err
+
+    @pytest.mark.parametrize("graph, old", [("u", "x2^2\n"), ("v", "x2^2 + 1\n")])
+    def test_constant_overflow_while_building_h_names_the_graph(self, cfg, graph, old):
+        # (2e154)^2 leaves the float range while graph_HF folds H's constants;
+        # at jobs 2 the child fails and the main process sweeps v itself
+        text = _OPERATOR_CONFIGS["graph_HF"].replace(f"expr = x1^2 + {old}", f"expr = x1^2 + 1e154*{old}")
+        path = cfg("big.cfg", text)
+        errs = []
+        for jobs in ("1", "2"):
+            code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull,
+                                          "--jobs", jobs])
+            assert code == 3
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"evaluation error: graph {graph}: outside the float range while building H (")
+        assert "Traceback" not in errs[0]
 
     @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0"])
     def test_bad_eps_sing_environment_is_config_error(self, cfg, monkeypatch, value):
@@ -1047,28 +1067,30 @@ class TestScenarioRoundTrip:
         assert (back.name, back.description) == (sc.name, sc.description)
 
 
-# sha256 of the report JSON and of the CSV of each builtin, as written by
-# the commit before lazy bracket words, early-exit RK4 and vector kernels
-# (``scenario run NAME --out R --csv C``); those changes keep every byte.
+# sha256 of the report JSON (scenario schema "2": the touching set as
+# ``touching_clusters``) and of the CSV of each builtin, regenerated by
+#   PYTHONPATH=src python -m subcurv scenario run NAME --out R --csv C
+#   sha256sum R C
+# The CSV hashes predate schema 2: the bump left every CSV byte as it was.
 GOLDEN = {
     "cylinder-sphere-paraboloid": (
-        "b9a7999d332c259daa9f6555f8fb865a6f0829de1ede1a7370b406e3f65f29cf",
+        "d5edf973fb69c0539928a38d3b70075ade0461e9b769059066212a2e0579383f",
         "6c674da627c1b3d7981218bef2e718d727ed3eaf627e701db5807aed004b57c6",
     ),
     "h1-counterexample": (
-        "4eac59c6e732a249c8bded1d1538a92188bdadc9e7d19dd50ed701da78e42b71",
+        "7771672a9177c5f6ebf8f40109096c892a94439ddf75814b3e45a6aed98f1f19",
         "0fee234cab5c1634430864e43b235bff642d1f933df36c0e7526a8a4fc494abe",
     ),
     "hyperplane-z": (
-        "60f467ec30592ae31e4de50c0d2f2541fab53d5973e008aaf4dcc4ac5836eb4d",
+        "452d8315dd0fd159eedc93b847af41b809cb9ef43b2f51641bd88d2f91359160",
         "c1eb30c2f7cb8ca09cbe11775aac068dbd8ce277aaa22df77763b63fdb937b4d",
     ),
     "translate-coincide": (
-        "ce518e076c560ff794e05d4a6b6bab8cbdee69b453d0df72f128e731def0a508",
+        "2a7c99f8ff7aa3a14bb279d6964a249385fde41656043af9280dafc53b5bd28b",
         "b27f43d7f048ea0269dbdb29864016faa9d55facf94e15ea2fdb9fadbf14633b",
     ),
     "vertical-hyperplane": (
-        "413ba35394f5bd315472e938d2d6d103f53a8c36fd32faf9b9e06daa28c807ce",
+        "bf451582e85a9887bd16a0580f3a9a198263d78b114c031e02425100b3c3bbb4",
         "e2af932d414d4b984fa828a0450cf9b550667a4df2c46e55b106318617db1f7c",
     ),
 }

@@ -22,6 +22,7 @@ from subcurv.core import (
     p_mean_curvature_expr,
     probe_validate,
     raise_covector,
+    row_major_strides,
 )
 from subcurv.heisenberg import (
     graph_operator_HF,
@@ -259,8 +260,11 @@ class TestValidation:
             (idx, tuple(values[i][k] for i, k in enumerate(idx)))
             for idx in itertools.product(*[range(len(v)) for v in values])
         ]
-        assert list(zip(grid.indices(), grid.points())) == pairs
-        assert sorted(grid.indices()) == list(grid.indices())
+        # the k-th point's index along an axis is k // stride % count
+        strides = row_major_strides(grid.shape)
+        indexed = [(tuple(k // s % c for s, c in zip(strides, grid.shape)), pt)
+                   for k, pt in enumerate(grid.points())]
+        assert indexed == pairs
         assert len(pairs) == grid.npoints
 
     def test_grid_order_is_row_major(self):

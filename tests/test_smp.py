@@ -20,12 +20,13 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from subcurv import calculus as ca
-from subcurv import smp
+from subcurv import core, smp
 from subcurv.cli import dumps_report, format_number, write_scenario_csv
 from subcurv.calculus import EvaluationError
 from subcurv.core import (
     PSD_TOL, GridSpec, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
-    VectorFieldExpr, compile_sweep, conorm_sq_expr, curvature_at, p_mean_curvature_expr,
+    VectorFieldExpr, compile_sweep, conorm_sq_expr, curvature_at, grid_clusters,
+    p_mean_curvature_expr,
 )
 from subcurv.brackets import bracket_generate_rank, lie_bracket, tangent_distribution_fields
 from subcurv.heisenberg import (
@@ -65,21 +66,43 @@ def flat_scenario(u_src, v_src, box=((0.5, 1.5), (-0.4, 0.4)), grid=17, **kw):
     )
 
 
+def touching_rows(report, sc) -> list:
+    """The CSV rows (as ``report.table`` holds them) whose |v - u| is within
+    eps_touch: the touching grid points, in grid order."""
+    n = len(sc.operator.chart)
+    rows = parsed_csv(write_scenario_csv(report, sc.operator.chart.names))
+    return [row for row in rows if abs(row[n]) <= sc.tolerances.eps_touch]
+
+
 class TestTouchingSet:
     def test_identical_graphs_touch_everywhere(self):
         sc = flat_scenario("x1*x2", "x1*x2", grid=9)
-        assert len(run_scenario(sc).as_dict()["touching"]) == 81
+        report = run_scenario(sc)
+        d = report.as_dict()
+        assert d["touching_count"] == len(touching_rows(report, sc)) == 81
+        [cluster] = d["touching_clusters"]
+        assert (cluster["cells"], cluster["index_lo"], cluster["index_hi"]) == (81, [0, 0], [8, 8])
+        assert cluster["representative"]["index"] == [4, 4]  # the grid's centre
+        assert cluster["max_abs_v_minus_u"] == 0.0
 
     def test_separated_graphs_do_not_touch(self):
         sc = flat_scenario("x1*x2", "x1*x2 + 1", grid=9)
-        assert run_scenario(sc).as_dict()["touching"] == []
+        report = run_scenario(sc)
+        d = report.as_dict()
+        assert d["touching_clusters"] == [] and d["touching_count"] == 0
+        assert touching_rows(report, sc) == []
 
     def test_counterexample_touches_along_segment(self):
         sc = builtin_scenario("h1-counterexample")
-        touching = run_scenario(sc).as_dict()["touching"]
-        assert len(touching) >= 5
-        for t in touching:
-            assert abs(t["point"][1]) <= 1e-12
+        report = run_scenario(sc)
+        d = report.as_dict()
+        rows = touching_rows(report, sc)
+        assert len(rows) == d["touching_count"] >= 5
+        for row in rows:
+            assert abs(row[1]) <= 1e-12
+        # one segment: x2 = 0 is grid row 32 of 65, every x1 touching
+        assert [(c["cells"], c["index_lo"], c["index_hi"]) for c in d["touching_clusters"]] == [
+            (65, [0, 32], [64, 32])]
 
 
 class TestCurvatureGap:
@@ -966,12 +989,14 @@ class TestNormRule:
     )
     def test_singular_touch_rank_point_and_starts(self, make):
         sc = make()
-        d = run_scenario(sc).as_dict()
+        report = run_scenario(sc)
+        d = report.as_dict()
         op = sc.operator
         lower, upper = (sc.v.expr, sc.u.expr) if d["swapped"] else (sc.u.expr, sc.v.expr)
         sq_lo, sq_hi = (ca.compile_expr(op.build(e)[1], len(op.chart)) for e in (lower, upper))
         eps_sq = sc.tolerances.eps_sing ** 2
-        pts = [tuple(t["point"]) for t in d["touching"]]
+        pts = [row[: len(op.chart)] for row in touching_rows(report, sc)]
+        assert len(pts) == d["touching_count"]
         assert d["singular_touch"] == any(sq_lo(p) < eps_sq or sq_hi(p) < eps_sq for p in pts)
         regular = [p for p in pts if sq_lo(p) >= eps_sq]
         assert regular  # every case has a rank verdict to pin
@@ -1373,7 +1398,7 @@ def reference_coincide(engine):
     du, eps = engine.du, engine.tol.eps_touch
     if all(abs(d) <= eps for d in du):
         return True, None
-    cells = list(engine.grid.indices())
+    cells = list(grid_indices(engine.grid))
     position = {idx: k for k, idx in enumerate(cells)}
     for k in engine.hits:
         ranges = [range(max(0, i - 5), min(c, i + 6)) for i, c in zip(cells[k], engine.grid.shape)]
@@ -1381,6 +1406,11 @@ def reference_coincide(engine):
             if abs(du[position[nb]]) > eps:
                 return False, list(nb)
     return True, None
+
+
+def grid_indices(grid):
+    """The multi-index of each grid point, in the row-major order of ``grid.points()``."""
+    return itertools.product(*map(range, grid.shape))
 
 
 def flood_fill(cells):
@@ -1403,7 +1433,7 @@ def flood_fill(cells):
 
 
 def reference_singular(engine, graph):
-    cells = [idx for idx, h in zip(engine.grid.indices(), graph.h) if h is None]
+    cells = [idx for idx, h in zip(grid_indices(engine.grid), graph.h) if h is None]
     return len(cells) / len(graph.h), len(flood_fill(cells))
 
 
@@ -1432,8 +1462,7 @@ class TestGridPositions:
         du = [rng.uniform(-1e-6, 1e-6) if t else rng.choice([-1.0, 1.0]) * rng.uniform(2e-6, 1.0)
               for t in near]
         engine = types.SimpleNamespace(
-            du=du, tol=smp.Tolerances(), grid=grid, indices=tuple(grid.indices()),
-            hits=[k for k, d in enumerate(du) if abs(d) <= 1e-6])
+            du=du, tol=smp.Tolerances(), grid=grid, hits=[k for k, d in enumerate(du) if abs(d) <= 1e-6])
         assert smp._coincide_check(engine) == reference_coincide(engine)
 
     @settings(max_examples=150, deadline=None)
@@ -1441,14 +1470,148 @@ class TestGridPositions:
            density=st.sampled_from([0.05, 0.3, 0.6, 1.0]), seed=st.integers(0, 2**32 - 1))
     def test_clusters_are_the_flood_fill_components(self, shape, density, seed):
         rng = random.Random(seed)
-        cells = [c for c in GridSpec([(0.0, 1.0, n) for n in shape]).indices() if rng.random() < density]
-        groups, components = smp.grid_clusters(cells), flood_fill(cells)
+        cells = list(grid_indices(GridSpec([(0.0, 1.0, n) for n in shape])))
+        positions = [k for k in range(len(cells)) if rng.random() < density]
+        groups = grid_clusters(positions, tuple(shape))
+        components = flood_fill([cells[k] for k in positions])
+        assert all(g == sorted(g) for g in groups)
         assert [g[0] for g in groups] == sorted(g[0] for g in groups)
         assert len(groups) == len(components)
         assert {frozenset(cells[k] for k in g) for g in groups} == set(map(frozenset, components))
+
+    @pytest.mark.parametrize("shape, positions, clusters", [
+        ((3, 3), [2, 3], [[2], [3]]),  # (0, 2) and (1, 0): the end of one row, the start of the next
+        ((3, 3), [0, 3, 6], [[0, 3, 6]]),  # a column, one stride apart
+        ((2, 2, 2), [1, 2], [[1], [2]]),  # (0, 0, 1) and (0, 1, 0)
+        ((2, 2, 2), [3, 4], [[3], [4]]),  # (0, 1, 1) and (1, 0, 0)
+        ((1, 4), [0, 1, 3], [[0, 1], [3]]),  # a frozen first axis
+        ((2, 2), [3, 2, 1, 0], [[0, 1, 2, 3]]),  # every cell, given in any order
+    ])
+    def test_a_step_along_an_axis_never_wraps_into_the_next_row(self, shape, positions, clusters):
+        assert grid_clusters(positions, shape) == clusters
 
     def test_witness_off_the_first_row(self):
         # v - u = x1 touches along x1 = 0; the ball of (0, 0) first leaves
         # eps_touch at (1, 0), one stride of the first axis along
         engine = smp._ScenarioEngine(lo_hi_pair())
         assert smp._coincide_check(engine) == reference_coincide(engine) == (False, [1, 0])
+
+
+# ---------------------------------------------------------------------------
+# Touching clusters, rebuilt from the CSV
+# ---------------------------------------------------------------------------
+
+
+def reference_touching_clusters(d: dict, csv_text: str) -> list:
+    """The report's ``touching_clusters`` without the representative's
+    refinement, from the CSV's ``v_minus_u`` column and ``eps_touch`` alone:
+    flood-fill components of the touching cells, each with its index bounding
+    box, max |v - u| and the cell farthest in index steps from the grid faces
+    along the axes with more than one point (the first in grid order among
+    equals); components in the grid order of their first cell."""
+    grid = GridSpec(d["grid"]["axes"])
+    shape, n = grid.shape, len(grid.shape)
+    rows = parsed_csv(csv_text)
+    eps = d["tolerances"]["eps_touch"]
+    cells = {idx: row for idx, row in zip(grid_indices(grid), rows) if abs(row[n]) <= eps}
+    out = []
+    for component in sorted(flood_fill(list(cells)), key=min):
+        def depth(idx):
+            return min([min(i, c - 1 - i) for i, c in zip(idx, shape) if c > 1], default=0)
+        best = max(depth(idx) for idx in component)
+        rep = min(idx for idx in component if depth(idx) == best)
+        out.append({
+            "cells": len(component),
+            "index_lo": [min(idx[a] for idx in component) for a in range(n)],
+            "index_hi": [max(idx[a] for idx in component) for a in range(n)],
+            "max_abs_v_minus_u": max(abs(cells[idx][n]) for idx in component),
+            "representative": {"index": list(rep), "point": list(cells[rep][:n]), "v_minus_u": cells[rep][n]},
+        })
+    return out
+
+
+def assert_touching_clusters(sc, report):
+    """The report's clusters are the reference's, and each representative's
+    refinement is consistent: a refined point lies in the box with v - u
+    (``calculus.evaluate``) within eps_touch there, and an unrefined one
+    keeps the grid point and its swept v - u."""
+    d = report.as_dict()
+    want = reference_touching_clusters(d, write_scenario_csv(report, sc.operator.chart.names))
+    got = d["touching_clusters"]
+    assert sum(c["cells"] for c in got) == d["touching_count"]
+    assert len(got) == len(want)
+    lower, upper = (sc.v.expr, sc.u.expr) if d["swapped"] else (sc.u.expr, sc.v.expr)
+    diff, eps = ca.sub(upper, lower), sc.tolerances.eps_touch
+    for c, ref in zip(got, want):
+        rep, ref_rep = c["representative"], ref.pop("representative")
+        assert {k: c[k] for k in ref} == ref
+        assert (rep["index"], rep["point"]) == (ref_rep["index"], ref_rep["point"])
+        if rep["refined"]:
+            assert all(lo <= x <= hi for x, (lo, hi) in zip(rep["refined_point"], sc.box))
+            assert rep["value"] == ca.evaluate(diff, rep["refined_point"])
+            assert abs(rep["value"]) <= eps
+        else:
+            assert (rep["refined_point"], rep["value"]) == (rep["point"], ref_rep["v_minus_u"])
+
+
+FLAT_GAPS = {  # v - u >= 0 over the unit square, vanishing at grid nodes a, b, c, d
+    "line": "(x1 - {a})^2",
+    "two-lines": "((x1 - {a})*(x1 - {c}))^2",
+    "cross": "((x1 - {a})*(x2 - {b}))^2",
+    "point": "(x1 - {a})^2 + (x2 - {b})^2",
+    "two-points": "((x1 - {a})^2 + (x2 - {b})^2)*((x1 - {c})^2 + (x2 - {d})^2)",
+}
+
+
+class TestTouchingClusters:
+    """``touching_clusters`` against :func:`reference_touching_clusters`."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtins(self, name, jobs):
+        sc = builtin_scenario(name)
+        assert_touching_clusters(sc, run_scenario(sc, jobs=jobs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.tuples(st.sampled_from([1, 3, 5, 9]), st.sampled_from([3, 5, 9])),
+           gap=st.sampled_from(sorted(FLAT_GAPS)), base=st.sampled_from(["0", "x1*x2", "x1^2 - x2"]),
+           nodes=st.lists(st.integers(0, 8), min_size=4, max_size=4),
+           eps_touch=st.sampled_from([1e-6, 0.02]), swap=st.booleans())
+    @example(counts=(9, 9), gap="point", base="0", nodes=[4, 4, 0, 0], eps_touch=1e-6, swap=False)
+    @example(counts=(9, 9), gap="two-points", base="x1*x2", nodes=[1, 2, 6, 7], eps_touch=1e-6,
+             swap=True)
+    @example(counts=(9, 5), gap="two-lines", base="x1^2 - x2", nodes=[1, 0, 6, 0], eps_touch=0.02,
+             swap=False)
+    @example(counts=(1, 9), gap="cross", base="0", nodes=[0, 3, 0, 0], eps_touch=1e-6, swap=True)
+    def test_flat_scenarios(self, counts, gap, base, nodes, eps_touch, swap):
+        # a node k of an axis of c points is k / (c - 1), exactly; on a frozen
+        # axis (one point, at 0) every node is 0
+        a, b, c, d = (f"{k % max(1, n - 1)}/{max(1, n - 1)}" if n > 1 else "0"
+                      for k, n in zip(nodes, counts * 2))
+        u, v = base, f"{base} + {FLAT_GAPS[gap].format(a=a, b=b, c=c, d=d)}"
+        sc = flat_scenario(*((v, u) if swap else (u, v)), box=((0.0, 1.0), (0.0, 1.0)),
+                           grid=counts, tolerances=smp.Tolerances(eps_touch=eps_touch), max_propagation_starts=1)
+        assert_touching_clusters(sc, run_scenario(sc))
+
+
+def test_newton_runs_once_per_touching_cluster(monkeypatch):
+    # every one of the 6,561 grid points touches, in one cluster
+    calls = []
+    newton = core.newton_minimize
+    monkeypatch.setattr(core, "newton_minimize", lambda *args: calls.append(args) or newton(*args))
+    d = run_scenario(builtin_scenario("vertical-hyperplane")).as_dict()
+    assert len(calls) == 1
+    assert d["touching_count"] == 6561 and len(d["touching_clusters"]) == 1
+
+
+def test_no_builtin_note_claims_a_check_the_engine_does_not_run():
+    # the engine measures whether a touching grid point is singular, and
+    # nothing about the case split at it: no note may claim more
+    for name in builtin_names():
+        d = run_scenario(builtin_scenario(name)).as_dict()
+        notes = d["notes"]
+        assert len(notes) == d["singular_touch"]
+        for note in notes:
+            assert note.startswith("singular-touch: a touching grid point is singular for u or v;")
+            assert "not measured" in note
+            assert not re.search(r"verif|confirm|checked|annulus|\bring\b|curvature comparison", note)
