@@ -326,16 +326,13 @@ def _sorted_children(children) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors (local simplification happens at build time)
+# Smart constructors (they coerce numbers and simplify locally at build time)
 # ---------------------------------------------------------------------------
 
 
-def const(value: Number) -> Const:
-    return Const(value)
+const, var = Const, Var
 
-
-def var(index: int) -> Var:
-    return Var(index)
+_UNIT = Fraction(1)  # the coefficient of a bare term and exponent of a bare factor
 
 
 def _split_coeff(t: Expr):
@@ -346,7 +343,7 @@ def _split_coeff(t: Expr):
             rest = t.children[1:]
             core = rest[0] if len(rest) == 1 else Mul(rest)
             return first.value, core
-    return Fraction(1), t
+    return _UNIT, t
 
 
 def add(*terms) -> Expr:
@@ -357,32 +354,18 @@ def add(*terms) -> Expr:
     distribution or polynomial expansion is performed.
     """
     acc = Fraction(0)
-    coeffs: dict = {}
-    order: list = []
-
-    def take(t: Expr):
-        nonlocal acc
-        if isinstance(t, Const):
-            acc += t.value
-            return
-        c, core = _split_coeff(t)
-        if core in coeffs:
-            coeffs[core] += c
-        else:
-            coeffs[core] = c
-            order.append(core)
-
-    for t in terms:
-        t = _coerce(t)
-        if isinstance(t, Add):
-            for c in t.children:
-                take(c)
-        else:
-            take(t)
+    coeffs: dict = {}  # core -> rational coefficient, in first-appearance order
+    for term in terms:
+        term = _coerce(term)
+        for t in term.children if type(term) is Add else (term,):
+            if type(t) is Const:
+                acc += t.value
+                continue
+            c, core = _split_coeff(t)
+            coeffs[core] = coeffs[core] + c if core in coeffs else c
 
     flat = []
-    for core in order:
-        c = coeffs[core]
+    for core, c in coeffs.items():
         if c == 0:
             continue
         if c == 1:
@@ -408,37 +391,22 @@ def mul(*factors) -> Expr:
     boundaries (callers guard the singular set themselves).
     """
     acc = Fraction(1)
-    powers: dict = {}
-    order: list = []
-
-    def take(f: Expr):
-        nonlocal acc
-        if isinstance(f, Const):
-            acc *= f.value
-            return
-        if isinstance(f, Pow):
-            base, exp = f.base, f.exponent
-        else:
-            base, exp = f, Fraction(1)
-        if base in powers:
-            powers[base] += exp
-        else:
-            powers[base] = exp
-            order.append(base)
-
-    for f in factors:
-        f = _coerce(f)
-        if isinstance(f, Mul):
-            for c in f.children:
-                take(c)
-        else:
-            take(f)
+    powers: dict = {}  # base -> rational exponent, in first-appearance order
+    for factor in factors:
+        factor = _coerce(factor)
+        for f in factor.children if type(factor) is Mul else (factor,):
+            kind = type(f)
+            if kind is Const:
+                acc *= f.value
+                continue
+            base, exp = (f.base, f.exponent) if kind is Pow else (f, _UNIT)
+            powers[base] = powers[base] + exp if base in powers else exp
 
     if acc == 0:
         return ZERO
     flat, products = [], []
-    for base in order:
-        rebuilt = pow_(base, powers[base])
+    for base, exp in powers.items():
+        rebuilt = pow_(base, exp)
         if isinstance(rebuilt, Const):
             acc *= rebuilt.value
         elif isinstance(rebuilt, Mul):
@@ -449,7 +417,7 @@ def mul(*factors) -> Expr:
         # a product base whose exponents sum to 1 comes back as that product
         # (x*y from sqrt(x*y)^2), and its factors may share bases with the others
         return mul(Const(acc), *flat, *products)
-    if acc == 0:
+    if acc == 0:  # merged powers of a zero base: x * 0^(1/2) * 0^(1/2)
         return ZERO
     if len(flat) == 1 and isinstance(flat[0], Add) and acc != 1:
         # distribute the constant over the sum so that c*(a+b) and c*a + c*b
@@ -476,9 +444,7 @@ def pow_(base, exponent) -> Expr:
     evaluation.
     """
     base = _coerce(base)
-    if isinstance(exponent, float):
-        exponent = Fraction(exponent)
-    elif isinstance(exponent, int):
+    if isinstance(exponent, (int, float)):
         exponent = Fraction(exponent)
     if not isinstance(exponent, Fraction):
         raise TypeError("exponent must fold to an exact rational")
@@ -501,15 +467,15 @@ def pow_(base, exponent) -> Expr:
 
 
 def neg(e) -> Expr:
-    return mul(Const(-1), _coerce(e))
+    return mul(Const(-1), e)
 
 
 def sub(a, b) -> Expr:
-    return add(_coerce(a), neg(b))
+    return add(a, neg(b))
 
 
 def div(a, b) -> Expr:
-    return mul(_coerce(a), pow_(b, Fraction(-1)))
+    return mul(a, pow_(b, Fraction(-1)))
 
 
 def sqrt_(e) -> Expr:

@@ -38,8 +38,8 @@ from .core import (
     SubriemannianStructure,
     VectorFieldExpr,
     compile_sweep,
+    curvature_at,
     default_eps_sing,
-    p_mean_curvature,
     p_mean_curvature_expr,
     probe_validate,
     conorm_sq_expr,
@@ -640,10 +640,14 @@ def cmd_curvature(args) -> int:
     S = doc.structure()
     phi = doc.function(args.function, S.coords)
     p = args.p
-    if args.at is not None:
-        point = _parse_point(args.at, S.dim)
-        value = p_mean_curvature(S, phi, p, point)
-        print(format_number(value))
+    point = None if args.at is None else _parse_point(args.at, S.dim)
+    try:
+        h, sq = p_mean_curvature_expr(S, phi, p), conorm_sq_expr(S, phi)
+    except OverflowError as exc:  # a constant folded while building H left the float range
+        where = f"{_at(doc.functions[args.function]['expr'])}function {args.function!r}"
+        raise EvaluationError(f"{where}: outside the float range while building H ({exc})") from None
+    if point is not None:
+        print(format_number(curvature_at(h, sq, point)))
         return EXIT_OK
     # grid mode over the function's box
     box = phi.box or S.domain_box
@@ -651,8 +655,7 @@ def cmd_curvature(args) -> int:
         raise ConfigError("grid mode needs a box on the function or structure")
     grid = GridSpec.from_box(box, args.grid)
     points = list(grid.points())
-    _, values, _ = compile_sweep(p_mean_curvature_expr(S, phi, p), conorm_sq_expr(S, phi), S.dim,
-                                 default_eps_sing() ** 2)(points)
+    _, values, _ = compile_sweep(h, sq, S.dim, default_eps_sing() ** 2)(points)
     if args.format == "csv":
         _write_text(args.out, _csv([*S.coords.names, "H"], [*_grid_columns(grid), values]))
     else:

@@ -33,6 +33,7 @@ __all__ = [
     "IndefiniteCometric",
     "DEFAULT_EPS_SING",
     "default_eps_sing",
+    "eps_sing_ok",
     "is_singular",
     "curvature_at",
     "ScalarField",
@@ -87,6 +88,14 @@ PSD_TOL = 1e-10  # negative squared norms and minors down to -PSD_TOL are roundo
 DEFAULT_EPS_SING = 1e-7
 
 
+def eps_sing_ok(value: float) -> bool:
+    """Whether ``value`` can be the singular-set threshold.  A point is
+    singular where its squared norm is below ``value ** 2``, so that square
+    must be a positive float: one that underflows to 0.0 would take a zero
+    norm for a regular point and report a value there."""
+    return value > 0 and 0 < value * value < math.inf
+
+
 def default_eps_sing() -> float:
     """Singular-set threshold; SUBCURV_EPS_SING overrides the default."""
     raw = os.environ.get("SUBCURV_EPS_SING")
@@ -96,8 +105,8 @@ def default_eps_sing() -> float:
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:
-        raise ValueError(f"SUBCURV_EPS_SING must be a positive number, got {raw!r}")
+    if not eps_sing_ok(value):
+        raise ValueError(f"SUBCURV_EPS_SING must be a positive number that squares to a positive float, got {raw!r}")
     return value
 
 
@@ -139,7 +148,11 @@ def curvature_at(
         sq_val = ca.evaluate(sq, pt)
     except ca.FAULTS as exc:
         raise undefined_at("|dphi|*^2", pt, exc) from None
-    eps_sq = (default_eps_sing() if eps_sing is None else eps_sing) ** 2
+    if eps_sing is None:
+        eps_sing = default_eps_sing()
+    elif not eps_sing_ok(eps_sing):
+        raise ValueError(f"eps_sing must be > 0 and square to a positive float, got {eps_sing!r}")
+    eps_sq = eps_sing ** 2
     if is_singular(sq_val, pt, eps_sq):
         raise SingularPoint(f"singular point at {pt}: |dphi|*^2 = {sq_val:.3e} < {eps_sq:g}")
     try:
@@ -401,7 +414,6 @@ def raise_covector(S: SubriemannianStructure, omega: Sequence[Expr]) -> list:
     """G(omega): the vector with components v^l = sum_k g^{lk} omega_k."""
     if len(omega) != S.dim:
         raise ValueError(f"covector has {len(omega)} components, chart has {S.dim}")
-    omega = [w if isinstance(w, Expr) else ca.const(w) for w in omega]
     return [
         ca.add(*[ca.mul(S.cometric[l][k], omega[k]) for k in range(S.dim)])
         for l in range(S.dim)
@@ -410,8 +422,6 @@ def raise_covector(S: SubriemannianStructure, omega: Sequence[Expr]) -> list:
 
 def pairing_expr(S: SubriemannianStructure, omega, eta) -> Expr:
     """<omega, eta>* = sum_{l,k} g^{lk} omega_l eta_k, symbolically."""
-    omega = [w if isinstance(w, Expr) else ca.const(w) for w in omega]
-    eta = [e if isinstance(e, Expr) else ca.const(e) for e in eta]
     terms = []
     for l in range(S.dim):
         for k in range(S.dim):

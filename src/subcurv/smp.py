@@ -58,6 +58,7 @@ from .core import (
     compile_sweep,
     conorm_sq_expr,
     default_eps_sing,
+    eps_sing_ok,
     grid_clusters,
     is_singular,
     newton_refiner,
@@ -120,8 +121,8 @@ class Tolerances:
         for key in ("eps_touch", "eps_order", "eps_h"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
-        if not self.eps_sing > 0:
-            raise ValueError(f"eps_sing must be > 0, got {self.eps_sing!r}")
+        if not eps_sing_ok(self.eps_sing):
+            raise ValueError(f"eps_sing must be > 0 and square to a positive float, got {self.eps_sing!r}")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__slots__}

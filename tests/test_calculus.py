@@ -386,6 +386,180 @@ def canonical_exprs(draw):
     return make(rng, 3)
 
 
+# Reference smart constructors, written the long way: an `order` list beside
+# each dict and a `take` closure per operand.  The property below checks
+# that `add` and `mul` build the same trees.
+
+
+def _reference_split_coeff(t):
+    if isinstance(t, ca.Mul):
+        first = t.children[0]
+        if isinstance(first, ca.Const):
+            rest = t.children[1:]
+            core = rest[0] if len(rest) == 1 else ca.Mul(rest)
+            return first.value, core
+    return Fraction(1), t
+
+
+def reference_add(*terms):
+    acc = Fraction(0)
+    coeffs: dict = {}
+    order: list = []
+
+    def take(t):
+        nonlocal acc
+        if isinstance(t, ca.Const):
+            acc += t.value
+            return
+        c, core = _reference_split_coeff(t)
+        if core in coeffs:
+            coeffs[core] += c
+        else:
+            coeffs[core] = c
+            order.append(core)
+
+    for t in terms:
+        t = ca._coerce(t)
+        if isinstance(t, ca.Add):
+            for c in t.children:
+                take(c)
+        else:
+            take(t)
+
+    flat = []
+    for core in order:
+        c = coeffs[core]
+        if c == 0:
+            continue
+        if c == 1:
+            flat.append(core)
+        elif isinstance(core, ca.Mul):
+            flat.append(ca.Mul(ca._sorted_children(core.children + (ca.Const(c),))))
+        else:
+            flat.append(ca.Mul(ca._sorted_children((ca.Const(c), core))))
+    if acc != 0:
+        flat.append(ca.Const(acc))
+    if not flat:
+        return ca.ZERO
+    if len(flat) == 1:
+        return flat[0]
+    return ca.Add(ca._sorted_children(flat))
+
+
+def reference_mul(*factors):
+    acc = Fraction(1)
+    powers: dict = {}
+    order: list = []
+
+    def take(f):
+        nonlocal acc
+        if isinstance(f, ca.Const):
+            acc *= f.value
+            return
+        if isinstance(f, ca.Pow):
+            base, exp = f.base, f.exponent
+        else:
+            base, exp = f, Fraction(1)
+        if base in powers:
+            powers[base] += exp
+        else:
+            powers[base] = exp
+            order.append(base)
+
+    for f in factors:
+        f = ca._coerce(f)
+        if isinstance(f, ca.Mul):
+            for c in f.children:
+                take(c)
+        else:
+            take(f)
+
+    if acc == 0:
+        return ca.ZERO
+    flat, products = [], []
+    for base in order:
+        rebuilt = ca.pow_(base, powers[base])
+        if isinstance(rebuilt, ca.Const):
+            acc *= rebuilt.value
+        elif isinstance(rebuilt, ca.Mul):
+            products.append(rebuilt)
+        else:
+            flat.append(rebuilt)
+    if products:
+        return reference_mul(ca.Const(acc), *flat, *products)
+    if acc == 0:
+        return ca.ZERO
+    if len(flat) == 1 and isinstance(flat[0], ca.Add) and acc != 1:
+        return reference_add(*[reference_mul(ca.Const(acc), t) for t in flat[0].children])
+    if acc != 1:
+        flat.append(ca.Const(acc))
+    if not flat:
+        return ca.ONE
+    if len(flat) == 1:
+        return flat[0]
+    return ca.Mul(ca._sorted_children(flat))
+
+
+# Operands: int, Fraction and float numbers and zero, variables, powers with
+# rational exponents (of constant bases too: 0^(1/2), 2^(1/2), and of a
+# product, which comes back as that product when its exponents sum to 1),
+# and sums and products of those.
+_ROOT_2XY = ca.sqrt_(ca.mul(2, ca.var(0), ca.var(1)))
+_OPERAND_LEAVES = st.sampled_from([
+    0, 1, -2, Fraction(3, 4), Fraction(-1, 3), 0.5, -0.0, 2.25,
+    ca.ZERO, ca.var(0), ca.var(1), ca.sqrt_(0), ca.sqrt_(2), ca.pow_(2, Fraction(-1, 3)),
+    ca.pow_(ca.var(1), Fraction(1, 2)), _ROOT_2XY,
+])
+operands = st.recursive(
+    _OPERAND_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: ca.add(*xs)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: ca.mul(*xs)),
+        st.tuples(kids, st.sampled_from(_EXPONENTS)).map(lambda t: ca.pow_(*t)),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def operand_lists(draw):
+    """Operands drawn from a small pool, so that cores and bases repeat,
+    each as it is, scaled (by -1 it cancels), negated or raised to a power."""
+    pool = draw(st.lists(st.one_of(_OPERAND_LEAVES, operands), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        t = draw(st.sampled_from(pool))
+        how = draw(st.sampled_from(["as-is", "as-is", "scaled", "negated", "power"]))
+        if how == "scaled":
+            t = ca.mul(draw(st.sampled_from([-1, 2, Fraction(1, 2), -0.5])), t)
+        elif how == "negated":
+            t = ca.neg(t)
+        elif how == "power":
+            t = ca.pow_(t, draw(st.sampled_from(_EXPONENTS)))
+        out.append(t)
+    return out
+
+
+class TestSmartConstructors:
+    @settings(max_examples=150, deadline=None)
+    @given(operand_lists())
+    @example([_ROOT_2XY, ca.var(0), 3, _ROOT_2XY])  # 2*x*y comes back and merges with x
+    @example([ca.var(0), ca.sqrt_(0), ca.sqrt_(0)])  # merged powers of zero
+    @example([ca.var(1), ca.mul(-1, ca.var(1)), Fraction(1, 2), 0.5, -1])  # all cancels
+    @example([])
+    def test_add_and_mul_build_the_reference_trees(self, ts):
+        assert ca.add(*ts) is reference_add(*ts)
+        assert ca.mul(*ts) is reference_mul(*ts)
+
+    def test_merged_zero_powers_make_the_product_zero(self):
+        # past the first zero check, the merged powers 0^(1/2) * 0^(1/2)
+        # fold to the constant 0 and must still give the canonical zero
+        x = ca.var(0)
+        assert ca.mul(x, ca.sqrt_(ca.ZERO), ca.sqrt_(ca.ZERO)) is ca.ZERO
+        third = ca.pow_(ca.ZERO, Fraction(1, 3))
+        assert ca.mul(x, third, third, third) is ca.ZERO
+
+
 class TestInterning:
     @settings(max_examples=100, deadline=None)
     @given(canonical_exprs())

@@ -847,12 +847,15 @@ class TestExitCodeContract:
         ids=["at", "grid"],
     )
     def test_constant_overflow_while_building_the_operator(self, cfg, command):
-        # (4e300)^2 leaves the float range while |dphi|*^2 is built
+        # (4e300)^2 leaves the float range while |dphi|*^2 is built; the
+        # message names the function and its config line
         text = HEIS1.replace("expr = -z", "expr = 1e300*x1^4")
         path = cfg("big.cfg", text)
         code, err = run_main_quietly(["curvature", "--config", path, "--function", "negz"]
                                      + command)
-        assert code == 3 and "outside the float range" in err
+        assert code == 3
+        assert err.startswith("evaluation error: line 7: function 'negz': outside the float range while building H (")
+        assert "Traceback" not in err
 
     def test_constant_overflow_while_building_the_scenario(self, cfg):
         path = cfg("big.cfg", SCENARIO.replace("expr = x1^2 + y1^2\n", "expr = 1e200*x1^2\n", 1))
@@ -875,7 +878,8 @@ class TestExitCodeContract:
         assert errs[0].startswith(f"evaluation error: graph {graph}: outside the float range while building H (")
         assert "Traceback" not in errs[0]
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0"])
+    # 1e-200 squares to 0.0, so a zero norm would not be singular
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0", "1e-200"])
     def test_bad_eps_sing_environment_is_config_error(self, cfg, monkeypatch, value):
         monkeypatch.setenv("SUBCURV_EPS_SING", value)
         path = cfg("h1.cfg", HEIS1)
@@ -895,12 +899,13 @@ class TestExitCodeContract:
             ("grid = 5", "grid = 5\neps_h = -1e-7", "eps_h must be >= 0"),
             ("grid = 5", "grid = 5\neps_sing = -1e-7", "eps_sing must be > 0"),
             ("grid = 5", "grid = 5\neps_sing = 0", "eps_sing must be > 0"),
+            ("grid = 5", "grid = 5\neps_sing = 1e-200", "eps_sing must be > 0 and square to a positive float"),
             ("grid = 5", "grid = 5\nmax_propagation_starts = -3",
              "max_propagation_starts must be >= 0"),
         ],
         ids=["structure-n-zero", "rank-depth-zero", "degenerate-axis",
              "empty-function-box", "eps-touch-negative", "eps-order-negative",
-             "eps-h-negative", "eps-sing-negative", "eps-sing-zero",
+             "eps-h-negative", "eps-sing-negative", "eps-sing-zero", "eps-sing-square-underflows",
              "max-propagation-starts-negative"],
     )
     def test_refused_parameter_is_config_error(self, cfg, old, new, needle):

@@ -138,6 +138,14 @@ class TestPMeanCurvature:
         with pytest.raises(SingularPoint):
             p_mean_curvature(S, phi, 0, (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("eps_sing", [1e-200, 0.0, -1e-7, 1e200])
+    def test_threshold_without_a_positive_float_square_is_refused(self, eps_sing):
+        # at 1e-200 the square is 0.0, and the plane z's zero norm on the
+        # centre line would be regular: H read 0 there
+        S = standard_structure(1)
+        with pytest.raises(ValueError, match="eps_sing must be > 0 and square to a positive float"):
+            p_mean_curvature(S, ca.var(2), 0, (0.0, 0.0, 0.2), eps_sing=eps_sing)
+
     def test_sign_flip_is_exact(self, rng):
         S = standard_structure(1)
         phi = ca.parse_expr("x1*y1 + y1^2 - z", S.coords)

@@ -781,12 +781,11 @@ class TestVariationCheck:
         r = variation_check(F, u, f, 15)
         assert math.isfinite(r) and abs(r - reference_variation(F, u, f, 15)) <= 1e-15
 
-    def test_integrand_without_value_in_the_support_names_the_point(self, monkeypatch):
-        # eps_sing squares to 0, so the zero norm on {x1 = 0} is not
-        # singular: N = grad / |grad| has no value there
-        monkeypatch.setenv("SUBCURV_EPS_SING", "1e-200")
-        F, u = standard_drift(2), ScalarField(ca.parse_expr("x1*x2", CS2), CS2)
-        f = ScalarField(ca.parse_expr("((x1+1/2)*(1/2-x1)*(x2+1/2)*(1/2-x2))^2", CS2),
+    def test_integrand_without_value_in_the_support_names_the_point(self):
+        # the norm 1 + 4*x1^2 is regular, and f is finite on {x1 = 0}, but
+        # its derivative takes (1e-300)^-2 there, which leaves the float range
+        F, u = standard_drift(2), ScalarField(ca.parse_expr("x1*x2 + x1", CS2), CS2)
+        f = ScalarField(ca.parse_expr("((x1+1/2)*(1/2-x1)*(x2+1/2)*(1/2-x2))^2 / (x1^2 + 1e-300)", CS2),
                         CS2, box=((-0.5, 0.5), (-0.5, 0.5)))
         first = (0.0, -0.5 + 0.5 / 15)
         with pytest.raises(EvaluationError, match=re.escape(f"integrand undefined at chart point {first}")):
