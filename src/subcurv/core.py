@@ -223,9 +223,14 @@ class VectorFieldExpr:
         ``x + hh * K`` as ``hh * K`` first, so ``x + hk`` is the same double,
         signed zeros and h < 0 included.  A stage coordinate ``y_j`` is
         computed only where some component reads coordinate j, so a field
-        whose components are all constant has no stage code at all."""
+        whose components are all constant has no stage code at all.
+
+        A zero field rests after its first step, which adds ±0.0 to each
+        coordinate: ``x + inc`` is then ``x`` bit for bit, so its later points
+        repeat that point, with no step and no ``stop`` call."""
         if self._run is None:
             n, comps = len(self.coords), self.components
+            rest = all(c is ca.ZERO for c in comps)
             _, literal = ca.emitter(n)
             const = {i: literal(c) for i, c in enumerate(comps) if isinstance(c, ca.Const)}
             live = [i for i in range(n) if i not in const]
@@ -262,11 +267,13 @@ class VectorFieldExpr:
             src = (
                 "def run(x, h, nsteps, stop):\n    pts = [x]\n    if stop is not None and stop(x):\n"
                 f"        return pts, 'stopped', 'stopped at step 0'\n    {row('x{i}')} = x\n"
-                f"    hh = 0.5 * h\n    h6 = h / 6.0\n{hoisted}    for k in range(1, nsteps + 1):\n{stages}"
+                f"    hh = 0.5 * h\n    h6 = h / 6.0\n{hoisted}"
+                f"    for k in range(1, {'min(nsteps, 1)' if rest else 'nsteps'} + 1):\n{stages}"
                 f"        {row('x{i}')} = {steps},\n"
                 f"        x = ({row('x{i}')})\n        pts.append(x)\n        if stop is not None and stop(x):\n"
                 "            return pts, 'stopped', f'stopped at step {k}'\n"
-                "    return pts, 'completed', ''\n"
+                + ("    pts += [x] * (nsteps - 1)\n" if rest else "")
+                + "    return pts, 'completed', ''\n"
             )
             self._run = ca.compile_source(src, "run", "rk4")
         return self._run

@@ -602,7 +602,9 @@ def integrate_field(
     raises ``ValueError``.  Evaluation failure ends the partial trajectory
     as ``"aborted"``.  ``stop(point)``, when given, is called on the start
     point and on each new point; the first point for which it returns true
-    ends the trajectory as ``"stopped"``.
+    ends the trajectory as ``"stopped"``.  A zero field rests after its
+    first step: its later points repeat that point with no ``stop`` call,
+    so ``stop`` must be pure.
     """
     nsteps = _rk4_steps(T, step)
     h = T / nsteps if nsteps else 0.0
@@ -660,7 +662,7 @@ def _propagate(engine, fields, start, lifted, T=None, step=None):
     T = sc.T if T is None else float(T)
     step = sc.step if step is None else float(step)
     eps = engine.tol.eps_touch
-    stop, devs = engine.box_stop  # devs: |v - u| at each trajectory point inside the box
+    stop, devs = engine.box_stop  # devs: |v - u| at each point inside the box that stop saw
     out = []
     for fi, X in enumerate(fields):
         for direction in (1.0, -1.0):
@@ -677,7 +679,7 @@ def _propagate(engine, fields, start, lifted, T=None, step=None):
                     direction=int(direction),
                     max_deviation=max_dev,
                     first_violation_step=first_violation,
-                    steps_used=max(len(devs) - 1, 0),
+                    steps_used=max(len(traj.points) - 1 - (traj.end == "stopped"), 0),
                     exited_box=traj.end == "stopped",
                     ok=max_dev <= eps,
                 )
@@ -704,7 +706,8 @@ def variation_check(
     divergence of the unit horizontal normal.  f must vanish on the box
     boundary.  :func:`core.compile_sweep` sweeps N_F(u) . grad f + f H_F(u)
     over the midpoints where f is not 0, and a point it masks there raises
-    :class:`SingularPoint` if singular, else an evaluation error naming it.
+    :class:`SingularPoint` if singular, else an evaluation error naming it;
+    a face point or midpoint where f has no value raises one naming f.
     """
     if f.box is None:
         raise ValueError("test function needs a domain box")
@@ -713,12 +716,19 @@ def variation_check(
         raise ValueError("drift dimension mismatch")
     box = f.box
     f_fn = ca.compile_expr(f.expr, m)
+
+    def f_at(pt):
+        try:
+            return f_fn(pt)
+        except ca.FAULTS as exc:
+            raise undefined_at("test function f", pt, exc) from None
+
     # boundary vanishing check on face grids
     for axis in range(m):
         for edge in box[axis]:
             face = [(edge, edge, 1) if i == axis else (lo, hi, 9) for i, (lo, hi) in enumerate(box)]
             for pt in GridSpec(face).points():
-                if abs(f_fn(pt)) > 1e-12:
+                if abs(f_at(pt)) > 1e-12:
                     raise ValueError(f"test function does not vanish on the boundary at {pt}")
     h_expr, norm_sq = graph_HF_exprs(F, u.expr, m)
     inv_norm = ca.pow_(norm_sq, Fraction(-1, 2))
@@ -735,7 +745,7 @@ def variation_check(
     total = total_abs_f = 0.0
     support = []  # outside it nothing contributes, and nothing is evaluated
     for pt in itertools.product(*mids):
-        fv = f_fn(pt)
+        fv = f_at(pt)
         total_abs_f += abs(fv) * vol
         if fv != 0.0:
             support.append(pt)

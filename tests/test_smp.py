@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from subcurv import calculus as ca
 from subcurv import core, smp
-from subcurv.cli import dumps_report, format_number, write_scenario_csv
+from subcurv.cli import dumps_report, format_number, parse_config, scenario_from_config, write_scenario_csv
 from subcurv.calculus import EvaluationError
 from subcurv.core import (
     PSD_TOL, GridSpec, IndefiniteCometric, ScalarField, SingularPoint, SubriemannianStructure,
@@ -267,6 +267,13 @@ def bits(points):
     return [struct.pack(f"<{len(p)}d", *p) for p in points]
 
 
+def exact_record(record):
+    """A propagation record with its floats as bytes or hex, so that
+    equality is bitwise."""
+    return {k: bits([v])[0] if k == "start" else v.hex() if isinstance(v, float) else v
+            for k, v in record.items()}
+
+
 def assert_same_as_reference(X, x0, T, step, stop=None):
     out = integrate_field(X, x0, T, step, stop=stop)
     pts, completed, note = reference_rk4(X, x0, T, step, stop=stop)
@@ -307,6 +314,12 @@ class TestGeneratedStep:
     @example(seed=2, parts=[(THIRD, -0.0), (ca.const(-1), 0.3), (ca.ONE, 0.0)], T=-0.4, step=3e-2,
              stopping=True)
     @example(seed=3, parts=[(ca.ZERO, -0.0)] * 5, T=-0.05, step=1e-2, stopping=False)
+    # zero fields, which rest after one step: both signs of zero and of T
+    @example(seed=4, parts=[(ca.ZERO, -0.0), (ca.ZERO, 0.0), (ca.ZERO, 0.3)], T=0.4, step=1e-2,
+             stopping=True)
+    @example(seed=5, parts=[(ca.ZERO, -0.0), (ca.ZERO, 0.0), (ca.ZERO, -0.7)], T=-0.4, step=3e-2,
+             stopping=True)
+    @example(seed=6, parts=[(ca.ZERO, 0.0), (ca.ZERO, -0.0)], T=0.05, step=0.1, stopping=True)
     def test_hoisted_constants_bitwise_equal_to_the_reference_loop(self, seed, parts, T, step, stopping):
         rng, n = random.Random(seed), len(parts)
         cs = ca.CoordSystem(tuple(f"c{i}" for i in range(n)))
@@ -314,7 +327,12 @@ class TestGeneratedStep:
         X = VectorFieldExpr(cs, [make[c]() if isinstance(c, str) else c for c, _ in parts])
         x0 = tuple(x for _, x in parts)
         stop = (lambda p: abs(p[0] - x0[0]) > 0.02) if stopping else None
-        assert_same_as_reference(X, x0, T, step, stop)
+        out = assert_same_as_reference(X, x0, T, step, stop)
+        if stopping:  # a stop on each point, but a zero field's on its start and first step only
+            calls = []
+            integrate_field(X, x0, T, step, stop=lambda p: calls.append(p) or stop(p))
+            zero = all(c is ca.ZERO for c, _ in parts)
+            assert bits(calls) == bits(out.points[:2] if zero else out.points)
 
     def test_constant_components_are_hoisted_and_unread_coordinates_skipped(self):
         cs = ca.CoordSystem(("c0", "c1", "c2"))
@@ -346,14 +364,16 @@ class TestGeneratedStep:
 
     def test_profiles_keep_each_generated_loop_apart(self, monkeypatch):
         # profiled inside integrate_field only: one `run` per trajectory, in
-        # one <rk4-N> file per field, no kernel call, one stop per point
-        profiler, fields, npoints = cProfile.Profile(), {}, []
+        # one <rk4-N> file per field, no kernel call, and one stop per point,
+        # but a zero field's on its start and first step only (it rests there)
+        profiler, fields, nstops = cProfile.Profile(), {}, []
         real = smp.integrate_field
 
         def profiled(X, *args, **kwargs):
             fields[id(X)] = X
             traj = profiler.runcall(real, X, *args, **kwargs)
-            npoints.append(len(traj.points))
+            zero = all(c is ca.ZERO for c in X.components)
+            nstops.append(min(len(traj.points), 2) if zero else len(traj.points))
             return traj
 
         monkeypatch.setattr(smp, "integrate_field", profiled)
@@ -361,10 +381,10 @@ class TestGeneratedStep:
         stats = pstats.Stats(profiler).stats
         loops = {key: value[1] for key, value in stats.items() if key[2] == "run"}
         assert all(re.fullmatch(r"<rk4-\d+>", filename) for filename, _, _ in loops)
-        assert 1 < len(loops) == len(fields) and sum(loops.values()) == len(npoints) == 96
+        assert 1 < len(loops) == len(fields) and sum(loops.values()) == len(nstops) == 96
         assert not [key for key in stats if key[0].startswith("<kernel-")]
         stops = [value[1] for key, value in stats.items() if re.fullmatch(r"<box-stop-\d+>", key[0])]
-        assert stops == [sum(npoints)]
+        assert stops == [sum(nstops)]
 
 
 class TestPropagateMax:
@@ -427,12 +447,7 @@ class TestPropagateMax:
         fields = tangent_distribution_fields(sc.operator.structure, sc.operator.phi(lower.expr))
         starts = list(dict.fromkeys(tuple(r["start"]) for r in records))
         expected = [r.as_dict() for start in starts for r in propagate_max(sc, start, fields)]
-
-        def exact(record):
-            return {k: bits([v])[0] if k == "start" else v.hex() if isinstance(v, float) else v
-                    for k, v in record.items()}
-
-        assert list(map(exact, records)) == list(map(exact, expected))
+        assert list(map(exact_record, records)) == list(map(exact_record, expected))
 
     def test_counterexample_axis_orbit_holds(self):
         sc = builtin_scenario("h1-counterexample")
@@ -482,6 +497,82 @@ class TestPropagateMax:
         with_brackets = propagate_max(sc, start, fields + brackets, T=0.05, step=1e-2)
         assert len(with_brackets) > len(plain)
         assert all(r.ok for r in with_brackets)
+
+
+@functools.cache
+def touch_family_configs(seed=101):
+    """The text of the first config of each touch family of the benchmark's
+    generator, which is run from its source, so nothing is written next to it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    workloads = types.ModuleType("perfbench_workloads")
+    with open(path, encoding="utf-8") as fh:
+        exec(compile(fh.read(), path, "exec"), workloads.__dict__)
+    first = {}
+    for config in workloads.touch_configs(seed):
+        first.setdefault(config["family"], config["text"])
+    return first
+
+
+def reference_propagation(sc, report):
+    """Each propagation record of ``report`` rebuilt over the full length of
+    its trajectory: :func:`reference_rk4` with a stop test that projects
+    each point by :func:`reference_project`, tests the box and records
+    |v - u| there from one kernel per graph, on every point up to the stop."""
+    op, n = sc.operator, len(sc.operator.chart)
+    lower = sc.v if report["swapped"] else sc.u
+    fields = tangent_distribution_fields(op.structure, op.phi(lower.expr))
+    u_fn, v_fn = ca.compile_expr(sc.u.expr, n), ca.compile_expr(sc.v.expr, n)
+    eps = sc.tolerances.eps_touch
+    out = []
+    for r in report["propagation"]:
+        devs = []
+
+        def stop(p):
+            c = reference_project(op, p)
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(c, sc.box)):
+                return True
+            devs.append(abs(v_fn(c) - u_fn(c)))
+            return False
+
+        start = tuple(r["start"])
+        lifted = op.lift(start, ca.evaluate(lower.expr, start))
+        _, _, note = reference_rk4(fields[r["field_index"]], lifted, r["direction"] * sc.T, sc.step, stop)
+        max_dev = max([0.0, *devs])
+        out.append({
+            "start": r["start"], "field_index": r["field_index"], "direction": r["direction"],
+            "max_deviation": max_dev,
+            "first_violation_step": next((k for k, dev in enumerate(devs) if dev > eps), None),
+            "steps_used": max(len(devs) - 1, 0),
+            "exited_box": note.startswith("stopped"),
+            "ok": max_dev <= eps,
+        })
+    return out
+
+
+@functools.cache
+def propagation_case(name):
+    """(scenario, report at jobs 1, its full-length reference records) of a
+    builtin or of ``touch-<family>``, a config of that touch family."""
+    family = name.removeprefix("touch-")
+    if family == name:
+        sc = builtin_scenario(name)
+    else:
+        sc = scenario_from_config(parse_config(touch_family_configs()[family]))
+    report = run_scenario(sc).as_dict()
+    return sc, report, reference_propagation(sc, report)
+
+
+class TestFullLengthPropagation:
+    """Every reported propagation record equals one rebuilt by the reference
+    loop with a stop test on every point, a zero field's resting points too."""
+
+    # the builtins at both jobs, the touch families at jobs 1, as the benchmark runs them
+    @pytest.mark.parametrize("name, jobs", [*[(name, jobs) for name in builtin_names() for jobs in (1, 2)],
+                                            *[(f"touch-{family}", 1) for family in touch_family_configs()]])
+    def test_records_are_the_full_length_reference(self, name, jobs):
+        sc, report, expected = propagation_case(name)
+        records = report["propagation"] if jobs == 1 else run_scenario(sc, jobs).as_dict()["propagation"]
+        assert records and list(map(exact_record, records)) == list(map(exact_record, expected))
 
 
 # (operator, u on its chart, box of the chart)
@@ -789,6 +880,18 @@ class TestVariationCheck:
                         CS2, box=((-0.5, 0.5), (-0.5, 0.5)))
         first = (0.0, -0.5 + 0.5 / 15)
         with pytest.raises(EvaluationError, match=re.escape(f"integrand undefined at chart point {first}")):
+            variation_check(F, u, f, 15)
+
+    @pytest.mark.parametrize("factor, point, base", [
+        ("(x1 - 1/2)^(1/2)", (-0.5, -0.5), -1.0),  # the first face point
+        ("1 + (x1^2 + x2^2)^(1/2)", (0.0, 0.0), 0.0),  # regular on the faces, a hole at the middle midpoint
+    ])
+    def test_test_function_without_value_names_f_and_the_point(self, factor, point, base):
+        F, u = standard_drift(2), ScalarField(ca.parse_expr("x1*x2 + x1", CS2), CS2)
+        f = ScalarField(ca.parse_expr(f"((x1+1/2)*(1/2-x1)*(x2+1/2)*(1/2-x2))^2 * ({factor})", CS2),
+                        CS2, box=((-0.5, 0.5), (-0.5, 0.5)))
+        message = f"test function f undefined at chart point {point}: non-integer power 0.5 of non-positive base {base}"
+        with pytest.raises(EvaluationError, match=re.escape(message)):
             variation_check(F, u, f, 15)
 
     def test_zero_test_function(self):
