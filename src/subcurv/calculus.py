@@ -198,12 +198,12 @@ class Const(Expr):
 
     def __new__(cls, value: Number):
         # interned on integer parts, which hash in C (a Fraction does not)
-        if isinstance(value, float):
+        if isinstance(value, int):
+            n, d = value, 1
+        elif isinstance(value, float):
             if value != value or value in (float("inf"), float("-inf")):
                 raise ValueError(f"non-finite constant {value!r}")
             n, d = value.as_integer_ratio()
-        elif isinstance(value, int):
-            n, d = value, 1
         elif isinstance(value, Fraction):
             n, d = value.numerator, value.denominator
         else:
@@ -211,8 +211,8 @@ class Const(Expr):
         key = (Const, n, d)
         node = _lookup(key)
         if node is None:
-            value = Fraction(n, d)
-            node = _register(cls, key, value, float(value))
+            # n/d is in lowest terms, and n / d is float(Fraction(n, d))
+            node = _register(cls, key, Fraction(n) if d == 1 else Fraction(n, d), n / d)
         return node
 
 
@@ -332,18 +332,23 @@ def _sorted_children(children) -> tuple:
 
 const, var = Const, Var
 
-_UNIT = Fraction(1)  # the coefficient of a bare term and exponent of a bare factor
+_UNIT = Fraction(1)  # the exponent of a bare factor
+
+
+def _ratio(num: int, den: int) -> Const:
+    """The constant num/den (den > 0), with a Fraction only when den is not 1."""
+    return Const(num if den == 1 else Fraction(num, den))
 
 
 def _split_coeff(t: Expr):
-    """Split a canonical non-constant term into (rational coefficient, core)."""
+    """Split a canonical non-constant term into (constant coefficient, core)."""
     if isinstance(t, Mul):
         first = t.children[0]
         if isinstance(first, Const):
             rest = t.children[1:]
             core = rest[0] if len(rest) == 1 else Mul(rest)
-            return first.value, core
-    return _UNIT, t
+            return first, core
+    return ONE, t
 
 
 def add(*terms) -> Expr:
@@ -353,29 +358,30 @@ def add(*terms) -> Expr:
     cancellations (x - x, f*g - g*f) collapse to zero symbolically.  No
     distribution or polynomial expansion is performed.
     """
-    acc = Fraction(0)
-    coeffs: dict = {}  # core -> rational coefficient, in first-appearance order
+    num, den = 0, 1  # the constant term num/den, in integers until the end
+    coeffs: dict = {}  # core -> its Const coefficient, in first-appearance order
     for term in terms:
         term = _coerce(term)
         for t in term.children if type(term) is Add else (term,):
             if type(t) is Const:
-                acc += t.value
+                q = t.value
+                num, den = num * q.denominator + q.numerator * den, den * q.denominator
                 continue
             c, core = _split_coeff(t)
-            coeffs[core] = coeffs[core] + c if core in coeffs else c
+            coeffs[core] = add(coeffs[core], c) if core in coeffs else c
 
     flat = []
-    for core, c in coeffs.items():
-        if c == 0:
+    for core, c in coeffs.items():  # interned: a zero coefficient is ZERO, a unit one ONE
+        if c is ZERO:
             continue
-        if c == 1:
+        if c is ONE:
             flat.append(core)
         elif isinstance(core, Mul):
-            flat.append(Mul(_sorted_children(core.children + (Const(c),))))
+            flat.append(Mul(_sorted_children(core.children + (c,))))
         else:
-            flat.append(Mul(_sorted_children((Const(c), core))))
-    if acc != 0:
-        flat.append(Const(acc))
+            flat.append(Mul(_sorted_children((c, core))))
+    if num:
+        flat.append(_ratio(num, den))
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -390,25 +396,25 @@ def mul(*factors) -> Expr:
     cancellation assumes expressions are used away from domain
     boundaries (callers guard the singular set themselves).
     """
-    acc = Fraction(1)
+    num, den = 1, 1  # the constant factor num/den, in integers until the end
     powers: dict = {}  # base -> rational exponent, in first-appearance order
     for factor in factors:
         factor = _coerce(factor)
         for f in factor.children if type(factor) is Mul else (factor,):
             kind = type(f)
             if kind is Const:
-                acc *= f.value
+                num, den = num * f.value.numerator, den * f.value.denominator
                 continue
             base, exp = (f.base, f.exponent) if kind is Pow else (f, _UNIT)
             powers[base] = powers[base] + exp if base in powers else exp
 
-    if acc == 0:
+    if num == 0:
         return ZERO
     flat, products = [], []
     for base, exp in powers.items():
-        rebuilt = pow_(base, exp)
+        rebuilt = base if exp is _UNIT else pow_(base, exp)
         if isinstance(rebuilt, Const):
-            acc *= rebuilt.value
+            num, den = num * rebuilt.value.numerator, den * rebuilt.value.denominator
         elif isinstance(rebuilt, Mul):
             products.append(rebuilt)
         else:
@@ -416,15 +422,16 @@ def mul(*factors) -> Expr:
     if products:
         # a product base whose exponents sum to 1 comes back as that product
         # (x*y from sqrt(x*y)^2), and its factors may share bases with the others
-        return mul(Const(acc), *flat, *products)
-    if acc == 0:  # merged powers of a zero base: x * 0^(1/2) * 0^(1/2)
+        return mul(_ratio(num, den), *flat, *products)
+    if num == 0:  # merged powers of a zero base: x * 0^(1/2) * 0^(1/2)
         return ZERO
-    if len(flat) == 1 and isinstance(flat[0], Add) and acc != 1:
+    if len(flat) == 1 and isinstance(flat[0], Add) and num != den:
         # distribute the constant over the sum so that c*(a+b) and c*a + c*b
         # share one canonical form (keeps exact cancellations visible)
-        return add(*[mul(Const(acc), t) for t in flat[0].children])
-    if acc != 1:
-        flat.append(Const(acc))
+        acc = _ratio(num, den)
+        return add(*[mul(acc, t) for t in flat[0].children])
+    if num != den:
+        flat.append(_ratio(num, den))
     if not flat:
         return ONE
     if len(flat) == 1:
@@ -448,20 +455,19 @@ def pow_(base, exponent) -> Expr:
         exponent = Fraction(exponent)
     if not isinstance(exponent, Fraction):
         raise TypeError("exponent must fold to an exact rational")
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if isinstance(base, Const):
-        if exponent.denominator == 1 and (base.value != 0 or exponent > 0):
+    n, d = exponent.numerator, exponent.denominator
+    if d == 1 and 0 <= n <= 1:
+        return base if n else ONE
+    if isinstance(base, Const):  # interned: a Const of value 0 is ZERO, of 1 is ONE
+        if d == 1 and (base is not ZERO or n > 0):
             b = base.value
             log2 = (max(abs(b.numerator), b.denominator) - 1).bit_length()
-            if log2 * abs(exponent.numerator) > _MAX_CONST_BITS:
+            if log2 * abs(n) > _MAX_CONST_BITS:
                 # far outside the float range; the exact power could take
                 # gigabytes (9^9^9)
                 raise OverflowError(f"constant power {b}^{exponent} too large")
-            return Const(b ** exponent.numerator)
-        if base.value == 1:
+            return Const(b ** n)
+        if base is ONE:
             return ONE
     return Pow(base, exponent)
 
@@ -887,7 +893,7 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Const(Fraction(tok.text))
+            return Const(int(tok.text) if tok.text.isdigit() else Fraction(tok.text))
         if tok.kind == "ident":
             if tok.text == "sqrt":
                 inner = self.nested(self.expr, self.expect("("))

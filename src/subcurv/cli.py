@@ -107,7 +107,7 @@ class ConfigDocument:
 
     def function(self, name: str, coords: CoordSystem) -> ScalarField:
         if name not in self.functions:
-            raise ConfigError(f"no [function {name}] section")
+            raise ConfigError(f"{_at(name)}no [function {name}] section")
         raw = self.functions[name]
         if "expr" not in raw:
             raise ConfigError(f"function {name!r} has no expr")
@@ -369,16 +369,19 @@ def _build_operator(doc: ConfigDocument, raw: dict):
     if name is None:
         raise ConfigError("[scenario]: missing operator")
     if name not in _SIZED_OPERATORS and name not in ("generic", "graph_HF"):
-        raise ConfigError(f"[scenario]: unknown operator {name!r}")
+        raise ConfigError(f"{_at(name)}[scenario]: unknown operator {name!r}")
     for key, readers in _OPERATOR_KEYS.items():
         if key in raw and name not in readers:
             raise ConfigError(f"{_at(raw[key])}[scenario]: operator {name} does not read {key}")
     if name in _SIZED_OPERATORS:
-        return _SIZED_OPERATORS[name](_number(raw, "n", "[scenario]", int))
+        try:
+            return _SIZED_OPERATORS[name](_number(raw, "n", "[scenario]", int))
+        except ValueError as exc:  # n < 1
+            raise smp.ParameterError(str(exc), "n") from exc
     S = doc.structure()
     if name == "graph_HF":
         if S.null_coform is None or S.dim < 2:
-            raise ConfigError("[scenario]: graph_HF needs a graph_F structure")
+            raise ConfigError(f"{_at(name)}[scenario]: graph_HF needs a graph_F structure")
         m = S.dim - 1
         return smp.GraphHFOperator(S.null_coform[:m], m)
     extra = {}
@@ -391,7 +394,7 @@ def _build_operator(doc: ConfigDocument, raw: dict):
             extra["graph_dir"] = S.coords.index(raw["graph_dir"])
         except KeyError:
             raise ConfigError(
-                f"[scenario]: unknown graph_dir {raw['graph_dir']!r}"
+                f"{_at(raw['graph_dir'])}[scenario]: unknown graph_dir {raw['graph_dir']!r}"
             ) from None
     return smp.GenericOperator(S, **extra)
 
@@ -437,7 +440,11 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
             **extra,
         )
     except ValueError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
+        # the line of the first key present that a refused parameter names
+        keyword_keys = {keyword: key for key, (keyword, _) in _SCENARIO_NUMBERS.items()}
+        keys = [keyword_keys.get(p, p) for p in getattr(exc, "parameters", ())]
+        line = next((_at(raw[k]) for k in keys if k in raw), "")
+        raise ConfigError(f"{line}[scenario]: {exc}") from exc
 
 
 def scenario_to_config(sc: smp.ComparisonScenario) -> str:
@@ -654,6 +661,9 @@ def cmd_curvature(args) -> int:
     if box is None:
         raise ConfigError("grid mode needs a box on the function or structure")
     grid = GridSpec.from_box(box, args.grid)
+    if grid.npoints > smp.MAX_GRID_POINTS:  # refused before any point exists
+        raise ConfigError(f"--grid {args.grid} asks for {grid.npoints} points, "
+                          f"over the bound of {smp.MAX_GRID_POINTS}")
     points = list(grid.points())
     _, values, _ = compile_sweep(h, sq, S.dim, default_eps_sing() ** 2)(points)
     if args.format == "csv":

@@ -102,6 +102,15 @@ __all__ = [
 ]
 
 
+class ParameterError(ValueError):
+    """A refused scenario parameter.  ``parameters`` names the keyword at
+    fault first, then any other keyword its rule reads."""
+
+    def __init__(self, message: str, *parameters: str):
+        super().__init__(message)
+        self.parameters = parameters
+
+
 class Tolerances:
     """Harness tolerances; defaults separate exact zeros from grid noise."""
 
@@ -120,9 +129,10 @@ class Tolerances:
         self.eps_sing = default_eps_sing() if eps_sing is None else float(eps_sing)
         for key in ("eps_touch", "eps_order", "eps_h"):
             if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)!r}")
+                raise ParameterError(f"{key} must be >= 0, got {getattr(self, key)!r}", key)
         if not eps_sing_ok(self.eps_sing):
-            raise ValueError(f"eps_sing must be > 0 and square to a positive float, got {self.eps_sing!r}")
+            raise ParameterError(
+                f"eps_sing must be > 0 and square to a positive float, got {self.eps_sing!r}", "eps_sing")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__slots__}
@@ -299,27 +309,37 @@ class ComparisonScenario:
         self.name = name
         self.operator = operator
         chart = operator.chart
-        self.u = ScalarField(u, chart, box)
-        self.v = ScalarField(v, chart, box)
-        self.box = tuple((float(lo), float(hi)) for lo, hi in box)
-        for corner in itertools.product(*self.box):
-            operator.lift(corner, 0.0)  # raises where the box leaves the chart
+        try:
+            self.u = ScalarField(u, chart, box)
+            self.v = ScalarField(v, chart, box)
+            self.box = tuple((float(lo), float(hi)) for lo, hi in box)
+            for corner in itertools.product(*self.box):
+                operator.lift(corner, 0.0)  # raises where the box leaves the chart
+        except ValueError as exc:
+            raise ParameterError(str(exc), "box") from exc
         if isinstance(grid_counts, int):
             grid_counts = tuple(grid_counts for _ in self.box)
         self.grid_counts = tuple(int(c) for c in grid_counts)
         if len(self.grid_counts) != len(self.box):
-            raise ValueError("one grid count per box axis")
-        self.grid()  # a degenerate axis with more than one point fails here
+            raise ParameterError("one grid count per box axis", "grid_counts")
+        npoints = math.prod(self.grid_counts)
+        if npoints > MAX_GRID_POINTS:  # refused before any point exists
+            raise ParameterError(f"grid {self.grid_counts} asks for {npoints} points, "
+                                 f"over the bound of {MAX_GRID_POINTS}", "grid_counts")
+        try:
+            self.grid()  # a degenerate axis with more than one point fails here
+        except ValueError as exc:
+            raise ParameterError(str(exc), "box", "grid_counts") from exc
         self.tolerances = tolerances or Tolerances()
         self.T = float(T)
         self.step = float(step)
         _rk4_steps(self.T, self.step)
         self.max_propagation_starts = int(max_propagation_starts)
         if self.max_propagation_starts < 0:
-            raise ValueError("max_propagation_starts must be >= 0")
+            raise ParameterError("max_propagation_starts must be >= 0", "max_propagation_starts")
         self.rank_depth = int(rank_depth)
         if self.rank_depth < 1:
-            raise ValueError("rank_depth must be >= 1")
+            raise ParameterError("rank_depth must be >= 1", "rank_depth")
         self.description = description
 
     def grid(self) -> GridSpec:
@@ -578,6 +598,11 @@ class IntegrationResult:
 # a trajectory keeps every point: 10**6 points of five coordinates take about 0.2 GB
 MAX_RK4_STEPS = 10**6
 
+# a grid costs up to about 0.9 kB of peak RSS per point (measured: 0.5 kB in
+# a scenario run, 0.85 kB in ``curvature --grid N --format json``), so
+# 5 * 10**5 points stay under about 0.5 GB
+MAX_GRID_POINTS = 5 * 10**5
+
 
 def _rk4_steps(T: float, step: float) -> int:
     """The number of steps that integrate over time T at most ``step`` apart:
@@ -585,10 +610,11 @@ def _rk4_steps(T: float, step: float) -> int:
     positive, or a count that is not finite or over :data:`MAX_RK4_STEPS`,
     raises ``ValueError``."""
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ParameterError("step must be positive", "step")
     count = abs(T) / step
     if not count <= MAX_RK4_STEPS:
-        raise ValueError(f"|T| / step asks for {count!r} RK4 steps, over the bound of {MAX_RK4_STEPS}")
+        raise ParameterError(
+            f"|T| / step asks for {count!r} RK4 steps, over the bound of {MAX_RK4_STEPS}", "T", "step")
     return max(1, math.ceil(count)) if T != 0 else 0
 
 

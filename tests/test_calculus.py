@@ -500,6 +500,47 @@ def reference_mul(*factors):
     return ca.Mul(ca._sorted_children(flat))
 
 
+def reference_const(value):
+    """(value, float) of the constant ``value``, computed through one Fraction
+    of its integer ratio and ``float()`` of that Fraction."""
+    if isinstance(value, float):
+        n, d = value.as_integer_ratio()
+    elif isinstance(value, int):
+        n, d = value, 1
+    else:
+        n, d = value.numerator, value.denominator
+    q = Fraction(n, d)
+    return q, float(q)
+
+
+def reference_pow(base, exponent):
+    base = ca._coerce(base)
+    if isinstance(exponent, (int, float)):
+        exponent = Fraction(exponent)
+    if exponent == 0:
+        return ca.ONE
+    if exponent == 1:
+        return base
+    if isinstance(base, ca.Const):
+        if exponent.denominator == 1 and (base.value != 0 or exponent > 0):
+            b = base.value
+            log2 = (max(abs(b.numerator), b.denominator) - 1).bit_length()
+            if log2 * abs(exponent.numerator) > ca._MAX_CONST_BITS:
+                raise OverflowError(f"constant power {b}^{exponent} too large")
+            return ca.Const(b ** exponent.numerator)
+        if base.value == 1:
+            return ca.ONE
+    return ca.Pow(base, exponent)
+
+
+def _reference_literal(text):
+    """A number token, or a quotient of two, built the long way: one
+    ``Const(Fraction(token))`` per number."""
+    num, _, den = text.partition("/")
+    node = ca.Const(Fraction(num))
+    return reference_mul(node, reference_pow(ca.Const(Fraction(den)), -1)) if den else node
+
+
 # Operands: int, Fraction and float numbers and zero, variables, powers with
 # rational exponents (of constant bases too: 0^(1/2), 2^(1/2), and of a
 # product, which comes back as that product when its exponents sum to 1),
@@ -558,6 +599,56 @@ class TestSmartConstructors:
         assert ca.mul(x, ca.sqrt_(ca.ZERO), ca.sqrt_(ca.ZERO)) is ca.ZERO
         third = ca.pow_(ca.ZERO, Fraction(1, 3))
         assert ca.mul(x, third, third, third) is ca.ZERO
+
+
+def _built(fn, *args):
+    """The node built, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConstantsAgainstFractions:
+    # the constructors keep integers as integers; these check that the
+    # nodes, their Fraction values and their float bits are the ones the
+    # Fraction-only references give
+    @pytest.mark.parametrize(
+        "value",
+        [7, -3, 0, True, 2 ** 80 + 1, -(10 ** 300), Fraction(-5, 12), Fraction(10 ** 30, 7),
+         Fraction(4, 2), 0.1, -2.5e-300, 1e300, 5e-324, -0.0],
+        ids=["int", "negative-int", "zero", "bool", "huge-int", "huge-negative-int",
+             "fraction", "huge-fraction", "integral-fraction", "float", "tiny-float",
+             "huge-float", "subnormal", "negative-zero"],
+    )
+    def test_const_is_the_reference_node(self, value):
+        node = ca.Const(value)
+        q, f = reference_const(value)
+        assert type(node.value) is Fraction and node.value == q
+        assert node is ca.Const(q)
+        assert struct.pack("<d", node._float) == struct.pack("<d", f)
+
+    def test_const_outside_the_float_range_raises_as_the_reference(self):
+        expected = _built(reference_const, 10 ** 400)
+        assert expected[0] is OverflowError
+        assert _built(ca.Const, 10 ** 400) == expected
+        assert _built(ca.Const, Fraction(10 ** 400, 3)) == _built(reference_const, Fraction(10 ** 400, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_OPERAND_LEAVES, operands),
+           st.sampled_from(_EXPONENTS + [Fraction(0), Fraction(1), Fraction(4, 2), 0, 1, -3, 0.5]))
+    @example(3, Fraction(5000))  # folds past the bit bound: the same OverflowError
+    @example(Fraction(1, 3), -2)
+    @example(ca.ONE, Fraction(1, 2))
+    @example(ca.ZERO, -1)
+    def test_pow_builds_the_reference_node(self, base, exponent):
+        assert _built(ca.pow_, base, exponent) == _built(reference_pow, base, exponent)
+
+    @pytest.mark.parametrize(
+        "text", ["7", "007", "123456789012345678901234567890", "0.5", ".5e-3", "3/7", "1/0",
+                 "1e-400", "2.50E+2", "0/5"])
+    def test_every_literal_form_parses_to_the_reference_node(self, text):
+        assert parse_expr(text, XZ) is _reference_literal(text)
 
 
 class TestInterning:

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -603,7 +605,7 @@ class TestExitCodeContract:
         code, err = run_main_quietly(["scenario", "run", "--config", cfg("long.cfg", text),
                                       "--out", os.devnull])
         assert code == 2
-        assert ("config error: [scenario]: |T| / step asks for inf RK4 steps, "
+        assert ("config error: line 15: [scenario]: |T| / step asks for inf RK4 steps, "
                 "over the bound of 1000000") in err
 
     def test_rank_threshold_overflow_names_the_point(self, cfg):
@@ -912,6 +914,64 @@ class TestExitCodeContract:
         path = cfg("bad.cfg", SCENARIO.replace(old, new, 1))
         code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
         assert code == 2 and needle in err
+
+    # the key at fault: operator on line 15, v on 17, grid on 18, or the
+    # key added after it on 19
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("grid = 5", "grid = 5, 5, 5", 18, "[scenario]: one grid count per box axis"),
+            ("grid = 5", "grid = 5\nbox = 1.5:0.5, -0.5:0.5", 19,
+             "[scenario]: empty interval (1.5, 0.5)"),
+            ("grid = 5", "grid = 5\nbox = 0:0, -0.5:0.5", 19,
+             "[scenario]: degenerate axis (0.0, 0.0) with count 5"),
+            # the box comes from u, so the grid count is the key at fault
+            ("box = 0.5:1.5", "box = 0:0", 18,
+             "[scenario]: degenerate axis (0.0, 0.0) with count 5"),
+            ("grid = 5", "grid = 5\nT = 1e300", 19,
+             "[scenario]: |T| / step asks for 1e+303 RK4 steps, over the bound of 1000000"),
+            ("grid = 5", "grid = 5\nstep = -1", 19, "[scenario]: step must be positive"),
+            ("grid = 5", "grid = 5\nrank_depth = 0", 19, "[scenario]: rank_depth must be >= 1"),
+            ("grid = 5", "grid = 5\neps_touch = -1", 19,
+             "[scenario]: eps_touch must be >= 0, got -1.0"),
+            ("grid = 5", "grid = 5\nmax_propagation_starts = -3", 19,
+             "[scenario]: max_propagation_starts must be >= 0"),
+            ("operator = generic", "operator = generic2", 15,
+             "[scenario]: unknown operator 'generic2'"),
+            ("v = v", "v = w", 17, "no [function w] section"),
+        ],
+        ids=["grid-axes", "empty-interval", "degenerate-axis", "degenerate-function-box",
+             "rk4-steps", "step-negative", "rank-depth-zero", "eps-touch-negative",
+             "max-propagation-starts-negative", "unknown-operator", "missing-function"],
+    )
+    def test_refused_scenario_parameter_names_its_line(self, cfg, old, new, line, message):
+        path = cfg("bad.cfg", SCENARIO.replace(old, new, 1))
+        code, err = run_main_quietly(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert code == 2
+        assert f"config error: line {line}: {message}" in err
+
+    @pytest.mark.parametrize("command", ["scenario", "curvature"])
+    def test_grid_over_the_bound_is_refused_before_any_point(self, cfg, command):
+        # 10^16 and 10^24 points: refused from the counts alone.  The child
+        # runs under an address-space cap and a timeout, so a build that
+        # starts listing points fails here instead of filling the memory.
+        if command == "scenario":
+            path = cfg("huge.cfg", SCENARIO.replace("grid = 5", "grid = 99999999"))
+            argv = ["scenario", "run", "--config", path, "--out", os.devnull]
+            needle = ("config error: line 18: [scenario]: grid (99999999, 99999999) asks for "
+                      "9999999800000001 points, over the bound of 500000")
+        else:
+            argv = ["curvature", "--config", cfg("h1.cfg", HEIS1), "--function", "negz",
+                    "--grid", "99999999", "--out", os.devnull]
+            needle = "config error: --grid 99999999 asks for 999999970000000299999999 points"
+        cap = 2 << 30
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "subcurv", *argv], capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        seconds = time.perf_counter() - t0
+        assert proc.returncode == 2 and needle in proc.stderr, proc.stderr[-500:]
+        assert seconds < 20
 
     @pytest.mark.parametrize(
         "argv",

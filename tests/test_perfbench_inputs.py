@@ -9,6 +9,7 @@ benchmark run.  The generator and ``perfbench/oracles.py`` are loaded
 from their files without writing bytecode next to them.
 """
 
+import hashlib
 import importlib.util
 import random
 import re
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from subcurv import calculus as ca
+from subcurv import smp
 from subcurv.cli import main, parse_config, scenario_from_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +56,63 @@ def test_every_scenario_of_one_seed_builds(monkeypatch):
     for workload in workloads.WORKLOADS:
         for config in workloads.configs(workload, 1):
             scenario_from_config(parse_config(config["text"]))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# One digest per node from its kind, its payload (with the type of a
+# rational and the bits of a constant's float) and its operands' digests
+# in order: equal for equal trees in any process, free of object ids.
+_TREE_DIGEST = {
+    ca.Const: lambda node, _: _sha(
+        f"C {type(node.value).__name__} {node.value} {node._float.hex()}"),
+    ca.Var: lambda node, _: _sha(f"V {node.index}"),
+    ca.Add: lambda node, kids: _sha("A " + " ".join(kids)),
+    ca.Mul: lambda node, kids: _sha("M " + " ".join(kids)),
+    ca.Pow: lambda node, kids: _sha(
+        f"P {type(node.exponent).__name__} {node.exponent} {kids[0]}"),
+}
+
+
+def _trees(monkeypatch):
+    """(label, tree) for the parsed trees of every workload config of seed 1
+    (u, v, phi, cometric entries, density) and for the built (H, |dphi|*^2)
+    of u and v of each builtin scenario."""
+    workloads = _load_workloads(monkeypatch)
+    for workload in workloads.WORKLOADS:
+        for config in workloads.configs(workload, 1):
+            doc = parse_config(config["text"])
+            sc = scenario_from_config(doc)
+            where = f"{workload}/{config['id']}"
+            yield f"{where}/u", sc.u.expr
+            yield f"{where}/v", sc.v.expr
+            if doc.structure_raw is not None:
+                S = doc.structure()
+                if "phi" in doc.functions:
+                    yield f"{where}/phi", doc.function("phi", S.coords).expr
+                for l, row in enumerate(S.cometric):
+                    for k, entry in enumerate(row):
+                        yield f"{where}/cometric.{l}.{k}", entry
+                yield f"{where}/density", S.volume_density
+    for name in smp.builtin_names():
+        sc = smp.builtin_scenario(name)
+        for graph in ("u", "v"):
+            h, sq = sc.operator.build(getattr(sc, graph).expr)
+            yield f"builtin/{name}/{graph}/H", h
+            yield f"builtin/{name}/{graph}/sq", sq
+
+
+def test_every_tree_is_the_pinned_tree(monkeypatch):
+    # a guard for changes to the smart constructors and the parser: any
+    # change to any of these trees (a node, an order, a constant's type or
+    # float) moves the digest
+    memo: dict = {}
+    lines = [f"{label} {ca._fold(tree, _TREE_DIGEST, memo)}\n"
+             for label, tree in _trees(monkeypatch)]
+    assert len(lines) == 8792
+    assert _sha("".join(lines)) == "4cff6b096ed7fe092400815ea7c2d60b87b93acadb6bc5a2448879f2c92907fe"
 
 
 def test_readme_example_config_parses():
