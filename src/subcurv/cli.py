@@ -180,10 +180,12 @@ def parse_config(text: str) -> ConfigDocument:
 
 def load_config(path: str) -> ConfigDocument:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:  # bytes, so a decode error's offset is the file's
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
     return parse_config(text)
 
 
@@ -592,8 +594,11 @@ def _write_text(path: Optional[str], text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv(header: Sequence[str], columns) -> str:

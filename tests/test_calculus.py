@@ -1,9 +1,11 @@
 """Expression engine: grammar, differentiation, evaluation, compilation."""
 
 import gc
+import hashlib
 import random
 import re
 import struct
+import uuid
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subcurv import calculus as ca
+from subcurv import smp
 from subcurv.calculus import (
     CoordSystem,
     DivisionByZero,
@@ -26,6 +29,7 @@ from subcurv.calculus import (
     substitute,
     unparse,
 )
+from subcurv.cli import dumps_report, write_scenario_csv
 
 from conftest import (
     assert_close,
@@ -33,6 +37,7 @@ from conftest import (
     random_polynomial,
     random_rational_power_expr,
 )
+from test_cli import GOLDEN
 
 XZ = CoordSystem(("x1", "z"))
 HEIS = CoordSystem(("x1", "y1", "z"))
@@ -751,3 +756,76 @@ class TestFold:
             # one expression: the same emitter, the same body
             body = vector.source.rsplit("    return ", 1)[0]
             assert singles[0].source.rsplit("    return ", 1)[0] == body
+
+
+class TestCompileMemo:
+    """``compile_source`` compiles each distinct text once, but every call
+    gets a function of its own: a fresh ``<kind-N>`` filename and scope."""
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        """The texts ``compile`` is called on inside ``calculus`` from now on."""
+        calls = []
+
+        def counter(src, *args, **kwargs):
+            calls.append(src)
+            return compile(src, *args, **kwargs)
+
+        monkeypatch.setattr(ca, "compile", counter, raising=False)
+        return calls
+
+    @staticmethod
+    def fresh_source() -> str:
+        """A text no earlier call in this process has compiled."""
+        return f"def g():\n    return c, {uuid.uuid4().hex!r}\n"
+
+    def test_one_text_compiled_twice_gives_two_functions(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        src = self.fresh_source()
+        f, g = ca.compile_source(src, "g", "kernel", c=1), ca.compile_source(src, "g", "kernel", c=2)
+        assert calls == [src] and f is not g and f.source == g.source == src
+        assert f()[0] == 1 and g()[0] == 2  # each has its own scope
+        names = {f.__code__.co_filename, g.__code__.co_filename}
+        assert len(names) == 2 and all(re.fullmatch(r"<kernel-\d+>", n) for n in names)
+
+    def test_two_stops_of_one_config_record_into_their_own_devs(self):
+        sc = smp.builtin_scenario("h1-counterexample")
+        (stop1, devs1), (stop2, devs2) = (smp._ScenarioEngine(sc).box_stop for _ in range(2))
+        assert stop1.source == stop2.source and stop1 is not stop2
+        inside = [(lo + hi) / 2 for lo, hi in sc.box]
+        lifted = sc.operator.lift(inside, ca.evaluate(sc.u.expr, inside))
+        assert stop1(lifted) is False and stop1(lifted) is False and stop2(lifted) is False
+        assert len(devs1) == 2 and len(devs2) == 1
+
+    def test_second_run_of_each_builtin_compiles_nothing(self, monkeypatch):
+        for name in GOLDEN:
+            smp.run_scenario(smp.builtin_scenario(name))
+        calls = self.counting(monkeypatch)
+        for name in GOLDEN:
+            sc = smp.builtin_scenario(name)
+            report = smp.run_scenario(sc)
+            texts = (dumps_report(report.as_dict()) + "\n",
+                     write_scenario_csv(report, sc.operator.chart.names))
+            assert tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts) == GOLDEN[name]
+        assert calls == []
+
+    def test_the_least_recent_text_leaves_at_the_bound(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        first = self.fresh_source()
+        ca.compile_source(first, "g")
+        for _ in range(ca._CODE_MEMO_SIZE - 1):
+            ca.compile_source(self.fresh_source(), "g")
+        ca.compile_source(first, "g")  # bound texts so far: still kept
+        assert len(calls) == ca._CODE_MEMO_SIZE
+        for _ in range(ca._CODE_MEMO_SIZE):
+            ca.compile_source(self.fresh_source(), "g")
+        ca.compile_source(first, "g")  # bound + 1 texts since its last use: compiled again
+        assert len(calls) == 2 * ca._CODE_MEMO_SIZE + 1 and calls[-1] == first
+
+    def test_a_text_that_fails_to_compile_raises_on_each_call(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        bad = "def g(:\n" + self.fresh_source()
+        for _ in range(2):
+            with pytest.raises(SyntaxError):
+                ca.compile_source(bad, "g")
+        assert calls == [bad, bad]

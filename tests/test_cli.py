@@ -620,6 +620,38 @@ class TestExitCodeContract:
         path = cfg("ok.cfg", SCENARIO)
         assert main(["scenario", "run", "--config", path, "--out", os.devnull]) == 0
 
+    @pytest.mark.parametrize("writer", ["scenario-out", "scenario-csv", "curvature-out",
+                                        "rank-out", "out-is-a-directory"])
+    def test_unwritable_output_is_config_error(self, cfg, tmp_path, writer):
+        missing, report = str(tmp_path / "no" / "such" / "x.out"), str(tmp_path / "report.json")
+        h1 = cfg("h1.cfg", HEIS1)
+        bad = str(tmp_path) if writer == "out-is-a-directory" else missing
+        argv = {
+            "scenario-out": ["scenario", "run", "hyperplane-z", "--out", bad],
+            "scenario-csv": ["scenario", "run", "hyperplane-z", "--out", report, "--csv", bad],
+            "curvature-out": ["curvature", "--config", h1, "--function", "negz", "--grid", "3",
+                              "--out", bad],
+            "rank-out": ["rank", "--config", h1, "--at", "0.5,0.5,0", "--out", bad],
+            "out-is-a-directory": ["scenario", "run", "hyperplane-z", "--out", bad],
+        }[writer]
+        code, err = run_main_quietly(argv)
+        assert code == 2
+        assert err.startswith(f"config error: cannot write {bad}: ") and err.count("\n") == 1
+        if writer == "scenario-csv":  # the report written before the CSV stays whole
+            with open(report, encoding="utf-8") as fh:
+                assert json.loads(fh.read())["classification"]
+
+    def test_config_that_is_not_utf8_is_config_error_naming_the_byte(self, tmp_path):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + SCENARIO.encode("utf-16-le"))
+        code, err = run_main_quietly(["scenario", "run", "--config", str(path), "--out", os.devnull])
+        assert code == 2
+        assert err == f"config error: cannot read config {path}: not UTF-8 at byte 0 (invalid start byte)\n"
+        # the offset counts bytes of the file, past the decoder's first chunk too
+        path.write_bytes(SCENARIO.encode("utf-8") + b"#" * 10000 + b"\n# caf\xe9\n")
+        code, err = run_main_quietly(["scenario", "run", "--config", str(path), "--out", os.devnull])
+        assert code == 2 and f"not UTF-8 at byte {len(SCENARIO.encode()) + 10006} " in err
+
     @pytest.mark.parametrize(
         "old, new, line, needle",
         [
