@@ -32,16 +32,20 @@ def lie_bracket(x: VectorFieldExpr, y: VectorFieldExpr) -> VectorFieldExpr:
     """[X,Y]^l = sum_k (X^k d_k Y^l - Y^k d_k X^l), simplified."""
     if x.coords != y.coords:
         raise ValueError("vector fields live in different charts")
-    n = len(x.coords)
-    dx, dy = x.jacobian(), y.jacobian()
-    comps = []
-    for l in range(n):
-        terms = []
-        for k in range(n):
-            terms.append(ca.mul(x.components[k], dy[k][l]))
-            terms.append(ca.neg(ca.mul(y.components[k], dx[k][l])))
-        comps.append(ca.add(*terms))
-    return VectorFieldExpr(x.coords, comps)
+
+    def make():
+        n = len(x.coords)
+        dx, dy = x.jacobian(), y.jacobian()
+        comps = []
+        for l in range(n):
+            terms = []
+            for k in range(n):
+                terms.append(ca.mul(x.components[k], dy[k][l]))
+                terms.append(ca.neg(ca.mul(y.components[k], dx[k][l])))
+            comps.append(ca.add(*terms))
+        return VectorFieldExpr(x.coords, comps)
+
+    return ca.built(("[X,Y]", x.coords, x.components, y.components), make)
 
 
 class RankReport:
@@ -132,12 +136,14 @@ def tangent_distribution_fields(
         raise MissingFrames("structure has no frame_fields metadata")
     e = phi.expr if isinstance(phi, ScalarField) else phi
     frames = S.frame_fields
-    derivs = [x.apply(e) for x in frames]
-    out = []
-    for i in range(len(frames)):
-        for j in range(i + 1, len(frames)):
-            out.append(frames[i].scale(derivs[j]) - frames[j].scale(derivs[i]))
-    return out
+
+    def make():
+        derivs = [x.apply(e) for x in frames]
+        n = len(frames)
+        return tuple(frames[i].scale(derivs[j]) - frames[j].scale(derivs[i])
+                     for i in range(n) for j in range(i + 1, n))
+
+    return list(ca.built(("X_ij", S.coords, tuple(x.components for x in frames), e), make))
 
 
 def two_form_rank(

@@ -29,6 +29,7 @@ import itertools
 import operator
 import types
 import weakref
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -68,6 +69,7 @@ __all__ = [
     "KERNEL_NAMES",
     "compile_expr",
     "compile_source",
+    "built",
     "parse_expr",
     "unparse",
     "ZERO",
@@ -334,6 +336,7 @@ def _sorted_children(children) -> tuple:
 const, var = Const, Var
 
 _UNIT = Fraction(1)  # the exponent of a bare factor
+_RECIPROCAL = Fraction(-1)  # the exponent of a divisor
 
 
 def _ratio(num: int, den: int) -> Const:
@@ -482,7 +485,7 @@ def sub(a, b) -> Expr:
 
 
 def div(a, b) -> Expr:
-    return mul(a, pow_(b, Fraction(-1)))
+    return mul(a, pow_(b, _RECIPROCAL))
 
 
 def sqrt_(e) -> Expr:
@@ -749,6 +752,23 @@ def compile_source(src: str, name: str, kind: str = "generated", **names) -> Cal
     f = types.FunctionType(code, {**KERNEL_NAMES, **names})
     f.source = src
     return f
+
+
+_BUILD_MEMO_SIZE = 128  # a touch pass needs 43 keys; an entry retained <= 0.033 MB, so <= ~4 MB full
+_BUILT: OrderedDict = OrderedDict()  # key -> what ``make`` built for it, least recent first
+
+
+def built(key, make: Callable):
+    """``make()``, built once per process while ``key`` is among the last
+    :data:`_BUILD_MEMO_SIZE` keys used; a ``make`` that raises stores nothing.
+    A key holds interned nodes, never their ``id``, and the values are
+    symbolic objects, never numeric results."""
+    if key not in _BUILT:
+        _BUILT[key] = make()
+        if len(_BUILT) > _BUILD_MEMO_SIZE:
+            _BUILT.popitem(last=False)
+    _BUILT.move_to_end(key)
+    return _BUILT[key]
 
 
 # ---------------------------------------------------------------------------

@@ -659,7 +659,7 @@ def cmd_curvature(args) -> int:
         where = f"{_at(doc.functions[args.function]['expr'])}function {args.function!r}"
         raise EvaluationError(f"{where}: outside the float range while building H ({exc})") from None
     if point is not None:
-        print(format_number(curvature_at(h, sq, point)))
+        _write_text(args.out, format_number(curvature_at(h, sq, point)) + "\n")
         return EXIT_OK
     # grid mode over the function's box
     box = phi.box or S.domain_box

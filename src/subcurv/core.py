@@ -353,7 +353,6 @@ class SubriemannianStructure:
         "frame_fields",
         "domain_box",
         "null_coform",
-        "_curvature_cache",
     )
 
     def __init__(
@@ -394,7 +393,6 @@ class SubriemannianStructure:
         self.frame_fields = frame_fields
         self.domain_box = domain_box
         self.null_coform = null_coform
-        self._curvature_cache = {}
 
     @property
     def dim(self) -> int:
@@ -479,22 +477,19 @@ def p_mean_curvature_expr(S: SubriemannianStructure, phi, p) -> Expr:
     p = Fraction(p)
     if p < 0:
         raise ValueError("curvature exponent p must be >= 0")
-    key = (e, p)
-    cached = S._curvature_cache.get(key)
-    if cached is not None:
-        return cached
-    grad = ca.gradient(e, S.dim)
-    raised = raise_covector(S, grad)
-    weight_exp = (p - 1) / 2
-    norm_sq = pairing_expr(S, grad, grad)
-    a = S.volume_density
-    terms = []
-    for l in range(S.dim):
-        flux = ca.mul(a, ca.pow_(norm_sq, weight_exp), raised[l])
-        terms.append(ca.differentiate(flux, l))
-    h = ca.mul(ca.pow_(a, Fraction(-1)), ca.add(*terms))
-    S._curvature_cache[key] = h
-    return h
+
+    def make():
+        grad = ca.gradient(e, S.dim)
+        raised = raise_covector(S, grad)
+        norm_sq = pairing_expr(S, grad, grad)
+        a = S.volume_density
+        terms = []
+        for l in range(S.dim):
+            flux = ca.mul(a, ca.pow_(norm_sq, (p - 1) / 2), raised[l])
+            terms.append(ca.differentiate(flux, l))
+        return ca.div(ca.add(*terms), a)
+
+    return ca.built(("H", S.cometric, S.volume_density, e, p), make)
 
 
 def p_mean_curvature(

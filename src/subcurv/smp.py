@@ -183,10 +183,14 @@ class GenericOperator(_GraphOperator):
 
     def build(self, u: Expr):
         S = self.structure
-        phi = self.phi(u)
-        on_graph = ca.substitute(self.embedding, {len(self.chart): u})
-        exprs = [p_mean_curvature_expr(S, phi, self.p), conorm_sq_expr(S, phi)]
-        return tuple(ca.substitute(exprs, dict(enumerate(on_graph))))
+
+        def make():
+            phi = self.phi(u)
+            on_graph = ca.substitute(self.embedding, {len(self.chart): u})
+            exprs = [p_mean_curvature_expr(S, phi, self.p), conorm_sq_expr(S, phi)]
+            return tuple(ca.substitute(exprs, dict(enumerate(on_graph))))
+
+        return ca.built((self.kind, S.cometric, S.volume_density, self.p, self.axis, u), make)
 
     def params(self) -> dict:
         return {
@@ -208,7 +212,7 @@ class GraphHFOperator(GenericOperator):
         self.m = m
 
     def build(self, u: Expr):
-        return graph_HF_exprs(self.F, u, self.m)
+        return ca.built((self.kind, tuple(self.F), self.m, u), lambda: graph_HF_exprs(self.F, u, self.m))
 
     def params(self) -> dict:
         return {"F": [ca.unparse(f, self.chart) for f in self.F]}
@@ -243,7 +247,7 @@ class IntrinsicOperator(_TranslationGraphOperator):
     sign = -1
 
     def build(self, u: Expr):
-        return intrinsic_graph_exprs(u, self.n)
+        return ca.built((self.kind, self.n, u), lambda: intrinsic_graph_exprs(u, self.n))
 
 
 class LaGraphOperator(_TranslationGraphOperator):
@@ -253,7 +257,7 @@ class LaGraphOperator(_TranslationGraphOperator):
     sign = 1
 
     def build(self, u: Expr):
-        return la_graph_exprs(u, self.n)
+        return ca.built((self.kind, self.n, u), lambda: la_graph_exprs(u, self.n))
 
 
 class RadialCylinderOperator(_GraphOperator):
@@ -277,7 +281,7 @@ class RadialCylinderOperator(_GraphOperator):
         return super().lift(chart_pt, u_val)
 
     def build(self, u: Expr):
-        return radial_curvature_expr(u, self.n)
+        return ca.built((self.kind, self.n, u), lambda: radial_curvature_expr(u, self.n))
 
     def params(self) -> dict:
         return {"n": self.n}

@@ -6,6 +6,7 @@ import random
 import re
 import struct
 import uuid
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -829,3 +830,71 @@ class TestCompileMemo:
             with pytest.raises(SyntaxError):
                 ca.compile_source(bad, "g")
         assert calls == [bad, bad]
+
+
+class TestBuildMemo:
+    """``built`` keeps what the last ``_BUILD_MEMO_SIZE`` keys built: an
+    operator's H, tangent fields and bracket words come back as the same
+    objects, and a build that raises keeps nothing."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty memo for this test; the process memo comes back after it."""
+        memo = OrderedDict()
+        monkeypatch.setattr(ca, "_BUILT", memo)
+        return memo
+
+    def test_each_builtin_builds_once_and_keeps_the_golden_bytes(self, memo):
+        for name in GOLDEN:
+            first, again = ([sc.operator.build(g.expr) for g in (sc.u, sc.v)]
+                            for sc in (smp.builtin_scenario(name), smp.builtin_scenario(name)))
+            assert all(a is b for a, b in zip(first, again)), name
+            sc = smp.builtin_scenario(name)
+            for jobs in (1, 2):
+                report = smp.run_scenario(sc, jobs)
+                texts = (dumps_report(report.as_dict()) + "\n",
+                         write_scenario_csv(report, sc.operator.chart.names))
+                assert tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts) == GOLDEN[name]
+
+    def test_an_overflow_while_building_h_raises_again_and_keeps_nothing(self, memo):
+        op = smp.GraphHFOperator([ca.neg(ca.var(1)), ca.var(0)], 2)
+        u, v = (parse_expr(t, op.chart) for t in ("x1^2 + 1e154*x2^2", "x1*x2"))
+        sc = smp.ComparisonScenario("big", op, u, v, box=((-0.5, 0.5),) * 2, grid_counts=3)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="graph u: outside the float range while building H") as info:
+                smp.run_scenario(sc)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and not memo
+
+    def test_the_least_recent_key_is_built_again_at_the_bound(self, memo):
+        made = []
+
+        def build(key):
+            return ca.built(key, lambda: made.append(key) or [key])
+
+        first, bound = ("first",), ca._BUILD_MEMO_SIZE
+        kept = build(first)
+        for i in range(bound - 1):
+            build(("early", i))
+        assert build(first) is kept  # bound keys so far: all kept, and first is the most recent
+        for i in range(bound):
+            build(("late", i))
+            assert len(memo) <= bound
+            assert (first in memo) == (i < bound - 1)  # it leaves with the bound-th newer key
+        assert build(first) is not kept  # built again, once
+        assert len(made) == 2 * bound + 1 and made[-1] == first
+
+    def test_a_second_run_generates_no_rk4_loop(self, memo, monkeypatch):
+        kinds, loops = [], []
+        real = ca.compile_source
+
+        def counting(src, name, kind="generated", **names):
+            kinds.append(kind)
+            return real(src, name, kind, **names)
+
+        monkeypatch.setattr(ca, "compile_source", counting)
+        for _ in range(2):
+            smp.run_scenario(smp.builtin_scenario("vertical-hyperplane"))
+            loops.append(kinds.count("rk4"))
+        assert loops[0] == loops[1] > 0

@@ -340,6 +340,14 @@ class TestCurvatureCommand:
         assert float(r.stdout.strip()) == pytest.approx(2 / 5 ** 0.25, rel=1e-12)
         assert len(r.stdout.strip()) >= 16  # 17 significant digits
 
+    def test_single_point_value_goes_to_out(self, cfg, tmp_path, capsys):
+        path, out = cfg("cyl.cfg", CYL1), tmp_path / "h.txt"
+        argv = ["curvature", "--config", path, "--function", "phi", "--p", "0", "--at", "0.7,-0.4,0.65"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "" and out.read_text(encoding="utf-8") == printed
+
     def test_flat_level_sets(self, cfg):
         path = cfg("flat.cfg", CUSTOM_FLAT)
         r = run_cli(["curvature", "--config", path, "--function", "lin",
@@ -621,7 +629,7 @@ class TestExitCodeContract:
         assert main(["scenario", "run", "--config", path, "--out", os.devnull]) == 0
 
     @pytest.mark.parametrize("writer", ["scenario-out", "scenario-csv", "curvature-out",
-                                        "rank-out", "out-is-a-directory"])
+                                        "curvature-at-out", "rank-out", "out-is-a-directory"])
     def test_unwritable_output_is_config_error(self, cfg, tmp_path, writer):
         missing, report = str(tmp_path / "no" / "such" / "x.out"), str(tmp_path / "report.json")
         h1 = cfg("h1.cfg", HEIS1)
@@ -631,6 +639,8 @@ class TestExitCodeContract:
             "scenario-csv": ["scenario", "run", "hyperplane-z", "--out", report, "--csv", bad],
             "curvature-out": ["curvature", "--config", h1, "--function", "negz", "--grid", "3",
                               "--out", bad],
+            "curvature-at-out": ["curvature", "--config", h1, "--function", "negz", "--at", "0.5,0.5,0",
+                                 "--out", bad],
             "rank-out": ["rank", "--config", h1, "--at", "0.5,0.5,0", "--out", bad],
             "out-is-a-directory": ["scenario", "run", "hyperplane-z", "--out", bad],
         }[writer]

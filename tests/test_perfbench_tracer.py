@@ -64,6 +64,23 @@ def test_traced_run_counts_kernel_calls_and_keeps_the_report(monkeypatch, make):
     assert _report_bytes(make) == plain
 
 
+def test_traced_run_on_a_warm_memo_still_counts_the_symbolic_layers(monkeypatch):
+    # the symbolic memo sits inside each traced function, so a build that
+    # it answers is still a call, and the report keeps its bytes
+    make = functools.partial(smp.builtin_scenario, "h1-counterexample")
+    plain = _report_bytes(make)
+    tracer = _load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        traced = _report_bytes(make)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    totals = tracer.summary()["totals"]
+    for name in ("smp.operator_build", "brackets.lie_bracket", "brackets.tangent_distribution_fields"):
+        assert totals[name][0] > 0, name
+
+
 def test_traced_propagation_counts_every_trajectory_and_step(monkeypatch):
     # the benchmark's smp.integrate_field.* and smp.rk4_* metrics read the
     # module attribute that _propagate calls
