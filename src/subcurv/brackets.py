@@ -27,6 +27,8 @@ __all__ = [
     "w_tensor_independence",
 ]
 
+MAX_BRACKET_WORDS = 1024  # each word re-ranks every row so far: 1022 words take 0.56 s (CPython 3.11, Xeon)
+
 
 def lie_bracket(x: VectorFieldExpr, y: VectorFieldExpr) -> VectorFieldExpr:
     """[X,Y]^l = sum_k (X^k d_k Y^l - Y^k d_k X^l), simplified."""
@@ -78,7 +80,8 @@ def bracket_generate_rank(
     Words of depth d are [X_i, w] with w of depth d-1, so the count grows
     like r^d; each word is built when it is evaluated, and generation
     stops as soon as the target rank (full chart dimension by default) is
-    reached.  Rank is monotone in both the depth and the field set.
+    reached, or raises ``EvaluationError`` past ``MAX_BRACKET_WORDS``
+    words.  Rank is monotone in both the depth and the field set.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -94,6 +97,9 @@ def bracket_generate_rank(
     depth_achieved = 1
     rank, tol = 0, 0.0
     for depth, w in _words(fields, max_depth):
+        if words_generated == MAX_BRACKET_WORDS:
+            raise ca.EvaluationError(f"rank {rank} of {target_rank} at point {point} not reached "
+                                     f"within MAX_BRACKET_WORDS = {MAX_BRACKET_WORDS} bracket words")
         words_generated += 1
         rows.append(w.at(point))
         new_rank, tol = matrix_rank(rows)

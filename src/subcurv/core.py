@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import calculus as ca
 from .calculus import CoordSystem, Expr
-from .numerics import matrix_rank, newton_minimize, principal_minors
+from .numerics import indefinite_minor, matrix_rank, newton_minimize
 
 __all__ = [
     "GeometryError",
@@ -82,7 +82,7 @@ class IndefiniteCometric(GeometryError):
         return f"{on}cometric not PSD at {self.point}: |dphi|*^2 is {self.sq!r}"
 
 
-PSD_TOL = 1e-10  # negative squared norms and minors down to -PSD_TOL are roundoff
+PSD_TOL = 1e-10  # negative squared norms down to -PSD_TOL are roundoff; the probe scales it per entry
 
 
 DEFAULT_EPS_SING = 1e-7
@@ -672,9 +672,9 @@ PROBE_SAMPLES_PER_AXIS = 3
 
 
 def probe_validate(S: SubriemannianStructure) -> list:
-    """Check PSD-ness (minors down to -PSD_TOL), positive density, and frame
-    rank on a grid of ``PROBE_SAMPLES_PER_AXIS`` points per axis of the
-    structure's ``domain_box``.
+    """Check PSD-ness (:func:`indefinite_minor` with ``PSD_TOL``), positive
+    density, and frame rank on a grid of ``PROBE_SAMPLES_PER_AXIS`` points
+    per axis of the structure's ``domain_box``.
 
     Returns a list of human-readable issues (empty when all checks pass).
     Sampling, not symbolic certification: the goal is to catch
@@ -685,23 +685,11 @@ def probe_validate(S: SubriemannianStructure) -> list:
     issues = []
     grid = GridSpec.from_box(S.domain_box, PROBE_SAMPLES_PER_AXIS)
     frame_rank = S.dim - S.degeneracy
-    # principal_minors orders its minors by size, then index set
-    minor_sets = [
-        rows
-        for k in range(1, S.dim + 1)
-        for rows in itertools.combinations(range(S.dim), k)
-    ]
     for pt in grid.points():
-        g = S.cometric_at(pt)
-        for rows, m in zip(minor_sets, principal_minors(g)):
-            if m < -PSD_TOL:
-                entries = ", ".join(
-                    f"cometric.{l}.{k}" for i, l in enumerate(rows) for k in rows[i:]
-                )
-                issues.append(
-                    f"cometric not PSD at {pt}: principal minor of {entries} is {m!r}"
-                )
-                break
+        if minor := indefinite_minor(S.cometric_at(pt), PSD_TOL):
+            rows, m = minor
+            entries = ", ".join(f"cometric.{l}.{k}" for i, l in enumerate(rows) for k in rows[i:])
+            issues.append(f"cometric not PSD at {pt}: principal minor of {entries} is {m!r}")
         a = ca.evaluate(S.volume_density, pt)
         if not a > 0:
             issues.append(f"volume density {a} not positive at {pt}")

@@ -508,7 +508,6 @@ class _ScenarioEngine:
         du, shape = self.du, self.grid.shape
         diff = ca.sub(self.v.expr, self.u.expr)
         refine = newton_refiner(diff, self.nvars, self.grid)
-        diff_fn = ca.compile_expr(diff, self.nvars)
         # each axis: its stride, its count and the index steps from each index to the nearer face
         axes = [(s, c, [min(i, c - 1 - i) for i in range(c)]) for s, c in zip(row_major_strides(shape), shape)]
         out = []
@@ -519,7 +518,7 @@ class _ScenarioEngine:
             j = depth.index(max(depth))
             k, pt = cells[j], self.points[cells[j]]
             refined, ok = refine(pt)
-            value = diff_fn(refined) if ok and _in_box(refined, self.sc.box) else None
+            value = ca.evaluate(diff, refined) if ok and _in_box(refined, self.sc.box) else None
             ok = value is not None and abs(value) <= self.tol.eps_touch
             rep = {"index": [col[j] for col in columns], "point": list(pt),
                    "refined_point": [float(c) for c in refined] if ok else list(pt),

@@ -124,6 +124,26 @@ class TestBracketGenerateRank:
         assert rep.rank == 2 * n + 1
         assert rep.depth == 2
 
+    def test_words_past_the_bound_are_an_evaluation_error(self):
+        # two commuting fields never reach rank 2 of 2; depth 22 would be 2^23 - 2 words
+        x, y = field(XY, "1", "0"), field(XY, "2", "0")
+        with pytest.raises(ca.EvaluationError) as err:
+            bracket_generate_rank([x, y], (0.5, 0.25), max_depth=22)
+        assert str(err.value) == (
+            f"rank 1 of 2 at point (0.5, 0.25) not reached within "
+            f"MAX_BRACKET_WORDS = {brackets.MAX_BRACKET_WORDS} bracket words"
+        )
+
+    def test_a_rank_reached_on_the_last_allowed_word_never_meets_the_bound(self, monkeypatch):
+        # X, Y, [X, X], [X, Y]: the fourth word brings heisenberg(1) to rank 3
+        S = standard_structure(1)
+        monkeypatch.setattr(brackets, "MAX_BRACKET_WORDS", 4)
+        rep = bracket_generate_rank(S.frame_fields, (0.1, 0.2, 0.3), max_depth=30)
+        assert (rep.rank, rep.depth, rep.words_generated) == (3, 2, 4)
+        monkeypatch.setattr(brackets, "MAX_BRACKET_WORDS", 3)
+        with pytest.raises(ca.EvaluationError, match="rank 2 of 3 at point"):
+            bracket_generate_rank(S.frame_fields, (0.1, 0.2, 0.3), max_depth=30)
+
     def test_single_coordinate_field(self):
         rep = bracket_generate_rank([field(XY, "1", "0")], (0.3, 0.4), max_depth=4)
         assert rep.rank == 1

@@ -30,6 +30,7 @@ from subcurv.cli import (
     scenario_to_config,
     write_scenario_csv,
 )
+from subcurv.brackets import MAX_BRACKET_WORDS
 from subcurv.core import SubriemannianStructure
 from subcurv.heisenberg import drift_graph_structure, standard_drift
 
@@ -123,6 +124,7 @@ def run_cli(args, env=None):
         capture_output=True,
         text=True,
         env=e,
+        timeout=120,  # a hung command fails its test instead of stalling the suite
     )
 
 
@@ -700,6 +702,20 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "not PSD" in err and "cometric.1.1 is" in err
 
+    @pytest.mark.parametrize("box", ["1000:2000, 1000:2000, -1:1", "1e5:2e5, 1e5:2e5, -1:1"])
+    def test_heisenberg_cometric_far_from_the_origin_is_psd(self, cfg, box):
+        # heisenberg(1)'s own cometric has rank 2; its 3x3 minor is zero and
+        # once rounded to -1.7e-10 (-4.4e-06 at 1e5), below an absolute bound
+        path = cfg("h1.cfg", (
+            "[structure]\nkind = custom\ncoords = x, y, z\n"
+            "cometric.0.0 = 1\ncometric.0.2 = y\ncometric.1.1 = 1\n"
+            "cometric.1.2 = -x\ncometric.2.2 = x^2 + y^2\n"
+            f"box = {box}\n\n[function phi]\nexpr = z + x\n"
+        ))
+        code, err = run_main_quietly(["curvature", "--config", path, "--function", "phi",
+                                      "--at", "1500,1500,0"])
+        assert (code, err) == (0, "")
+
     def test_indefinite_cometric_without_a_box_is_config_error_naming_the_point(
         self, cfg, capsys, tmp_path
     ):
@@ -786,6 +802,26 @@ class TestExitCodeContract:
         hole = "non-integer power 0.5 of non-positive base -0.19999999999999996"
         assert code == 3
         assert f"evaluation error: {quantity} undefined at chart point (0.5, 0.2): {hole}" in err
+
+    def test_bracket_words_past_the_bound_are_evaluation_errors(self, cfg):
+        # the rank of commuting fields never reaches its target; 2^23 - 2 words
+        # (rank) and 3 + 9 + ... + 3^30 words (scenario run) would never end
+        path = cfg("commuting.cfg", HEIS1 + (
+            "\n[field a]\ncomponents = 1, 0, 0\n\n[field b]\ncomponents = 0, 1, 0\n"))
+        r = run_cli(["rank", "--config", path, "--fields", "a", "b", "--depth", "22",
+                     "--out", os.devnull])
+        assert r.returncode == 3
+        assert ("rank 2 of 3 at point (0.0, 0.0, 0.0) not reached within "
+                f"MAX_BRACKET_WORDS = {MAX_BRACKET_WORDS} bracket words") in r.stderr
+        # a flat graph_F: the three tangent fields of the plane u = x1 + x2 commute
+        path = cfg("flat3.cfg", (
+            "[structure]\nkind = graph_F\nm = 3\nF = 0, 0, 0\n\n"
+            "[function u]\nexpr = x1 + x2\n\n[function v]\nexpr = x1 + x2\n\n"
+            "[scenario]\noperator = graph_HF\nu = u\nv = v\nbox = 0:1, 0:1, 0:1\n"
+            "grid = 3\nrank_depth = 30\n"))
+        r = run_cli(["scenario", "run", "--config", path, "--out", os.devnull])
+        assert r.returncode == 3
+        assert "rank 2 of 3 at point (0.0, 0.0, 0.0, 0.0) not reached" in r.stderr
 
     def test_rank_evaluation_error_names_the_point(self, cfg):
         text = CUSTOM_FLAT.replace("box = -1:1, -1:1\n", "") + (

@@ -957,6 +957,20 @@ class TestRunScenario:
         assert d["curvature_gap"]["max"] == 0.0
         assert d["rank"]["rank"] == 4 == d["rank"]["expected"]
 
+    def test_vertical_hyperplane_rank_is_unchanged_by_a_deep_rank_depth(self):
+        # the rank reaches its target at depth 2, long before the word bound
+        sc = builtin_scenario("vertical-hyperplane")
+        deep = ComparisonScenario(
+            sc.name, sc.operator, sc.u.expr, sc.v.expr, box=sc.box,
+            grid_counts=sc.grid_counts, tolerances=sc.tolerances, T=sc.T,
+            step=sc.step, max_propagation_starts=sc.max_propagation_starts,
+            rank_depth=30, description=sc.description,
+        )
+        d, d30 = run_scenario(sc).as_dict(), run_scenario(deep).as_dict()
+        assert (d30["rank"]["rank"], d30["rank"]["expected"], d30["rank"]["depth"]) == (4, 4, 2)
+        assert d30["rank"] == d["rank"]
+        assert d30["classification"] == d["classification"]
+
     def test_cylinder_sphere_paraboloid(self):
         report = run_scenario(builtin_scenario("cylinder-sphere-paraboloid"))
         d = report.as_dict()
