@@ -19,6 +19,7 @@ from .core import MissingFrames, ScalarField, SubriemannianStructure, VectorFiel
 from .numerics import matrix_rank
 
 __all__ = [
+    "BracketWordBound",
     "RankReport",
     "lie_bracket",
     "bracket_generate_rank",
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 MAX_BRACKET_WORDS = 1024  # each word re-ranks every row so far: 1022 words take 0.56 s (CPython 3.11, Xeon)
+
+
+class BracketWordBound(ca.EvaluationError):
+    """A rank still short of its target after ``MAX_BRACKET_WORDS`` words; the message names the point."""
 
 
 def lie_bracket(x: VectorFieldExpr, y: VectorFieldExpr) -> VectorFieldExpr:
@@ -80,7 +85,7 @@ def bracket_generate_rank(
     Words of depth d are [X_i, w] with w of depth d-1, so the count grows
     like r^d; each word is built when it is evaluated, and generation
     stops as soon as the target rank (full chart dimension by default) is
-    reached, or raises ``EvaluationError`` past ``MAX_BRACKET_WORDS``
+    reached, or raises :class:`BracketWordBound` past ``MAX_BRACKET_WORDS``
     words.  Rank is monotone in both the depth and the field set.
     """
     if not fields:
@@ -98,7 +103,7 @@ def bracket_generate_rank(
     rank, tol = 0, 0.0
     for depth, w in _words(fields, max_depth):
         if words_generated == MAX_BRACKET_WORDS:
-            raise ca.EvaluationError(f"rank {rank} of {target_rank} at point {point} not reached "
+            raise BracketWordBound(f"rank {rank} of {target_rank} at point {point} not reached "
                                      f"within MAX_BRACKET_WORDS = {MAX_BRACKET_WORDS} bracket words")
         words_generated += 1
         rows.append(w.at(point))

@@ -671,10 +671,12 @@ def emitter(nvars: int, var: str = "p[{}]", *, temp: str = "t"):
     ``tN = ...`` for each distinct subtree of ``e`` that no earlier call
     emitted, over ``nvars`` coordinates (coordinate i is ``var.format(i)``:
     by default a point ``p``), and returns the Python expression of e's
-    value.  Powers call the helpers of :func:`evaluate` (in scope as
+    value.  Powers follow the helpers of :func:`evaluate` (in scope as
     :data:`KERNEL_NAMES`), so the code gives the same double and the same
-    error at the same point; a negative integer power stays inline as
-    ``t ** -n if t else _zero_pow(-n)``.  ``temp`` replaces the ``t`` of
+    error at the same point: a non-integer power is inline as ``t ** q if
+    t > 0.0 else _frac_pow(t, q)``, so every other base (NaN too) meets
+    the one rule, and a negative integer power as ``t ** -n if t else
+    _zero_pow(-n)``.  ``temp`` replaces the ``t`` of
     the temporaries' names, so that one function can hold the lines of
     two emitters."""
     lines = []
@@ -694,7 +696,7 @@ def emitter(nvars: int, var: str = "p[{}]", *, temp: str = "t"):
     def emit_pow(node, kids):
         b, q = kids[0], node.exponent
         if q.denominator != 1:
-            return line(f"_frac_pow({b}, {float(q)!r})")
+            return line(f"{b} ** {float(q)!r} if {b} > 0.0 else _frac_pow({b}, {float(q)!r})")
         zero = f" if {b} else _zero_pow({q.numerator})" if q < 0 else ""
         return line(f"{b} ** {q.numerator}{zero}")
 

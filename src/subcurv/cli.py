@@ -44,7 +44,7 @@ from .core import (
     probe_validate,
     conorm_sq_expr,
 )
-from .brackets import bracket_generate_rank, tangent_distribution_fields, two_form_rank
+from .brackets import BracketWordBound, bracket_generate_rank, tangent_distribution_fields, two_form_rank
 from .heisenberg import cylinder_structure, standard_structure, drift_graph_structure
 from . import smp
 
@@ -614,7 +614,7 @@ def _csv(header: Sequence[str], columns) -> str:
 
 
 def _grid_columns(grid: GridSpec) -> list:
-    """``grid.points()`` as text columns: each axis value is formatted once
+    """The grid's points as text columns: each axis value is formatted once
     and repeated in row-major order."""
     shape, columns = grid.shape, []
     for i in range(len(shape)):
@@ -626,10 +626,14 @@ def _grid_columns(grid: GridSpec) -> list:
 
 def write_scenario_csv(report: smp.ScenarioReport, coords: Sequence[str]) -> str:
     """The per-point table of a scenario run (see the README for its columns),
-    from the report's columns; the 0/1 mask columns are text of the H columns."""
+    the cells of :func:`_csv` with no type scan: the three number columns (floats
+    and ``None``) through one memo, the text columns (grid, 0/1 masks) as they are."""
     header = [*coords, "v_minus_u", "H_u", "H_v", "singular_u", "singular_v"]
+    text = _Formatted({None: ""}).__getitem__
+    numbers = [map(text, column) for column in (report.du, report.h_u, report.h_v)]
     masks = [["1" if h is None else "0" for h in column] for column in (report.h_u, report.h_v)]
-    return _csv(header, [*_grid_columns(report.grid), report.du, report.h_u, report.h_v, *masks])
+    rows = zip(*_grid_columns(report.grid), *numbers, *masks, strict=True)
+    return "\n".join([",".join(header), *map(",".join, rows), ""])
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +673,7 @@ def cmd_curvature(args) -> int:
     if grid.npoints > smp.MAX_GRID_POINTS:  # refused before any point exists
         raise ConfigError(f"--grid {args.grid} asks for {grid.npoints} points, "
                           f"over the bound of {smp.MAX_GRID_POINTS}")
-    points = list(grid.points())
-    _, values, _ = compile_sweep(h, sq, S.dim, default_eps_sing() ** 2)(points)
+    _, values, _ = compile_sweep(h, sq, S.dim, default_eps_sing() ** 2)(grid)
     if args.format == "csv":
         _write_text(args.out, _csv([*S.coords.names, "H"], [*_grid_columns(grid), values]))
     else:
@@ -679,7 +682,7 @@ def cmd_curvature(args) -> int:
             "function": args.function,
             "p": str(p),
             "grid": grid.as_dict(),
-            "values": [{"point": list(pt), "H": h} for pt, h in zip(points, values)],
+            "values": [{"point": list(pt), "H": h} for pt, h in zip(grid, values)],
         }
         _write_text(args.out, dumps_report(payload) + "\n")
     return EXIT_OK
@@ -720,6 +723,8 @@ def cmd_rank(args) -> int:
             m = [[ca.sub(ca.differentiate(w[j], k), ca.differentiate(w[k], j))
                   for j in range(S.dim)] for k in range(S.dim)]
             tf_rank = two_form_rank(m, point, restriction_basis=S.frame_fields or None)
+    except BracketWordBound:
+        raise  # its message names the point
     except ca.FAULTS as exc:
         raise EvaluationError(f"rank undefined at point {point}: {exc}") from None
     hormander = report.rank >= target

@@ -513,10 +513,12 @@ def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
     domain or overflow error or is not finite; ``low`` maps each position
     whose norm is not ``>= eps_sq`` (singular, or NaN) to that norm.  The
     three share one :func:`calculus.emitter`, so a shared subtree is computed
-    once.  Errors, first one first: the first point where u has no value,
-    the first where it is not finite, then the first norm hole or indefinite
-    norm; each names its chart point."""
-    lines, emit = ca.emitter(nvars)
+    once.  ``points`` is a sequence (a :class:`GridSpec`, say) of
+    ``nvars``-tuples, each unpacked into locals; an error looks its point up
+    by position.  Errors, first one first: the first point where u has no
+    value, the first where it is not finite, then the first norm hole or
+    indefinite norm; each names its chart point."""
+    lines, emit = ca.emitter(nvars, "p{}")
 
     def block(e: Expr, result: str) -> str:
         # the statements new to e, inside the loop's try, then result = e
@@ -529,19 +531,19 @@ def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
         name, u = graph
         norm = f"graph {name}: {norm}"
         value = (f"        try:{block(u, 'u')}\n        except _FAULTS as exc:\n"
-                 f"            raise _undefined('graph {name}', p, exc) from None\n"
+                 f"            raise _undefined('graph {name}', points[k], exc) from None\n"
                  "        values.append(u)\n")
         tail = f"    _require_finite('graph {name}', values, points)\n"
     # the three `hs.append(None)`: a norm hole, a singular point, no H value
     src = (
         "def sweep(points):\n    values, hs, low, bad = [], [], {}, None\n"
-        f"    for k, p in enumerate(points):\n{value}"
+        f"    for k, ({''.join(f'p{i}, ' for i in range(nvars))}) in enumerate(points):\n{value}"
         f"        try:{block(sq, 'sq')}\n        except _FAULTS as exc:\n"
-        f"            bad = bad or _undefined({norm!r}, p, exc)\n"
+        f"            bad = bad or _undefined({norm!r}, points[k], exc)\n"
         "            hs.append(None)\n            continue\n"
         f"        if not sq >= {eps_sq!r}:\n            low[k] = sq\n"
         f"            if sq < {eps_sq!r}:\n                if sq < {-PSD_TOL!r}:\n"
-        "                    bad = bad or IndefiniteCometric(p, sq)\n"
+        "                    bad = bad or IndefiniteCometric(points[k], sq)\n"
         "                hs.append(None)\n                continue\n"
         f"        try:{block(h, 'h')}\n            hs.append(h if _isfinite(h) else None)\n"
         f"        except _FAULTS:\n            hs.append(None)\n{tail}"
@@ -563,6 +565,8 @@ class GridSpec:
     slowest), which fixes the deterministic ordering every consumer relies
     on; the k-th point's index along axis i is ``k // stride % count``
     (:func:`row_major_strides`).  Axes with count == 1 are frozen at lo.
+    The grid is a lazy sequence of those points: ``len``, iteration and
+    ``grid[k]`` build no list of them.
     """
 
     __slots__ = ("axes",)
@@ -600,6 +604,21 @@ class GridSpec:
     def points(self):
         """The grid points, as tuples in row-major order."""
         return itertools.product(*[self.axis_values(i) for i in range(len(self.axes))])
+
+    __iter__ = points
+
+    def __len__(self) -> int:
+        return self.npoints
+
+    def __getitem__(self, k: int) -> tuple:
+        """The k-th point of :meth:`points`, from the same ``lo + i * step``."""
+        if not 0 <= k < self.npoints:
+            raise IndexError(f"grid position {k} out of range for {self.npoints} points")
+        point = []
+        for lo, hi, count in reversed(self.axes):
+            k, i = divmod(k, count)
+            point.append(lo + i * ((hi - lo) / (count - 1)) if count > 1 else lo)
+        return tuple(reversed(point))
 
     def as_dict(self) -> dict:
         return {"axes": [[lo, hi, count] for lo, hi, count in self.axes]}
@@ -678,19 +697,21 @@ def probe_validate(S: SubriemannianStructure) -> list:
 
     Returns a list of human-readable issues (empty when all checks pass).
     Sampling, not symbolic certification: the goal is to catch
-    configuration mistakes.
+    configuration mistakes.  The cometric entries and the density are
+    compiled into one kernel, so each tree is folded once per load.
     """
     if S.domain_box is None:
         raise ValueError("no probe box: structure has no domain_box")
     issues = []
     grid = GridSpec.from_box(S.domain_box, PROBE_SAMPLES_PER_AXIS)
-    frame_rank = S.dim - S.degeneracy
-    for pt in grid.points():
-        if minor := indefinite_minor(S.cometric_at(pt), PSD_TOL):
+    n, frame_rank = S.dim, S.dim - S.degeneracy
+    values_at = ca.compile_expr([*itertools.chain(*S.cometric), S.volume_density], n)
+    for pt in grid:
+        *g, a = values_at(pt)
+        if minor := indefinite_minor([g[i : i + n] for i in range(0, n * n, n)], PSD_TOL):
             rows, m = minor
             entries = ", ".join(f"cometric.{l}.{k}" for i, l in enumerate(rows) for k in rows[i:])
             issues.append(f"cometric not PSD at {pt}: principal minor of {entries} is {m!r}")
-        a = ca.evaluate(S.volume_density, pt)
         if not a > 0:
             issues.append(f"volume density {a} not positive at {pt}")
         if S.frame_fields:

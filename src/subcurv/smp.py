@@ -9,9 +9,9 @@ integral curves of tangent fields.  Classification is a pure function of
 those measurements; the harness never asserts a theorem, only
 instance-level consistency.
 
-Each graph is swept once over the grid's points (``GridSpec.points()``)
-by one loop generated for it (:func:`core.compile_sweep`) into a record
-that every later measurement reads by grid position, so no norm is
+Each graph is swept once over the grid's points (a ``GridSpec``, a lazy
+sequence) by one loop generated for it (:func:`core.compile_sweep`) into a
+record that every later measurement reads by grid position, so no norm is
 evaluated after the sweep; a grid point carries no curvature value where
 the graph is singular or H cannot be evaluated there.  The touching and
 singular clusters and the 5-cell balls work on these flat positions and
@@ -366,7 +366,7 @@ class ScenarioReport:
     def table(self) -> list:
         """The CSV's rows, built on each call, with the masks as 0/1 ints."""
         return [(*pt, d, a, b, int(a is None), int(b is None))
-                for pt, d, a, b in zip(self.grid.points(), self.du, self.h_u, self.h_v)]
+                for pt, d, a, b in zip(self.grid, self.du, self.h_u, self.h_v)]
 
     @property
     def classification(self) -> str:
@@ -465,20 +465,19 @@ class _ScenarioEngine:
         op = scenario.operator
         self.nvars = len(op.chart)
         self.tol = tol = scenario.tolerances
-        self.grid = scenario.grid()
-        self.points = tuple(self.grid.points())
+        self.grid = grid = scenario.grid()
         eps_sq = tol.eps_sing ** 2
         u_expr, v_expr = scenario.u.expr, scenario.v.expr  # interned: equal means identical
-        child = (_ForkedSweep(op, v_expr, self.points, eps_sq)
+        child = (_ForkedSweep(op, v_expr, grid, eps_sq)
                  if jobs >= 2 and v_expr is not u_expr and hasattr(os, "fork") else None)
         try:
-            u = _SweptGraph(op, "u", u_expr, self.points, eps_sq)
-            v = u if v_expr is u_expr else _SweptGraph(op, "v", v_expr, self.points, eps_sq, child)
+            u = _SweptGraph(op, "u", u_expr, grid, eps_sq)
+            v = u if v_expr is u_expr else _SweptGraph(op, "v", v_expr, grid, eps_sq, child)
         finally:
             if child is not None:
                 child.close()
         du = list(map(operator.sub, v.values, u.values))
-        require_finite("v - u", du, self.points)
+        require_finite("v - u", du, grid)
         eps = tol.eps_order
         du_min, du_max = min(du), max(du)
         holds = du_min >= -eps or du_max <= eps
@@ -493,7 +492,7 @@ class _ScenarioEngine:
         k_min = du.index(min(du))
         self.ordering = {
             "min_v_minus_u": du[k_min],
-            "argmin": list(self.points[k_min]),
+            "argmin": list(grid[k_min]),
             "holds": holds,
         }
 
@@ -516,7 +515,7 @@ class _ScenarioEngine:
             faces = [list(map(steps.__getitem__, col)) for col, (_, c, steps) in zip(columns, axes) if c > 1]
             depth = list(map(min, zip(*faces))) if faces else [0]  # a grid of one point: one cell
             j = depth.index(max(depth))
-            k, pt = cells[j], self.points[cells[j]]
+            k, pt = cells[j], self.grid[cells[j]]
             refined, ok = refine(pt)
             value = ca.evaluate(diff, refined) if ok and _in_box(refined, self.sc.box) else None
             ok = value is not None and abs(value) <= self.tol.eps_touch
@@ -536,7 +535,7 @@ class _ScenarioEngine:
         best = max(found, default=None)
         return {
             "max": best,
-            "argmax": list(self.points[gaps.index(best)]) if found else None,
+            "argmax": list(self.grid[gaps.index(best)]) if found else None,
             "points_evaluated": len(found),
         }
 
@@ -544,7 +543,7 @@ class _ScenarioEngine:
         """Fraction and connected clusters (grid adjacency) of the cells
         where ``graph`` carries no curvature value; no scan without one."""
         cells = [k for k, h in enumerate(graph.h) if h is None] if None in graph.h else []
-        return len(cells) / len(self.points), len(grid_clusters(cells, self.grid.shape))
+        return len(cells) / len(self.grid), len(grid_clusters(cells, self.grid.shape))
 
     @functools.cached_property
     def box_stop(self):
@@ -876,7 +875,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
         fields = tangent_distribution_fields(op.structure, op.phi(u.expr))
         rank_k = next((k for k in hits if k not in u.low), None)
         if rank_k is not None:
-            rank_point = engine.points[rank_k]
+            rank_point = engine.grid[rank_k]
             lifted = op.lift(rank_point, u.values[rank_k])
             target = op.structure.dim - 1  # the dimension of the hypersurface
             report = bracket_generate_rank(fields, lifted, max_depth=scenario.rank_depth,
@@ -891,7 +890,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
             }
             for k in hits[: scenario.max_propagation_starts]:
                 if k not in u.low:
-                    start = engine.points[k]
+                    start = engine.grid[k]
                     lifted = op.lift(start, u.values[k])
                     propagation.extend(r.as_dict() for r in _propagate(engine, fields, start, lifted))
 

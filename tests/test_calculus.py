@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import random
 import re
 import struct
@@ -31,6 +32,7 @@ from subcurv.calculus import (
     unparse,
 )
 from subcurv.cli import dumps_report, write_scenario_csv
+from subcurv.core import compile_sweep
 
 from conftest import (
     assert_close,
@@ -696,6 +698,20 @@ class TestFold:
         s = simplify(e)
         assert simplify(s) == s
         assert substitute(e, {}) == s
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                                   Fraction(-3, 2), Fraction(1, 3), Fraction(7, 2)])
+    def test_fractional_powers_of_every_base_are_evaluate(self, q):
+        # inline for a positive base, _frac_pow for every other one (NaN too)
+        e = ca.pow_(ca.var(0), q)
+        kernel = compile_expr(e, 1)
+        hs = compile_sweep(e, ca.ONE, 1, 0.0)  # H, or None where it has no finite value
+        for base in (-1.0, -0.0, 0.0, 5e-324, math.nan, math.inf, 1e308):
+            expected = _outcome(evaluate, e, (base,))
+            assert _outcome(kernel, (base,)) == expected, base
+            h = hs([(base,)])[1][0]
+            finite = isinstance(expected, bytes) and math.isfinite(struct.unpack("<d", expected)[0])
+            assert (struct.pack("<d", h) if finite else h) == (expected if finite else None), base
 
     def test_kernel_is_the_generated_function(self):
         # no wrapper frame between the caller and the generated code

@@ -473,6 +473,16 @@ class TestRankCommand:
         assert r.returncode == 4
         assert "frames" in r.stderr
 
+    def test_bracket_word_bound_names_the_point_once(self, cfg, monkeypatch):
+        # the bound's own message names the point; rank must not wrap it again
+        monkeypatch.setattr("subcurv.brackets.MAX_BRACKET_WORDS", 8)
+        path = cfg("commuting.cfg", HEIS1 + (
+            "\n[field a]\ncomponents = 1, 0, 0\n\n[field b]\ncomponents = 0, 1, 0\n"))
+        code, err = run_main_quietly(["rank", "--config", path, "--fields", "a", "b",
+                                      "--depth", "22"])
+        assert (code, err) == (3, "evaluation error: rank 2 of 3 at point (0.0, 0.0, 0.0) "
+                                  "not reached within MAX_BRACKET_WORDS = 8 bracket words\n")
+
     def test_graph_structure_two_form(self, cfg, tmp_path):
         text = "[structure]\nkind = graph_F\nm = 4\nF = -x2, x1, -x4, x3\n"
         path = cfg("gf.cfg", text)
@@ -920,6 +930,38 @@ class TestExitCodeContract:
         assert main(["curvature", "--config", path, "--function", "lin",
                      "--at", "0.5,0.5"]) == 2
         assert "line 8: [structure]: cometric or density undefined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("structure, code, message", [
+        ("cometric.0.0 = 1\ncometric.1.1 = x\n", 2, "config error: [structure]: cometric not "
+         "PSD at (-1.0, -1.0): principal minor of cometric.1.1 is -1.0"),
+        ("cometric.0.0 = 1\ncometric.0.1 = 2\ncometric.1.1 = 1\n", 2, "config error: "
+         "[structure]: cometric not PSD at (-1.0, -1.0): principal minor of cometric.0.0, "
+         "cometric.0.1, cometric.1.1 is -3.0"),
+        ("cometric.0.0 = 1\ncometric.1.1 = 1\ndensity = y + 1/2\n", 2,
+         "config error: [structure]: volume density -0.5 not positive at (-1.0, -1.0)"),
+        ("cometric.0.0 = 1\ncometric.1.1 = 1 + sqrt(x)\n", 2, "config error: line 6: "
+         "[structure]: cometric or density undefined on the box: non-integer power 0.5 of "
+         "non-positive base -1.0"),
+        # not PSD at the first probe points, and no value at x = 0
+        ("cometric.0.0 = 1 + x^-1\ncometric.1.1 = -1\n", 2, "config error: line 6: "
+         "[structure]: cometric or density undefined on the box: zero raised to negative "
+         "integer power -1"),
+        ("cometric.0.0 = 1\ncometric.1.1 = 1\ndensity = 1/y\n", 2, "config error: line 7: "
+         "[structure]: cometric or density undefined on the box: zero raised to negative "
+         "integer power -1"),
+        # the entry fails before the density at the same point
+        ("cometric.0.0 = 1 + sqrt(y + 1/2)\ncometric.1.1 = 1\ndensity = sqrt(x)\n", 2,
+         "config error: line 7: [structure]: cometric or density undefined on the box: "
+         "non-integer power 0.5 of non-positive base -0.5"),
+        ("cometric.0.0 = 1 + (x + 2)^2000\ncometric.1.1 = 1\n", 3,
+         "evaluation error: outside the float range ((34, 'Numerical result out of range'))"),
+    ], ids=["not-psd", "not-psd-2x2", "density", "entry-hole", "entry-hole-later",
+            "density-hole", "entry-before-density", "overflow"])
+    def test_probe_refusals_are_pinned(self, cfg, structure, code, message):
+        path = cfg("probe.cfg", "[structure]\nkind = custom\ncoords = x, y\n" + structure
+                   + "box = -1:1, -1:1\n\n[function phi]\nexpr = x + y\n")
+        assert run_main_quietly(["curvature", "--config", path, "--function", "phi",
+                                 "--at", "0.5,0.5"]) == (code, message + "\n")
 
     @pytest.mark.parametrize(
         "command",

@@ -2,10 +2,13 @@
 generated grid sweep, Newton refinement and structure validation."""
 
 import itertools
+import marshal
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcurv import calculus as ca
 from subcurv.calculus import CoordSystem
@@ -283,6 +286,26 @@ class TestValidation:
         assert pts[3] == (1.0, 0.0)
         assert grid.npoints == 6
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.floats(-10, 10), st.floats(1e-3, 10), st.integers(2, 7)).map(
+            lambda a: (a[0], a[0] + a[1], a[2])),
+        st.floats(-10, 10).map(lambda lo: (lo, lo, 1)),  # a frozen axis
+    ), min_size=1, max_size=4))
+    def test_grid_is_a_lazy_sequence_of_its_points(self, axes):
+        grid = GridSpec(axes)
+        points = tuple(grid.points())
+
+        def bits(pts):
+            return [tuple(map(float.hex, pt)) for pt in pts]
+
+        assert len(grid) == len(points)
+        assert bits(grid) == bits(points)
+        assert bits(grid[k] for k in range(len(grid))) == bits(points)
+        for k in (len(grid), -1):
+            with pytest.raises(IndexError):
+                grid[k]
+
 
 XY = CoordSystem(("x", "y"))
 
@@ -323,6 +346,27 @@ class TestMaskedCurvature:
         points = [(0.0, 1.0), (0.0, -1e-12), (0.0, math.nan)]
         assert sweep("y", "2", points)[0] == [2.0, None, 2.0]
 
-    def test_indefinite_norm_raises_naming_the_point(self):
+    @pytest.mark.parametrize("u, sq, error", [
+        ("x^2 + y", "x^2 + (y + 2)^(1/2)", None),
+        ("x^2 + (1/2 - x)^(1/2)", "1", "graph u undefined at chart point (0.6666666666666665, -1.0)"),
+        ("x^2", "(1/2 - y)^(-1/2)", "|dphi|*^2 undefined at chart point (-1.0, 0.6000000000000001)"),
+        ("x^2", "1/2 - y", "not PSD at (-1.0, 0.6000000000000001)"),
+    ], ids=["regular", "value-hole", "norm-hole", "indefinite"])
+    def test_a_grid_sweeps_as_the_list_of_its_points(self, u, sq, error):
+        # the loop unpacks each point and looks a failing one up by position
+        grid = GridSpec([(-1.0, 1.0, 7), (-1.0, 1.0, 6)])
+        h = ca.parse_expr("(x^2 + y^2 + 1)^(-3/2) + x^-1", XY)  # no H at x = 0
+        kernel = compile_sweep(h, ca.parse_expr(sq, XY), 2, 1e-2, graph=("u", ca.parse_expr(u, XY)))
+
+        def outcome(points):
+            try:
+                return marshal.dumps(kernel(points))  # floats by their bits
+            except (ca.EvaluationError, IndefiniteCometric) as exc:
+                return type(exc), str(exc)
+
+        lazy, listed = outcome(grid), outcome(list(grid.points()))
+        assert lazy == listed
+        assert isinstance(lazy, bytes) if error is None else error in lazy[1]
+
         with pytest.raises(IndefiniteCometric, match=r"not PSD at \(3\.0, -3\.0\): .* is -3\.0"):
             sweep("y", "2", [(0.0, 1.0), (3.0, -3.0)])
