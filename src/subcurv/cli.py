@@ -550,7 +550,7 @@ def format_number(x) -> str:
 
 class _Formatted(dict):
     """The text of each float (``format_number``) and each string (JSON), once per writer
-    call; ints and bools stay out (``True == 1 == 1.0``), in :func:`_csv` too."""
+    call; ints and bools stay out (``True == 1 == 1.0``), and :func:`_csv` refuses them."""
 
     def __missing__(self, x) -> str:
         text = self[x] = json.dumps(x, ensure_ascii=False) if isinstance(x, str) else format_number(x)
@@ -604,12 +604,12 @@ def _write_text(path: Optional[str], text: str):
 def _csv(header: Sequence[str], columns) -> str:
     """CSV text, one line per row, from columns of equal length: a column of
     ``str`` as it is, a column of floats and ``None`` through one memo
-    (``None`` as an empty cell), any other column cell by cell."""
+    (``None`` as an empty cell); any other column raises ``TypeError``."""
     text, texts = _Formatted({None: ""}).__getitem__, []
     for column in columns:
-        kinds = {*map(type, column)}
-        texts.append(column if kinds == {str} else map(text, column) if kinds <= {float, type(None)}
-                     else ["" if v is None else format_number(v) for v in column])
+        if (kinds := {*map(type, column)}) != {str} and not kinds <= {float, type(None)}:
+            raise TypeError(f"cannot write a CSV column of {', '.join(sorted(k.__name__ for k in kinds))}")
+        texts.append(column if kinds == {str} else map(text, column))
     return "\n".join([",".join(header), *map(",".join, zip(*texts, strict=True)), ""])
 
 

@@ -398,11 +398,6 @@ class SubriemannianStructure:
     def dim(self) -> int:
         return len(self.coords)
 
-    def cometric_at(self, point: Sequence[float]) -> list:
-        return [
-            [ca.evaluate(entry, point) for entry in row] for row in self.cometric
-        ]
-
     def __repr__(self):
         return (
             f"SubriemannianStructure(dim={self.dim}, "

@@ -19,8 +19,8 @@ derive an index along an axis from its stride (:func:`core.row_major_strides`).
 If the data comes in with the larger graph labelled u, the engine swaps
 the two records, and every later measurement (rank and propagation
 included) reads the lower graph as u: exchanging u and v changes only
-the report's ``swapped`` flag.  At ``jobs >= 2`` a forked child sweeps
-v while this process sweeps u (:class:`_ForkedSweep`).
+the report's ``swapped`` flag.  At ``jobs >= 2`` this process builds and
+compiles v's kernel, and a forked child runs it while u is swept here (:class:`_ForkedSweep`).
 
 Each operator states its map to the ambient manifold, where the rank
 condition is checked, once, as expressions: ``projection`` (the chart
@@ -36,6 +36,7 @@ at every corner.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import marshal
@@ -384,61 +385,62 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _kernel(op, name: str, expr: Expr, eps_sq: float):
+    """Graph ``name``'s sweep: ``op.build``, then :func:`core.compile_sweep`, each memoized per process."""
+    try:
+        built = op.build(expr)
+    except OverflowError as exc:  # a constant folded while building H left the float range
+        raise ca.EvaluationError(f"graph {name}: outside the float range while building H ({exc})") from None
+    return compile_sweep(*built, len(op.chart), eps_sq, graph=(name, expr))
+
+
 class _SweptGraph:
-    """One graph swept over the grid by :func:`core.compile_sweep`: ``expr``, the
-    ``values``, the masked curvature ``h`` and ``low``, the positions whose squared
-    norm is not ``>= eps_sq``, with that norm.  An indefinite cometric names the
-    graph and its ambient point (``op.lift``), an overflow while H is built names
-    the graph.  The record of a ``child`` (:class:`_ForkedSweep`) is taken if it
-    succeeded; else the graph is swept here, so its error keeps its type and message."""
+    """One graph swept over the grid by its :func:`_kernel`, or by a ``child``
+    (:class:`_ForkedSweep`) that runs it: ``expr``, the ``values``, the masked curvature
+    ``h`` and ``low``, the positions whose squared norm is not ``>= eps_sq``, with that
+    norm.  An indefinite cometric names the graph and its ambient point (``op.lift``)."""
 
     __slots__ = ("expr", "values", "h", "low")
 
     def __init__(self, op, name: str, expr: Expr, points, eps_sq: float, child=None):
         self.expr = expr
-        swept = child.result() if child is not None else None
-        if swept is None:
-            try:
-                built = op.build(expr)
-            except OverflowError as exc:  # a constant folded while building H left the float range
-                raise ca.EvaluationError(f"graph {name}: outside the float range while building H ({exc})") from None
-            sweep = compile_sweep(*built, len(op.chart), eps_sq, graph=(name, expr))
-            try:
-                swept = sweep(points)
-            except IndefiniteCometric as exc:
-                pt = exc.point
-                raise IndefiniteCometric(op.lift(pt, ca.evaluate(expr, pt)), exc.sq, name) from None
-        self.values, self.h, self.low = swept
+        sweep = child.result if child is not None else _kernel(op, name, expr, eps_sq)
+        try:
+            self.values, self.h, self.low = sweep(points)
+        except IndefiniteCometric as exc:
+            pt = exc.point
+            raise IndefiniteCometric(op.lift(pt, ca.evaluate(expr, pt)), exc.sq, name) from None
 
 
 class _ForkedSweep:
-    """Graph v swept in a forked child while this process sweeps u.  The
-    child sends only a successful record over a pipe and leaves by
-    ``os._exit``; :meth:`result` reaps it and returns ``(values, h, low)``,
-    or ``None`` after an exception, a non-zero exit or a signal.
+    """v's kernel (``sweep``, built and compiled here) run over ``points`` by a
+    forked child while this process sweeps u.  The child only runs it, sends a
+    successful record over a pipe and leaves by ``os._exit``.  :meth:`result`
+    reaps it and returns its record, or after an exception, a non-zero exit or
+    a signal runs ``sweep`` here, so v's error keeps its type and message.
     :meth:`close` kills and reaps a child not yet reaped."""
 
-    def __init__(self, op, expr: Expr, points, eps_sq: float):
+    def __init__(self, sweep, points):
+        self.sweep = sweep
         fd, w = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
-            os.close(fd)
             code = 1
             try:
-                v = _SweptGraph(op, "v", expr, points, eps_sq)
+                os.close(fd)
                 with open(w, "wb") as out:
-                    out.write(marshal.dumps((v.values, v.h, v.low)))
+                    out.write(marshal.dumps(sweep(points)))
                 code = 0
             finally:
                 os._exit(code)
         os.close(w)
         self.pipe = open(fd, "rb")
 
-    def result(self):
+    def result(self, points):
         data = self.pipe.read()  # to EOF: the child has exited
         status = os.waitpid(self.pid, 0)[1]
         self.pid = None
-        return marshal.loads(data) if status == 0 else None
+        return marshal.loads(data) if status == 0 else self.sweep(points)
 
     def close(self):
         self.pipe.close()
@@ -456,8 +458,8 @@ class _ScenarioEngine:
     orientation: ``u`` is always the lower graph, also in the column
     ``du`` (v - u), in ``hits`` (|v - u| <= eps_touch) and in the ordering's
     first least ``du``.  One record serves u and v when they are one
-    expression; else, at ``jobs >= 2`` where ``os.fork`` exists, a child
-    sweeps v, and it does not outlive ``__init__``.
+    expression; else, at ``jobs >= 2`` where ``os.fork`` exists, a forked child runs
+    v's kernel, built and compiled here (no fork if that raises); none outlives ``__init__``.
     """
 
     def __init__(self, scenario: ComparisonScenario, jobs: int = 1):
@@ -468,8 +470,11 @@ class _ScenarioEngine:
         self.grid = grid = scenario.grid()
         eps_sq = tol.eps_sing ** 2
         u_expr, v_expr = scenario.u.expr, scenario.v.expr  # interned: equal means identical
-        child = (_ForkedSweep(op, v_expr, grid, eps_sq)
-                 if jobs >= 2 and v_expr is not u_expr and hasattr(os, "fork") else None)
+        sweep = None
+        if jobs >= 2 and v_expr is not u_expr and hasattr(os, "fork"):
+            with contextlib.suppress(Exception):  # no fork: v's error follows u's sweep, as at jobs = 1
+                sweep = _kernel(op, "v", v_expr, eps_sq)  # built and compiled here; the child only sweeps
+        child = _ForkedSweep(sweep, grid) if sweep else None
         try:
             u = _SweptGraph(op, "u", u_expr, grid, eps_sq)
             v = u if v_expr is u_expr else _SweptGraph(op, "v", v_expr, grid, eps_sq, child)
@@ -846,9 +851,9 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
     bracket closure misses the hypersurface dimension at the touching
     point); anything else is smp-consistent or inconclusive.
 
-    ``jobs >= 2`` sweeps v in a forked child while u is swept here, where
-    ``os.fork`` exists and u and v differ; the report, or the error, is
-    the same at every ``jobs``.
+    ``jobs >= 2`` runs v's kernel, built and compiled here, in a forked child
+    while u is swept here, where ``os.fork`` exists and u and v differ; the
+    report, or the error, is the same at every ``jobs``.
     """
     engine = _ScenarioEngine(scenario, jobs)
     u, hits = engine.u, engine.hits

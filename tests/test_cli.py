@@ -299,16 +299,29 @@ class TestFormatting:
     MIXED = [True, 1, 1.0, 0, 0.0, -0.0, False, 0.1, 0.1, 1 / 3, -0.0, 1, True, 1.0, None, 1 / 3]
 
     def test_csv_bytes_are_format_number_per_cell(self):
-        # _csv takes columns; the last column of the first call holds floats
-        # equal to the bools and ints beside it
-        for columns in ([self.MIXED, self.MIXED[::-1], [1.0, 0.0, -0.0, None] * 4],
-                        [[0.0, False, 0, -0.0, None, 2.5] * 3]):
+        # _csv takes columns of str, or of floats and None; equal floats
+        # (0.0 and -0.0) and repeats share the memo
+        floats = [x for x in self.MIXED if type(x) is not int and type(x) is not bool]
+        for columns in ([floats, floats[::-1], [f"{x}" for x in range(len(floats))]],
+                        [[1.0, 0.0, -0.0, None] * 4]):
             header = ["h"] * len(columns)
-            expected = "".join(",".join("" if v is None else format_number(v) for v in row) + "\n"
-                               for row in zip(*columns))
+            expected = "".join(",".join(v if type(v) is str else "" if v is None else format_number(v)
+                                        for v in row) + "\n" for row in zip(*columns))
             assert _csv(header, columns) == ",".join(header) + "\n" + expected
-        cells = _csv(["h"], [self.MIXED]).splitlines()[1:9]
-        assert cells == ["true", "1", "1", "0", "0", "0", "false", "0.10000000000000001"]
+        cells = _csv(["h"], [floats]).splitlines()[1:7]
+        assert cells == ["1", "0", "0", "0.10000000000000001", "0.10000000000000001", "0.33333333333333331"]
+
+    @pytest.mark.parametrize("column, kinds", [
+        pytest.param(MIXED, "NoneType, bool, float, int", id="mixed"),
+        pytest.param([1, 0], "int", id="int"), pytest.param([True, None], "NoneType, bool", id="bool"),
+        pytest.param(["0", 0.0], "float, str", id="str-and-float"),
+        pytest.param([Fraction(1, 3)], "Fraction", id="fraction"),
+    ])
+    def test_csv_refuses_a_column_of_any_other_type(self, column, kinds):
+        # also after a column it takes, and before one
+        for columns in ([column], [[1.0] * len(column), column], [column, ["a"] * len(column)]):
+            with pytest.raises(TypeError, match=f"^cannot write a CSV column of {kinds}$"):
+                _csv(["h"] * len(columns), columns)
 
     def test_report_bytes_are_format_number_per_cell(self):
         obj = {"a": self.MIXED, "b": [self.MIXED[::-1], {"c": -0.0, "d": 0, "e": False}]}

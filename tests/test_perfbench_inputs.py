@@ -153,3 +153,25 @@ def test_small_benchmark_outputs_pass_the_oracles(monkeypatch, tmp_path):
             assert error is None, f"{cfg['id']}: {error}"
             checked += 1
     assert checked == 10  # 2 sweep + 4 touch + 4 cold-cli
+
+
+def test_tiny_sweep_configs_run_twice_in_one_process_at_jobs_2(monkeypatch, tmp_path):
+    # the benchmark's warm steady state: the second run of a config finds its
+    # builds and generated code in this process's memos
+    workloads = _load_workloads(monkeypatch)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    oracles = _load(monkeypatch, "perfbench_oracles", ORACLES)
+    configs = workloads.configs("sweep", 101, "tiny")
+    for cfg in configs:
+        path = tmp_path / f"{cfg['id']}.ini"
+        path.write_text(cfg["text"], encoding="utf-8")
+        outputs = []
+        for run, jobs in enumerate(("2", "2", "1")):
+            report, table = (tmp_path / f"{cfg['id']}-{run}.{ext}" for ext in ("json", "csv"))
+            args = ["scenario", "run", "--config", str(path), "--out", str(report),
+                    "--csv", str(table), "--jobs", jobs]
+            assert main(args) == 0, cfg["id"]
+            outputs.append((report.read_text(encoding="utf-8"), table.read_text(encoding="utf-8")))
+            assert oracles.check_sweep(cfg, *outputs[-1]) is None, f"{cfg['id']} run {run}"
+        assert outputs[0] == outputs[1] == outputs[2], cfg["id"]
+    assert len(configs) == 2

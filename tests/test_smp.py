@@ -13,6 +13,7 @@ import signal
 import struct
 import time
 import types
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -1236,40 +1237,96 @@ class TestForkedSweep:
         sc = paraboloid_pair()
         expected = output_bytes(sc, 1)
         parent, real = os.getpid(), smp.compile_sweep
-        compiled, forks, fork = [], [], os.fork
+        compiled, ran, forks, fork = [], [], [], os.fork
 
         def compile_sweep(*args, graph):
             if os.getpid() == parent:
                 compiled.append(graph[0])
-            elif fail == "exit-3":
-                os._exit(3)
-            elif fail == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif fail == "raises":
-                raise RuntimeError("the child's sweep failed")
-            return real(*args, graph=graph)
+            kernel = real(*args, graph=graph)
+
+            def sweep(points):  # the faults strike where the child runs its kernel
+                if os.getpid() == parent:
+                    ran.append(graph[0])
+                elif fail == "exit-3":
+                    os._exit(3)
+                elif fail == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                elif fail == "raises":
+                    raise RuntimeError("the child's sweep failed")
+                return kernel(points)
+
+            return sweep
 
         monkeypatch.setattr(smp, "compile_sweep", compile_sweep)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         assert output_bytes(sc, 2) == expected
-        # v is swept here only when the child failed
-        assert forks == [1] and compiled == (["u"] if fail is None else ["u", "v"])
+        # each graph is compiled here once, v before the fork; v's kernel runs
+        # here only when the child failed
+        assert forks == [1] and compiled == ["v", "u"]
+        assert ran == (["u"] if fail is None else ["u", "v"])
         assert no_child_left()
 
     def test_u_error_kills_and_reaps_a_running_child(self, monkeypatch):
-        # v's child is still sweeping when u's value hole raises
+        # v's child is still running its kernel when u's value hole raises
         sc = custom_line_scenario("sqrt(1.2 - a)", "1", "1", "a")
-        parent, real = os.getpid(), smp._SweptGraph
+        parent, real = os.getpid(), smp.compile_sweep
 
-        def slow_in_child(*args):
-            if os.getpid() != parent:
-                time.sleep(20)
-            return real(*args)
+        def compile_sweep(*args, graph):
+            kernel = real(*args, graph=graph)
 
-        monkeypatch.setattr(smp, "_SweptGraph", slow_in_child)
+            def slow_in_child(points):
+                if os.getpid() != parent:
+                    time.sleep(20)
+                return kernel(points)
+
+            return slow_in_child
+
+        monkeypatch.setattr(smp, "compile_sweep", compile_sweep)
         t0 = time.monotonic()
         assert raised(sc, 2) == raised(sc, 1)
         assert time.monotonic() - t0 < 10  # the child was killed, not waited for
+        assert no_child_left()
+
+    def test_a_warm_child_builds_and_compiles_nothing(self, monkeypatch, tmp_path):
+        # the child of each run writes what it builds or compiles to a file
+        sc, log = paraboloid_pair(), tmp_path / "child.log"
+        parent, build, code = os.getpid(), GenericOperator.build, ca._code
+
+        def noted(what, real):
+            def call(*args):
+                if os.getpid() != parent:
+                    with open(log, "a", encoding="utf-8") as out:
+                        out.write(f"{what}\n")
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(ca, "_BUILT", OrderedDict())  # the first run starts cold
+        monkeypatch.setattr(GenericOperator, "build", noted("op.build", build))
+        monkeypatch.setattr(ca, "_code", noted("calculus._code", code))
+        runs = []
+        for _ in range(2):  # the second run finds v's build and code in this process's memos
+            runs.append(output_bytes(sc, 2))
+            assert not log.exists(), log.read_text(encoding="utf-8")
+        assert runs[1] == runs[0] == output_bytes(sc, 1)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("u, needle", [
+        ("x1*x2 + sqrt(x1)", "graph u undefined at chart point (-0.5, -0.5): non-integer power"),
+        ("x1*x2", "graph v: outside the float range while building H"),
+    ])
+    def test_a_v_build_that_fails_is_raised_after_the_u_sweep(self, monkeypatch, u, needle):
+        # v's H build overflows, so there is no fork, and u's value hole wins
+        op = GraphHFOperator([ca.neg(ca.var(1)), ca.var(0)], 2)
+        u, v = (ca.parse_expr(t, op.chart) for t in (u, "x1^2 + 1e154*x2^2"))
+        sc = ComparisonScenario("big", op, u, v, box=((-0.5, 0.5),) * 2, grid_counts=3)
+        kind, message = raised(sc, 1)
+        assert kind is EvaluationError and needle in message
+
+        def refused():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert raised(sc, 2) == (kind, message)
         assert no_child_left()
 
     @pytest.mark.parametrize("name, jobs", [("h1-counterexample", 1), ("translate-coincide", 2)])
