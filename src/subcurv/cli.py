@@ -127,7 +127,7 @@ class ConfigDocument:
         comps = _parse_expr_list(raw["components"], coords, f"field {name}")
         if len(comps) != len(coords):
             raise ConfigError(
-                f"field {name!r} has {len(comps)} components for "
+                f"{_at(raw['components'])}field {name!r} has {len(comps)} components for "
                 f"{len(coords)} coordinates"
             )
         return VectorFieldExpr(coords, comps)
@@ -203,7 +203,7 @@ def _parse_expr_list(value: str, coords: CoordSystem, where: str) -> list:
     for part in value.split(","):
         part = part.strip()
         if not part:
-            raise ConfigError(f"{where}: empty expression in list")
+            raise ConfigError(f"{_at(value)}{where}: empty expression in list")
         out.append(_config_expr(part, coords, where, value))
     return out
 
@@ -306,7 +306,7 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
         chart = CoordSystem(tuple(f"x{j + 1}" for j in range(m)))
         F = _parse_expr_list(raw["F"], chart, "[structure] F")
         if len(F) != m:
-            raise ConfigError(f"[structure]: F has {len(F)} components for m={m}")
+            raise ConfigError(f"{_at(raw['F'])}[structure]: F has {len(F)} components for m={m}")
         return drift_graph_structure(F, m)
     if kind == "custom":
         if "coords" not in raw:
@@ -320,13 +320,13 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
                 continue
             parts = key.split(".")
             if len(parts) != 3:
-                raise ConfigError(f"[structure]: bad cometric key {key!r}")
+                raise ConfigError(f"{_at(value)}[structure]: bad cometric key {key!r}")
             try:
                 l, k = int(parts[1]), int(parts[2])
             except ValueError as exc:
-                raise ConfigError(f"[structure]: bad cometric key {key!r}") from exc
+                raise ConfigError(f"{_at(value)}[structure]: bad cometric key {key!r}") from exc
             if not (0 <= l < n and 0 <= k < n):
-                raise ConfigError(f"[structure]: cometric index out of range in {key}")
+                raise ConfigError(f"{_at(value)}[structure]: cometric index out of range in {key}")
             entry = _config_expr(value, coords, f"[structure] {key}")
             cometric[l][k] = entry
             if cometric[k][l] is None:
@@ -550,7 +550,7 @@ def format_number(x) -> str:
 
 class _Formatted(dict):
     """The text of each float (``format_number``) and each string (JSON), once per writer
-    call; ints and bools stay out (``True == 1 == 1.0``), and :func:`_csv` refuses them."""
+    call; ints and bools stay out (``True == 1 == 1.0``)."""
 
     def __missing__(self, x) -> str:
         text = self[x] = json.dumps(x, ensure_ascii=False) if isinstance(x, str) else format_number(x)
@@ -601,18 +601,6 @@ def _write_text(path: Optional[str], text: str):
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _csv(header: Sequence[str], columns) -> str:
-    """CSV text, one line per row, from columns of equal length: a column of
-    ``str`` as it is, a column of floats and ``None`` through one memo
-    (``None`` as an empty cell); any other column raises ``TypeError``."""
-    text, texts = _Formatted({None: ""}).__getitem__, []
-    for column in columns:
-        if (kinds := {*map(type, column)}) != {str} and not kinds <= {float, type(None)}:
-            raise TypeError(f"cannot write a CSV column of {', '.join(sorted(k.__name__ for k in kinds))}")
-        texts.append(column if kinds == {str} else map(text, column))
-    return "\n".join([",".join(header), *map(",".join, zip(*texts, strict=True)), ""])
-
-
 def _grid_columns(grid: GridSpec) -> list:
     """The grid's points as text columns: each axis value is formatted once
     and repeated in row-major order."""
@@ -624,16 +612,20 @@ def _grid_columns(grid: GridSpec) -> list:
     return columns
 
 
-def write_scenario_csv(report: smp.ScenarioReport, coords: Sequence[str]) -> str:
-    """The per-point table of a scenario run (see the README for its columns),
-    the cells of :func:`_csv` with no type scan: the three number columns (floats
-    and ``None``) through one memo, the text columns (grid, 0/1 masks) as they are."""
-    header = [*coords, "v_minus_u", "H_u", "H_v", "singular_u", "singular_v"]
+def _csv(header: Sequence[str], grid: GridSpec, numbers, texts=()) -> str:
+    """CSV text, one line per grid point: its coordinates, the ``numbers``
+    columns (floats and ``None``) through one memo, ``None`` as an empty
+    cell, then the ``texts`` columns as they are."""
     text = _Formatted({None: ""}).__getitem__
-    numbers = [map(text, column) for column in (report.du, report.h_u, report.h_v)]
-    masks = [["1" if h is None else "0" for h in column] for column in (report.h_u, report.h_v)]
-    rows = zip(*_grid_columns(report.grid), *numbers, *masks, strict=True)
+    rows = zip(*_grid_columns(grid), *[map(text, column) for column in numbers], *texts, strict=True)
     return "\n".join([",".join(header), *map(",".join, rows), ""])
+
+
+def write_scenario_csv(report: smp.ScenarioReport, coords: Sequence[str]) -> str:
+    """The per-point table of a scenario run (see the README for its columns)."""
+    masks = [["1" if h is None else "0" for h in column] for column in (report.h_u, report.h_v)]
+    header = [*coords, "v_minus_u", "H_u", "H_v", "singular_u", "singular_v"]
+    return _csv(header, report.grid, (report.du, report.h_u, report.h_v), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +667,7 @@ def cmd_curvature(args) -> int:
                           f"over the bound of {smp.MAX_GRID_POINTS}")
     _, values, _ = compile_sweep(h, sq, S.dim, default_eps_sing() ** 2)(grid)
     if args.format == "csv":
-        _write_text(args.out, _csv([*S.coords.names, "H"], [*_grid_columns(grid), values]))
+        _write_text(args.out, _csv([*S.coords.names, "H"], grid, [values]))
     else:
         payload = {
             "schema_version": "1",
@@ -753,7 +745,7 @@ def cmd_rank(args) -> int:
 def cmd_scenario(args) -> int:
     if args.action == "list":
         for name in smp.builtin_names():
-            print(f"{name}  -  {smp.BUILTIN_DESCRIPTIONS[name]}")
+            print(f"{name}  -  {smp.builtin_scenario(name).description}")
         return EXIT_OK
     if args.name:
         sc = smp.builtin_scenario(args.name)

@@ -99,7 +99,6 @@ __all__ = [
     "classify",
     "builtin_scenario",
     "builtin_names",
-    "BUILTIN_DESCRIPTIONS",
 ]
 
 
@@ -1040,14 +1039,6 @@ _BUILTINS = {
     "cylinder-sphere-paraboloid": _cylinder_sphere_paraboloid,
     "hyperplane-z": _hyperplane_z,
     "vertical-hyperplane": _vertical_hyperplane,
-}
-
-BUILTIN_DESCRIPTIONS = {
-    "h1-counterexample": "touching zero-curvature graphs that do not coincide (rank 1 < 2)",
-    "translate-coincide": "graph vs its zero-translation pullback: coincidence",
-    "cylinder-sphere-paraboloid": "sphere cap vs paraboloid on the cylinder: comparison fails",
-    "hyperplane-z": "horizontal hyperplane probe: minimal, one singular point",
-    "vertical-hyperplane": "vertical hyperplane probe: minimal, no singular points",
 }
 
 

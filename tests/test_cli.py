@@ -31,7 +31,7 @@ from subcurv.cli import (
     write_scenario_csv,
 )
 from subcurv.brackets import MAX_BRACKET_WORDS
-from subcurv.core import SubriemannianStructure
+from subcurv.core import GridSpec, SubriemannianStructure
 from subcurv.heisenberg import drift_graph_structure, standard_drift
 
 HEIS1 = """
@@ -93,6 +93,22 @@ x,y,H
 """
 
 
+# ``curvature --function ball --p 1/2 --grid 4``: axes of unequal values, one
+# masked point (the origin)
+FLAT3 = """\
+[structure]
+kind = custom
+coords = x, y, z
+cometric.0.0 = 1
+cometric.1.1 = 1
+cometric.2.2 = 1
+density = 1
+
+[function ball]
+expr = x^2 + y^2 + z^2
+box = -1:2, -2:1, -1:2
+"""
+
 # A small scenario: v's expr is on line 11 and grid on line 18.
 SCENARIO = """
 [structure]
@@ -113,6 +129,12 @@ u = u
 v = v
 grid = 5
 """
+
+
+# for the config refusals: a bare heisenberg(1), and the argv of each command
+_H1 = "[structure]\nkind = heisenberg\nn = 1\n"
+_AT_ORIGIN = ["curvature", "--function", "f", "--at", "0,0,0"]
+_RUN = ["scenario", "run", "--out", os.devnull]
 
 
 def run_cli(args, env=None):
@@ -299,29 +321,25 @@ class TestFormatting:
     MIXED = [True, 1, 1.0, 0, 0.0, -0.0, False, 0.1, 0.1, 1 / 3, -0.0, 1, True, 1.0, None, 1 / 3]
 
     def test_csv_bytes_are_format_number_per_cell(self):
-        # _csv takes columns of str, or of floats and None; equal floats
-        # (0.0 and -0.0) and repeats share the memo
+        # _csv writes each grid point's coordinates, then the columns of floats
+        # and None through one memo (equal floats 0.0 and -0.0, and repeats,
+        # share it), then the text columns as they are
         floats = [x for x in self.MIXED if type(x) is not int and type(x) is not bool]
-        for columns in ([floats, floats[::-1], [f"{x}" for x in range(len(floats))]],
-                        [[1.0, 0.0, -0.0, None] * 4]):
-            header = ["h"] * len(columns)
-            expected = "".join(",".join(v if type(v) is str else "" if v is None else format_number(v)
-                                        for v in row) + "\n" for row in zip(*columns))
-            assert _csv(header, columns) == ",".join(header) + "\n" + expected
-        cells = _csv(["h"], [floats]).splitlines()[1:7]
-        assert cells == ["1", "0", "0", "0.10000000000000001", "0.10000000000000001", "0.33333333333333331"]
-
-    @pytest.mark.parametrize("column, kinds", [
-        pytest.param(MIXED, "NoneType, bool, float, int", id="mixed"),
-        pytest.param([1, 0], "int", id="int"), pytest.param([True, None], "NoneType, bool", id="bool"),
-        pytest.param(["0", 0.0], "float, str", id="str-and-float"),
-        pytest.param([Fraction(1, 3)], "Fraction", id="fraction"),
-    ])
-    def test_csv_refuses_a_column_of_any_other_type(self, column, kinds):
-        # also after a column it takes, and before one
-        for columns in ([column], [[1.0] * len(column), column], [column, ["a"] * len(column)]):
-            with pytest.raises(TypeError, match=f"^cannot write a CSV column of {kinds}$"):
-                _csv(["h"] * len(columns), columns)
+        for grid, numbers, texts in (
+            (GridSpec([(0.0, 1.0, 2), (-1.0, 1.0, 5)]), [floats, floats[::-1]],
+             [[f"{x}" for x in range(len(floats))]]),
+            (GridSpec([(0.0, 0.3, 4), (-3.0, 0.0, 4)]), [[1.0, 0.0, -0.0, None] * 4], []),
+        ):
+            header = [f"h{i}" for i in range(len(grid.shape) + len(numbers) + len(texts))]
+            expected = "".join(
+                ",".join([*map(format_number, point),
+                          *(v if type(v) is str else "" if v is None else format_number(v) for v in row)]) + "\n"
+                for point, row in zip(grid, zip(*numbers, *texts))
+            )
+            assert _csv(header, grid, numbers, texts) == ",".join(header) + "\n" + expected
+        lines = _csv(["x", "h"], GridSpec([(0.0, 9.0, 10)]), [floats]).splitlines()[1:7]
+        assert [line.split(",")[1] for line in lines] == [
+            "1", "0", "0", "0.10000000000000001", "0.10000000000000001", "0.33333333333333331"]
 
     def test_report_bytes_are_format_number_per_cell(self):
         obj = {"a": self.MIXED, "b": [self.MIXED[::-1], {"c": -0.0, "d": 0, "e": False}]}
@@ -335,8 +353,9 @@ class TestFormatting:
     def test_csv_refuses_a_non_finite_cell_after_finite_ones(self, value):
         # columns: a later row, the same row twice, and between finite cells of a row
         for columns in ([[1.0, 1.0, value]], [[value], [value]], [[2.0], [value], [2.0]]):
+            grid = GridSpec([(0.0, 1.0, len(columns[0]))])
             with pytest.raises(ValueError, match="non-finite number"):
-                _csv(["h"] * len(columns), columns)
+                _csv(["x"] + ["h"] * len(columns), grid, columns)
         with pytest.raises(ValueError, match="non-finite number"):
             dumps_report([1.0, value, value])
 
@@ -411,6 +430,23 @@ class TestCurvatureCommand:
             f'  "grid": {{\n    "axes": [\n{axis},\n{axis}\n    ]\n  }},\n'
             f'  "values": [\n{values}\n  ]\n}}\n'
         )
+
+    def test_grid_mode_bytes_on_three_axes(self, cfg, tmp_path):
+        # three axes of unequal values: each coordinate column repeats its
+        # values in row-major order; H is masked at the singular origin
+        path = cfg("flat3.cfg", FLAT3)
+        out = tmp_path / "grid"
+        argv = ["curvature", "--config", path, "--function", "ball", "--p", "1/2", "--grid", "4",
+                "--out", str(out)]
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:3] == ["x,y,z,H", "-1,-2,-1,2.2590050090246123", "-1,-2,0,2.3643540225079396"]
+        assert len(lines) == 1 + 4 ** 3 and [line for line in lines if line.endswith(",")] == ["0,0,0,"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e6ffcf38c211a99a1604987115b03fc793b8ef65cd7c32810a4759206c96cf8a")
+        assert main(argv + ["--format", "json"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d6152260efd3e9636197401a605b20a3e5fcd24282044fb1210042c15eabdd6b")
 
     def test_grid_mode_json_deterministic(self, cfg, tmp_path):
         path = cfg("h1.cfg", HEIS1)
@@ -510,10 +546,12 @@ class TestRankCommand:
 
 class TestScenarioCommand:
     def test_list(self):
+        # each builtin once, described by the text its report carries
         r = run_cli(["scenario", "list"])
-        assert r.returncode == 0
-        for name in smp.builtin_names():
-            assert name in r.stdout
+        assert r.returncode == 0 and r.stderr == ""
+        described = [f"{name}  -  {smp.run_scenario(smp.builtin_scenario(name)).as_dict()['description']}"
+                     for name in smp.builtin_names()]
+        assert r.stdout.splitlines() == described
 
     def test_unknown_name(self):
         r = run_cli(["scenario", "run", "nosuch"])
@@ -584,7 +622,7 @@ grid = 17
         expected = 2 / 5 ** 0.25 - 1 / 2 ** 0.25
         assert d["curvature_gap"]["max"] == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("name", sorted(smp.BUILTIN_DESCRIPTIONS))
+    @pytest.mark.parametrize("name", smp.builtin_names())
     def test_config_round_trip_reproduces_report(self, name, tmp_path):
         sc = smp.builtin_scenario(name)
         cfg_path = tmp_path / "sc.cfg"
@@ -943,6 +981,59 @@ class TestExitCodeContract:
         assert main(["curvature", "--config", path, "--function", "lin",
                      "--at", "0.5,0.5"]) == 2
         assert "line 8: [structure]: cometric or density undefined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("[function f]\nexpr = x\n", ["curvature", "--function", "f", "--at", "0"],
+         "no [structure] section"),
+        (_H1 + "\n[function f]\nbox = -1:1, -1:1, -1:1\n", _AT_ORIGIN, "function 'f' has no expr"),
+        (_H1, ["rank", "--fields", "a"], "no [field a] section"),
+        (_H1 + "\n[field a]\n", ["rank", "--fields", "a"], "field 'a' has no components"),
+        (_H1 + "\n[field a]\ncomponents = 1, 0\n", ["rank", "--fields", "a"],
+         "line 6: field 'a' has 2 components for 3 coordinates"),
+        ("[structure\n", _AT_ORIGIN, "line 1: unterminated section header"),
+        ("[structure]\nkind heisenberg\n", _AT_ORIGIN, "line 2: expected key = value"),
+        ("[structure]\n= heisenberg\n", _AT_ORIGIN, "line 2: empty key"),
+        ("[structure]\nkind = graph_F\nm = 2\nF = x2,\n", _AT_ORIGIN,
+         "line 4: [structure] F: empty expression in list"),
+        (_H1 + "\n[function f]\nexpr = z\nbox = -1:1, -1:1, 2\n", _AT_ORIGIN,
+         "line 7: box interval '2' must be lo:hi"),
+        (_H1 + "\n[function f]\nexpr = z\nbox = a:1, -1:1, -1:1\n", _AT_ORIGIN,
+         "line 7: bad box interval 'a:1'"),
+        ("[structure]\nkind = heisenberg\n", _AT_ORIGIN, "[structure]: missing n"),
+        ("[structure]\nn = 1\n", _AT_ORIGIN, "[structure]: missing kind"),
+        ("[structure]\nkind = graph_F\nm = 2\n", _AT_ORIGIN,
+         "[structure]: graph_F needs F = expr, expr, ..."),
+        ("[structure]\nkind = graph_F\nm = 2\nF = x2\n", _AT_ORIGIN,
+         "line 4: [structure]: F has 1 components for m=2"),
+        ("[structure]\nkind = custom\n", _AT_ORIGIN,
+         "[structure]: custom needs coords = name, name, ..."),
+        ("[structure]\nkind = custom\ncoords = x, y\ncometric.1 = 1\n", _AT_ORIGIN,
+         "line 4: [structure]: bad cometric key 'cometric.1'"),
+        ("[structure]\nkind = custom\ncoords = x, y\ncometric.a.0 = 1\n", _AT_ORIGIN,
+         "line 4: [structure]: bad cometric key 'cometric.a.0'"),
+        ("[structure]\nkind = custom\ncoords = x, y\ncometric.0.5 = 1\n", _AT_ORIGIN,
+         "line 4: [structure]: cometric index out of range in cometric.0.5"),
+        (SCENARIO.replace("operator = generic\n", ""), _RUN, "[scenario]: missing operator"),
+        ("[structure]\nkind = custom\ncoords = x, y\ncometric.0.0 = 1\n\n[scenario]\noperator = graph_HF\n",
+         _RUN, "line 7: [scenario]: graph_HF needs a graph_F structure"),
+        (SCENARIO + "graph_dir = w\n", _RUN, "line 19: [scenario]: unknown graph_dir 'w'"),
+        (_H1, _RUN, "no [scenario] section"),
+        (SCENARIO.replace("u = u\n", ""), _RUN, "[scenario]: missing u"),
+        (SCENARIO.replace("box = 0.5:1.5, -0.5:0.5\n", "", 1), _RUN,
+         "[scenario]: no box (set box= or give u a box)"),
+        (HEIS1, ["curvature", "--function", "negz", "--at", "0,0"],
+         "point has 2 coordinates, chart needs 3"),
+        (None, ["scenario", "run"], "scenario run needs a NAME or --config"),
+    ], ids=["no-structure", "no-expr", "no-field", "no-components", "component-count",
+            "unterminated-header", "no-equals", "empty-key", "empty-list-entry", "box-not-lo-hi",
+            "box-not-a-number", "missing-key", "no-kind", "graph-F-without-F", "F-count",
+            "custom-without-coords", "cometric-key-parts", "cometric-key-index",
+            "cometric-index-range", "no-operator", "graph-HF-without-graph-F", "graph-dir",
+            "no-scenario", "no-u", "no-box", "point-length", "run-without-a-scenario"])
+    def test_every_config_refusal_is_pinned(self, cfg, text, argv, message):
+        # the whole of stderr: one line, the value's config line where it has one
+        config = [] if text is None else ["--config", cfg("refused.cfg", text)]
+        assert run_main_quietly([*argv, *config]) == (2, f"config error: {message}\n")
 
     @pytest.mark.parametrize("structure, code, message", [
         ("cometric.0.0 = 1\ncometric.1.1 = x\n", 2, "config error: [structure]: cometric not "

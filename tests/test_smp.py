@@ -1766,6 +1766,23 @@ class TestTouchingClusters:
                            grid=counts, tolerances=smp.Tolerances(eps_touch=eps_touch), max_propagation_starts=1)
         assert_touching_clusters(sc, run_scenario(sc))
 
+    def test_a_grid_with_no_free_axis(self, monkeypatch):
+        # one frozen point on each axis: Newton has no axis to move along
+        # and leaves the representative unrefined
+        actives = []
+        newton = core.newton_minimize
+        monkeypatch.setattr(core, "newton_minimize", lambda *args: actives.append(args[3]) or newton(*args))
+        sc = flat_scenario("x1*x2", "x1*x2 + x2^2", box=((0.0, 1.0), (0.0, 1.0)), grid=(1, 1))
+        report = run_scenario(sc)
+        d = report.as_dict()
+        assert actives == [[]]
+        assert d["classification"] == "coincide-near-touching"
+        [cluster] = d["touching_clusters"]
+        assert cluster["representative"] == {"index": [0, 0], "point": [0.0, 0.0], "refined_point": [0.0, 0.0],
+                                             "value": 0.0, "refined": False}
+        assert_touching_clusters(sc, report)
+        assert output_bytes(sc, 2) == output_bytes(sc, 1)
+
 
 def test_newton_runs_once_per_touching_cluster(monkeypatch):
     # every one of the 6,561 grid points touches, in one cluster
