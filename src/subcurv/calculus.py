@@ -756,7 +756,7 @@ def compile_source(src: str, name: str, kind: str = "generated", **names) -> Cal
     return f
 
 
-_BUILD_MEMO_SIZE = 128  # a touch pass needs 43 keys; an entry retained <= 0.033 MB, so <= ~4 MB full
+_BUILD_MEMO_SIZE = 128  # a touch pass needs 66 keys; an entry retained <= 0.033 MB, so <= ~4 MB full
 _BUILT: OrderedDict = OrderedDict()  # key -> what ``make`` built for it, least recent first
 
 
@@ -949,8 +949,13 @@ def parse_expr(source: str, coords: CoordSystem) -> Expr:
     constant operands folds to an exact rational.  ``sqrt(e)`` is sugar
     for ``e^(1/2)``.  Precedence: ``^`` > unary ``-`` > ``* /`` > ``+ -``;
     ``^`` is right-associative and its exponent must fold to a rational
-    constant.
+    constant.  Each distinct ``(str(source), coords)`` is parsed once while
+    it is among the keys :func:`built` keeps; a text that raises keeps nothing.
     """
+    return built(("parse", str(source), coords), lambda: _parse(source, coords))
+
+
+def _parse(source: str, coords: CoordSystem) -> Expr:
     parser = _Parser(_tokenize(source), coords)
     try:
         return parser.parse()

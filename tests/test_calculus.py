@@ -31,7 +31,7 @@ from subcurv.calculus import (
     substitute,
     unparse,
 )
-from subcurv.cli import dumps_report, write_scenario_csv
+from subcurv.cli import _Value, dumps_report, write_scenario_csv
 from subcurv.core import compile_sweep
 
 from conftest import (
@@ -134,7 +134,9 @@ class TestParser:
         assert info.value.offset == 2
         assert parse_expr("1e-400", XZ) == ca.const(Fraction(1, 10 ** 400))
 
-    @pytest.mark.parametrize("src", ["2^100000", "1e300*1e300", "10^1000000", "9^9^9"])
+    # the last two: a quotient that fits, of a divisor whose reciprocal does not
+    @pytest.mark.parametrize("src", ["2^100000", "1e300*1e300", "10^1000000", "9^9^9",
+                                     "1e-300/1e-400", "2/(0.5^4096)"])
     def test_constant_overflow_is_parse_error(self, src):
         with pytest.raises(ParseError, match="outside the float range"):
             parse_expr(src, XZ)
@@ -652,6 +654,19 @@ class TestConstantsAgainstFractions:
     def test_pow_builds_the_reference_node(self, base, exponent):
         assert _built(ca.pow_, base, exponent) == _built(reference_pow, base, exponent)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_OPERAND_LEAVES, operands), st.one_of(_OPERAND_LEAVES, operands))
+    @example(ca.Const(Fraction(-3, 4)), ca.Const(Fraction(9, 2)))  # a constant quotient
+    @example(ca.ZERO, ca.Const(7))
+    @example(ca.ONE, ca.ZERO)  # 1/0 stays a power for evaluation to refuse
+    # past the bit bound: the divisor's exact reciprocal is refused
+    @example(ca.ONE, ca.Const(Fraction(2 ** 5000 + 1, 2 ** 5000)))
+    # the quotient 1e100 fits a float, but the reciprocal 1e400 does not
+    @example(ca.Const(Fraction(1, 10 ** 300)), ca.Const(Fraction(1, 10 ** 400)))
+    def test_div_builds_the_reference_node(self, a, b):
+        expected = _built(lambda a, b: reference_mul(a, reference_pow(b, -1)), a, b)
+        assert _built(ca.div, a, b) == expected
+
     @pytest.mark.parametrize(
         "text", ["7", "007", "123456789012345678901234567890", "0.5", ".5e-3", "3/7", "1/0",
                  "1e-400", "2.50E+2", "0/5"])
@@ -849,9 +864,9 @@ class TestCompileMemo:
 
 
 class TestBuildMemo:
-    """``built`` keeps what the last ``_BUILD_MEMO_SIZE`` keys built: an
-    operator's H, tangent fields and bracket words come back as the same
-    objects, and a build that raises keeps nothing."""
+    """``built`` keeps what the last ``_BUILD_MEMO_SIZE`` keys built: a
+    parsed text, an operator's H, tangent fields and bracket words come back
+    as the same objects, and a parse or build that raises keeps nothing."""
 
     @pytest.fixture
     def memo(self, monkeypatch):
@@ -881,7 +896,52 @@ class TestBuildMemo:
             with pytest.raises(EvaluationError, match="graph u: outside the float range while building H") as info:
                 smp.run_scenario(sc)
             errors.append(str(info.value))
-        assert errors[0] == errors[1] and not memo
+        # the two parsed texts stay; the build that raised keeps nothing
+        assert errors[0] == errors[1]
+        assert list(memo) == [("parse", t, op.chart) for t in ("x1^2 + 1e154*x2^2", "x1*x2")]
+
+    @staticmethod
+    def tokenized(monkeypatch) -> list:
+        """The texts the parser tokenizes from now on."""
+        texts = []
+        real = ca._tokenize
+        monkeypatch.setattr(ca, "_tokenize", lambda source: texts.append(source) or real(source))
+        return texts
+
+    def test_a_repeated_text_is_parsed_once(self, memo, monkeypatch):
+        texts = self.tokenized(monkeypatch)
+        tagged = _Value("x1^2 + 4*z^2")
+        tagged.lineno = 7
+        first = parse_expr(tagged, XZ)
+        assert parse_expr("x1^2 + 4*z^2", CoordSystem(("x1", "z"))) is first
+        assert texts == ["x1^2 + 4*z^2"]
+        # the key is the plain text, so the memo keeps no config line
+        assert list(memo) == [("parse", "x1^2 + 4*z^2", XZ)]
+        assert type(next(iter(memo))[1]) is str
+
+    def test_one_text_over_another_chart_is_another_key(self, memo, monkeypatch):
+        texts = self.tokenized(monkeypatch)
+        zx = CoordSystem(("z", "x1"))
+        over_xz, over_zx = parse_expr("x1^2 + z", XZ), parse_expr("x1^2 + z", zx)
+        assert over_xz is not over_zx and over_zx is ca.add(ca.pow_(ca.var(1), 2), ca.var(0))
+        assert texts == ["x1^2 + z"] * 2
+        assert list(memo) == [("parse", "x1^2 + z", XZ), ("parse", "x1^2 + z", zx)]
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("x1 + * z", "unexpected token '*'", 5),
+        ("x1 + w", "unknown identifier 'w'", 5),
+        ("1e-300/1e-400", "constant outside the float range", 7),
+    ], ids=["token", "identifier", "overflow"])
+    def test_a_refused_text_raises_again_and_keeps_nothing(self, memo, monkeypatch,
+                                                           text, message, offset):
+        texts = self.tokenized(monkeypatch)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse_expr(text, XZ)
+            errors.append((str(info.value), info.value.offset))
+        assert errors == [(f"{message} (at offset {offset})", offset)] * 2
+        assert texts == [text, text] and not memo
 
     def test_the_least_recent_key_is_built_again_at_the_bound(self, memo):
         made = []

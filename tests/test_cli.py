@@ -197,6 +197,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="function"):
             doc.function("f", S.coords)
 
+    def test_one_bad_expression_on_two_lines_names_each_line(self):
+        # parsed trees are memoized by text, but a refusal is not, and its
+        # message takes the line from the value it was given
+        doc = parse_config("[structure]\nkind = heisenberg\nn = 1\n"
+                           "[function f]\nexpr = x1 +* 2\n\n[function g]\nexpr = x1 +* 2\n")
+        coords = doc.structure().coords
+        for _ in range(2):
+            for name, line in (("f", 5), ("g", 8)):
+                with pytest.raises(ConfigError) as info:
+                    doc.function(name, coords)
+                assert str(info.value) == (
+                    f"line {line}: function {name!r}: unexpected token '*' (at offset 4)")
+
     def test_custom_structure(self):
         doc = parse_config(CUSTOM_FLAT)
         S = doc.structure()

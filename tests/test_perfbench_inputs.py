@@ -1,5 +1,6 @@
 """Every benchmark input, and the README's example config, still parses,
-and the outputs of the small benchmark configs pass the benchmark's checks.
+the outputs of the small benchmark configs pass the benchmark's checks,
+and one pass of a workload's configs fits the symbolic memo.
 
 ``perfbench/workloads.py`` generates the benchmark's configs from a seed;
 a config the reader refuses, or an output its oracle refuses (the sweep
@@ -14,6 +15,7 @@ import importlib.util
 import random
 import re
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -175,3 +177,32 @@ def test_tiny_sweep_configs_run_twice_in_one_process_at_jobs_2(monkeypatch, tmp_
             assert oracles.check_sweep(cfg, *outputs[-1]) is None, f"{cfg['id']} run {run}"
         assert outputs[0] == outputs[1] == outputs[2], cfg["id"]
     assert len(configs) == 2
+
+
+def test_a_second_benchmark_pass_builds_nothing(monkeypatch):
+    # the benchmark's steady state: parsed texts share calculus.built with
+    # the operator builds, tangent fields and bracket words, and one pass of
+    # a workload's seed-101 configs must fit it, so that the next pass finds
+    # every key it uses
+    workloads = _load_workloads(monkeypatch)
+    real, misses = ca.built, []
+
+    def counting(key, make):
+        if key not in ca._BUILT:
+            misses.append(key)
+        return real(key, make)
+
+    monkeypatch.setattr(ca, "built", counting)
+    for workload, jobs in (("touch", 1), ("sweep", 2)):
+        memo = OrderedDict()
+        monkeypatch.setattr(ca, "_BUILT", memo)
+        configs = workloads.configs(workload, 101)
+        per_pass = []
+        for _ in range(2):
+            misses.clear()
+            for cfg in configs:
+                smp.run_scenario(scenario_from_config(parse_config(cfg["text"])), jobs)
+            per_pass.append(len(misses))
+        # every key of the first pass is still kept, parsed texts among them
+        assert per_pass == [len(memo), 0], workload
+        assert any(key[0] == "parse" for key in memo), workload
