@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import calculus as ca
 from .calculus import Expr
-from .core import MissingFrames, ScalarField, SubriemannianStructure, VectorFieldExpr
+from .core import MissingFrames, SubriemannianStructure, VectorFieldExpr, _phi_expr
 from .numerics import matrix_rank
 
 __all__ = [
@@ -66,6 +66,10 @@ class RankReport:
         self.depth = depth
         self.words_generated = words_generated
         self.pivot_tol = pivot_tol
+
+    def as_dict(self) -> dict:
+        """The rank record of every report: rank, depth, words_generated, pivot_tol."""
+        return {k: getattr(self, k) for k in self.__slots__[1:]}
 
     def __repr__(self):
         return (
@@ -145,7 +149,7 @@ def tangent_distribution_fields(
     """
     if not S.frame_fields:
         raise MissingFrames("structure has no frame_fields metadata")
-    e = phi.expr if isinstance(phi, ScalarField) else phi
+    e = _phi_expr(phi)
     frames = S.frame_fields
 
     def make():

@@ -538,6 +538,14 @@ def _fold(root: Expr, handlers: Mapping[type, Callable], memo: dict = None):
     return memo[root]
 
 
+def _fold_each(e: Union[Expr, Sequence[Expr]], handlers: Mapping[type, Callable]):
+    """The fold of one expression, or the list of folds of a sequence, sharing one memo."""
+    if isinstance(e, Expr):
+        return _fold(e, handlers)
+    memo: dict = {}
+    return [_fold(c, handlers, memo) for c in e]
+
+
 _REBUILD = {
     Const: lambda node, kids: node,
     Var: lambda node, kids: node,
@@ -592,10 +600,7 @@ def differentiate(e: Union[Expr, Sequence[Expr]], index: int):
         Mul: d_mul,
         Pow: d_pow,
     }
-    if isinstance(e, Expr):
-        return _fold(e, handlers)
-    memo: dict = {}
-    return [_fold(c, handlers, memo) for c in e]
+    return _fold_each(e, handlers)
 
 
 def gradient(e: Expr, nvars: int) -> list:
@@ -646,11 +651,7 @@ def substitute(e: Union[Expr, Sequence[Expr]], mapping: Mapping[int, Expr]):
     """Replace variables by expressions; the result is canonical.  Given a
     sequence of expressions, returns the list of their results, and subtrees
     shared between them are rebuilt once."""
-    handlers = {**_REBUILD, Var: lambda node, _: mapping.get(node.index, node)}
-    if isinstance(e, Expr):
-        return _fold(e, handlers)
-    memo: dict = {}
-    return [_fold(c, handlers, memo) for c in e]
+    return _fold_each(e, {**_REBUILD, Var: lambda node, _: mapping.get(node.index, node)})
 
 
 def free_vars(e: Expr) -> set:

@@ -37,6 +37,7 @@ from .core import (
     SingularPoint,
     SubriemannianStructure,
     VectorFieldExpr,
+    checked_box,
     compile_sweep,
     curvature_at,
     default_eps_sing,
@@ -45,7 +46,7 @@ from .core import (
     conorm_sq_expr,
 )
 from .brackets import BracketWordBound, bracket_generate_rank, tangent_distribution_fields, two_form_rank
-from .heisenberg import cylinder_structure, standard_structure, drift_graph_structure
+from .heisenberg import cylinder_structure, graph_coords, standard_structure, drift_graph_structure
 from . import smp
 
 __all__ = [
@@ -112,11 +113,8 @@ class ConfigDocument:
         if "expr" not in raw:
             raise ConfigError(f"function {name!r} has no expr")
         expr = _config_expr(raw["expr"], coords, f"function {name!r}")
-        box = _parse_box(raw["box"], len(coords)) if "box" in raw else None
-        try:
-            return ScalarField(expr, coords, box)
-        except ValueError as exc:
-            raise ConfigError(f"{_at(raw.get('box'))}function {name!r}: {exc}") from None
+        box = _parse_box(raw["box"], len(coords), f"function {name!r}") if "box" in raw else None
+        return ScalarField(expr, coords, box)
 
     def field(self, name: str, coords: CoordSystem) -> VectorFieldExpr:
         if name not in self.fields_raw:
@@ -208,7 +206,7 @@ def _parse_expr_list(value: str, coords: CoordSystem, where: str) -> list:
     return out
 
 
-def _parse_box(value: str, expected: Optional[int] = None):
+def _parse_box(value: str, n: int, where: str):
     intervals = []
     for part in value.split(","):
         part = part.strip()
@@ -219,11 +217,10 @@ def _parse_box(value: str, expected: Optional[int] = None):
             intervals.append((_real(lo), _real(hi)))
         except ValueError as exc:
             raise ConfigError(f"{_at(value)}bad box interval {part!r}") from exc
-    if expected is not None and len(intervals) != expected:
-        raise ConfigError(
-            f"{_at(value)}box has {len(intervals)} intervals, chart needs {expected}"
-        )
-    return tuple(intervals)
+    try:
+        return checked_box(intervals, n)
+    except ValueError as exc:
+        raise ConfigError(f"{_at(value)}{where}: {exc}") from None
 
 
 def _real(text: str) -> float:
@@ -250,9 +247,13 @@ _SCENARIO_NUMBERS = {
     "rank_depth": ("rank_depth", int),
 }
 
+# the [structure] keys each kind reads; custom also reads cometric.L.K
+_STRUCTURE_KEYS = {"heisenberg": {"kind", "n"}, "cylinder": {"kind", "n"}, "graph_F": {"kind", "m", "F"},
+                   "custom": {"kind", "coords", "density", "degeneracy", "box"}}
+
 # the keys each section accepts; [structure] also takes cometric.L.K
 _SECTION_KEYS = {
-    "structure": {"kind", "n", "m", "F", "coords", "density", "degeneracy", "box"},
+    "structure": set().union(*_STRUCTURE_KEYS.values()),
     "function": {"expr", "box"},
     "field": {"components"},
     "scenario": {
@@ -290,11 +291,16 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
     if kind.endswith(")") and "(" in kind:
         base, arg = kind[:-1].split("(", 1)
         kind = base.strip()
-        raw = dict(raw)
-        try:
-            raw.setdefault("n" if kind != "graph_F" else "m", str(int(arg)))
-        except ValueError as exc:
-            raise ConfigError(f"[structure]: bad size in kind {raw['kind']!r}") from exc
+        size = "m" if kind == "graph_F" else "n"
+        if size in raw:
+            raise ConfigError(f"{_at(raw[size])}[structure]: size given twice, in kind {raw['kind']} and as {size}")
+        raw = {**raw, size: _Value(arg)}  # read by _number as if given as a key on the kind's line
+        raw[size].lineno = getattr(raw["kind"], "lineno", None)
+    if kind not in _STRUCTURE_KEYS:
+        raise ConfigError(f"[structure]: unknown kind {kind!r}")
+    for key, value in raw.items():
+        if key not in _STRUCTURE_KEYS[kind] and not (kind == "custom" and key.startswith("cometric.")):
+            raise ConfigError(f"{_at(value)}[structure]: kind {kind} does not read {key}")
     if kind == "heisenberg":
         return standard_structure(_number(raw, "n", "[structure]", int))
     if kind == "cylinder":
@@ -303,8 +309,7 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
         m = _number(raw, "m", "[structure]", int)
         if "F" not in raw:
             raise ConfigError("[structure]: graph_F needs F = expr, expr, ...")
-        chart = CoordSystem(tuple(f"x{j + 1}" for j in range(m)))
-        F = _parse_expr_list(raw["F"], chart, "[structure] F")
+        F = _parse_expr_list(raw["F"], graph_coords(m), "[structure] F")
         if len(F) != m:
             raise ConfigError(f"{_at(raw['F'])}[structure]: F has {len(F)} components for m={m}")
         return drift_graph_structure(F, m)
@@ -313,33 +318,29 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             raise ConfigError("[structure]: custom needs coords = name, name, ...")
         names = tuple(s.strip() for s in raw["coords"].split(","))
         coords = CoordSystem(names)
+        for i, name in enumerate(names):  # the parser must read each name back as its coordinate
+            where = f"[structure] coords: {name!r} is not a name"
+            if _config_expr(name, coords, where, raw["coords"]) is not ca.Var(i):
+                raise ConfigError(f"{_at(raw['coords'])}{where}")
         n = len(coords)
-        cometric = [[None] * n for _ in range(n)]
+        given = {}
         for key, value in raw.items():
             if not key.startswith("cometric."):
                 continue
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ConfigError(f"{_at(value)}[structure]: bad cometric key {key!r}")
-            try:
-                l, k = int(parts[1]), int(parts[2])
+            try:  # cometric.L.K, with integer L and K
+                _, l, k = key.split(".")
+                l, k = int(l), int(k)
             except ValueError as exc:
                 raise ConfigError(f"{_at(value)}[structure]: bad cometric key {key!r}") from exc
             if not (0 <= l < n and 0 <= k < n):
                 raise ConfigError(f"{_at(value)}[structure]: cometric index out of range in {key}")
-            entry = _config_expr(value, coords, f"[structure] {key}")
-            cometric[l][k] = entry
-            if cometric[k][l] is None:
-                cometric[k][l] = entry
-        for l in range(n):
-            for k in range(n):
-                if cometric[l][k] is None:
-                    cometric[l][k] = ca.ZERO
+            given[l, k] = _config_expr(value, coords, f"[structure] {key}")
+        cometric = [[given.get((l, k), given.get((k, l), ca.ZERO)) for k in range(n)] for l in range(n)]
         density = _config_expr(raw["density"], coords, "[structure] density") if "density" in raw else ca.ONE
         extra = {}
         if "degeneracy" in raw:
             extra["degeneracy"] = _number(raw, "degeneracy", "[structure]", int)
-        box = _parse_box(raw["box"], n) if "box" in raw else None
+        box = _parse_box(raw["box"], n, "[structure]") if "box" in raw else None
         S = SubriemannianStructure(coords, cometric, density, domain_box=box, **extra)
         if box is not None:
             try:
@@ -352,7 +353,6 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             if issues:
                 raise ConfigError(f"[structure]: {issues[0]}")
         return S
-    raise ConfigError(f"[structure]: unknown kind {kind!r}")
 
 
 # operators that take only their size n, by kind
@@ -414,7 +414,7 @@ def scenario_from_config(doc: ConfigDocument) -> smp.ComparisonScenario:
         u = doc.function(raw["u"], chart)
         v = doc.function(raw["v"], chart)
         if "box" in raw:
-            box = _parse_box(raw["box"], len(chart))
+            box = _parse_box(raw["box"], len(chart), "[scenario]")
         elif u.box is not None:
             box = u.box
         else:
@@ -724,10 +724,7 @@ def cmd_rank(args) -> int:
         "schema_version": "1",
         "mode": mode,
         "point": list(point),
-        "rank": report.rank,
-        "depth": report.depth,
-        "words_generated": report.words_generated,
-        "pivot_tol": report.pivot_tol,
+        **report.as_dict(),
         "target_rank": target,
         "hormander": f"{'yes' if hormander else 'no'} (rank {report.rank} of {target})",
     }

@@ -36,6 +36,7 @@ __all__ = [
     "eps_sing_ok",
     "is_singular",
     "curvature_at",
+    "checked_box",
     "ScalarField",
     "VectorFieldExpr",
     "SubriemannianStructure",
@@ -166,6 +167,17 @@ def curvature_at(
 Box = Tuple[Tuple[float, float], ...]
 
 
+def checked_box(box, n: int) -> Box:
+    """``box`` as floats; ``ValueError`` unless it has one ``lo <= hi`` interval per coordinate."""
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if len(box) != n:
+        raise ValueError(f"box has {len(box)} intervals, chart needs {n}")
+    for lo, hi in box:
+        if not lo <= hi:
+            raise ValueError(f"empty interval ({lo}, {hi})")
+    return box
+
+
 class ScalarField:
     """A smooth function given in closed form on a coordinate box."""
 
@@ -173,12 +185,7 @@ class ScalarField:
 
     def __init__(self, expr: Expr, coords: CoordSystem, box: Optional[Box] = None):
         if box is not None:
-            box = tuple((float(lo), float(hi)) for lo, hi in box)
-            if len(box) != len(coords):
-                raise ValueError("box must have one interval per coordinate")
-            for lo, hi in box:
-                if not lo <= hi:
-                    raise ValueError(f"empty interval ({lo}, {hi})")
+            box = checked_box(box, len(coords))
         bad = [i for i in ca.free_vars(expr) if i >= len(coords)]
         if bad:
             raise ValueError(f"expression uses variable indices {bad} outside chart")
@@ -301,21 +308,19 @@ class VectorFieldExpr:
             self.coords, [ca.mul(factor, c) for c in self.components]
         )
 
-    def __sub__(self, other: "VectorFieldExpr") -> "VectorFieldExpr":
+    def _combine(self, op, other: "VectorFieldExpr") -> "VectorFieldExpr":
         if self.coords != other.coords:
             raise ValueError("vector fields live in different charts")
         return VectorFieldExpr(
             self.coords,
-            [ca.sub(a, b) for a, b in zip(self.components, other.components)],
+            [op(a, b) for a, b in zip(self.components, other.components)],
         )
 
+    def __sub__(self, other: "VectorFieldExpr") -> "VectorFieldExpr":
+        return self._combine(ca.sub, other)
+
     def __add__(self, other: "VectorFieldExpr") -> "VectorFieldExpr":
-        if self.coords != other.coords:
-            raise ValueError("vector fields live in different charts")
-        return VectorFieldExpr(
-            self.coords,
-            [ca.add(a, b) for a, b in zip(self.components, other.components)],
-        )
+        return self._combine(ca.add, other)
 
     def __eq__(self, other):
         return (
@@ -385,7 +390,7 @@ class SubriemannianStructure:
             if len(null_coform) != n:
                 raise ValueError("null coform needs one component per coordinate")
         if domain_box is not None:
-            domain_box = tuple((float(lo), float(hi)) for lo, hi in domain_box)
+            domain_box = checked_box(domain_box, n)
         self.coords = coords
         self.cometric = cometric
         self.volume_density = volume_density

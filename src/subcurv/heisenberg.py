@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 from . import calculus as ca
 from .calculus import CoordSystem, Expr
 from .core import (
-    ScalarField,
     SubriemannianStructure,
     VectorFieldExpr,
+    _phi_expr,
     curvature_at,
 )
 
@@ -323,8 +323,7 @@ def graph_operator_HF(
     eps_sing: Optional[float] = None,
 ) -> float:
     """Evaluate div((grad u + F)/|grad u + F|) at a nonsingular point."""
-    u_expr = u.expr if isinstance(u, ScalarField) else u
-    h, norm_sq = graph_HF_exprs(F, u_expr, len(F))
+    h, norm_sq = graph_HF_exprs(F, _phi_expr(u), len(F))
     return curvature_at(h, norm_sq, point, eps_sing)
 
 
@@ -337,8 +336,7 @@ def drift_graph_structure(F: Sequence[Expr], m: int) -> SubriemannianStructure:
     for f in F:
         if any(i >= m for i in ca.free_vars(f)):
             raise ValueError("drift components must not involve the graph coordinate")
-    names = tuple(f"x{j + 1}" for j in range(m + 1))
-    coords = CoordSystem(names)
+    coords = graph_coords(m + 1)
     dim = m + 1
     frames = [_lifted_field(coords, j, ca.neg(F[j])) for j in range(m)]
     cometric = _frame_cometric(frames, dim)

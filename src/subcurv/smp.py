@@ -316,7 +316,7 @@ class ComparisonScenario:
         try:
             self.u = ScalarField(u, chart, box)
             self.v = ScalarField(v, chart, box)
-            self.box = tuple((float(lo), float(hi)) for lo, hi in box)
+            self.box = self.u.box
             for corner in itertools.product(*self.box):
                 operator.lift(corner, 0.0)  # raises where the box leaves the chart
         except ValueError as exc:
@@ -636,7 +636,8 @@ def integrate_field(
     point and on each new point; the first point for which it returns true
     ends the trajectory as ``"stopped"``.  A zero field rests after its
     first step: its later points repeat that point with no ``stop`` call,
-    so ``stop`` must be pure.
+    so ``stop`` must give the same answer at a repeated point.  It may
+    record what it sees, as ``box_stop`` appends |v - u| to ``devs``.
     """
     nsteps = _rk4_steps(T, step)
     h = T / nsteps if nsteps else 0.0
@@ -884,14 +885,7 @@ def run_scenario(scenario: ComparisonScenario, jobs: int = 1) -> ScenarioReport:
             target = op.structure.dim - 1  # the dimension of the hypersurface
             report = bracket_generate_rank(fields, lifted, max_depth=scenario.rank_depth,
                                            target_rank=target)
-            rank_data = {
-                "rank": report.rank,
-                "depth": report.depth,
-                "words_generated": report.words_generated,
-                "pivot_tol": report.pivot_tol,
-                "expected": target,
-                "point": list(rank_point),
-            }
+            rank_data = {**report.as_dict(), "expected": target, "point": list(rank_point)}
             for k in hits[: scenario.max_propagation_starts]:
                 if k not in u.low:
                     start = engine.grid[k]

@@ -1037,12 +1037,53 @@ class TestExitCodeContract:
         (HEIS1, ["curvature", "--function", "negz", "--at", "0,0"],
          "point has 2 coordinates, chart needs 3"),
         (None, ["scenario", "run"], "scenario run needs a NAME or --config"),
+        # a [structure] key the kind does not read, and a size given twice
+        (_H1 + "box = -1:1, -1:1, -1:1\n", ["curvature", "--function", "f", "--grid", "3"],
+         "line 4: [structure]: kind heisenberg does not read box"),
+        (_H1.replace("heisenberg", "cylinder") + "density = 2\nm = 3\n", _AT_ORIGIN,
+         "line 4: [structure]: kind cylinder does not read density"),
+        (_H1.replace("heisenberg", "cylinder") + "m = 3\n", _AT_ORIGIN,
+         "line 4: [structure]: kind cylinder does not read m"),
+        (_H1 + "cometric.0.0 = 1\n", _AT_ORIGIN,
+         "line 4: [structure]: kind heisenberg does not read cometric.0.0"),
+        ("[structure]\nkind = graph_F\nm = 2\nF = -x2, x1\nbox = 0:1, 0:1, 0:1\n", _AT_ORIGIN,
+         "line 5: [structure]: kind graph_F does not read box"),
+        ("[structure]\nkind = custom\ncoords = x, y\nn = 2\n", _AT_ORIGIN,
+         "line 4: [structure]: kind custom does not read n"),
+        ("[structure]\nkind = heisenberg(2)\nn = 1\n", _AT_ORIGIN,
+         "line 3: [structure]: size given twice, in kind heisenberg(2) and as n"),
+        ("[structure]\nm = 2\nkind = graph_F(2)\nF = -x2, x1\n", _AT_ORIGIN,
+         "line 2: [structure]: size given twice, in kind graph_F(2) and as m"),
+        ("[structure]\nkind = custom(2)\ncoords = x, y\n", _AT_ORIGIN,
+         "line 2: [structure]: kind custom does not read n"),
+        ("[structure]\nkind = heisenberg(x)\n", _AT_ORIGIN,
+         "line 2: [structure]: n must be an integer, got 'x'"),
+        # a structure box follows the rule of a function box
+        ("[structure]\nkind = custom\ncoords = x, y, z\ncometric.0.0 = 1\nbox = -1:1, 1:-1, -1:1\n",
+         ["curvature", "--function", "f", "--grid", "3", "--format", "csv"],
+         "line 5: [structure]: empty interval (1.0, -1.0)"),
+        ("[structure]\nkind = custom\ncoords = x, y\nbox = -1:1\n", _AT_ORIGIN,
+         "line 4: [structure]: box has 1 intervals, chart needs 2"),
+        # a coordinate name that no expression can write
+        ("[structure]\nkind = custom\ncoords = x, , z\n", _AT_ORIGIN,
+         "line 3: [structure] coords: '' is not a name: unexpected token '' (at offset 0)"),
+        ("[structure]\nkind = custom\ncoords = x, sqrt, z\n", _AT_ORIGIN,
+         "line 3: [structure] coords: 'sqrt' is not a name: expected '(', got '' (at offset 4)"),
+        ("[structure]\nkind = custom\ncoords = x, 2y, z\n", _AT_ORIGIN,
+         "line 3: [structure] coords: '2y' is not a name: unexpected trailing input 'y' (at offset 1)"),
+        ("[structure]\nkind = custom\ncoords = x, y, x+y\n", _AT_ORIGIN,
+         "line 3: [structure] coords: 'x+y' is not a name"),
     ], ids=["no-structure", "no-expr", "no-field", "no-components", "component-count",
             "unterminated-header", "no-equals", "empty-key", "empty-list-entry", "box-not-lo-hi",
             "box-not-a-number", "missing-key", "no-kind", "graph-F-without-F", "F-count",
             "custom-without-coords", "cometric-key-parts", "cometric-key-index",
             "cometric-index-range", "no-operator", "graph-HF-without-graph-F", "graph-dir",
-            "no-scenario", "no-u", "no-box", "point-length", "run-without-a-scenario"])
+            "no-scenario", "no-u", "no-box", "point-length", "run-without-a-scenario",
+            "heisenberg-box", "cylinder-density", "cylinder-m", "heisenberg-cometric", "graph-F-box",
+            "custom-n", "size-twice-n", "size-twice-m", "compact-custom", "compact-size-not-integer",
+            "structure-empty-interval",
+            "structure-box-length", "coords-empty", "coords-sqrt", "coords-not-identifier",
+            "coords-sum"])
     def test_every_config_refusal_is_pinned(self, cfg, text, argv, message):
         # the whole of stderr: one line, the value's config line where it has one
         config = [] if text is None else ["--config", cfg("refused.cfg", text)]

@@ -15,6 +15,7 @@ from subcurv.calculus import CoordSystem
 from subcurv.core import (
     GridSpec,
     IndefiniteCometric,
+    ScalarField,
     SingularPoint,
     SubriemannianStructure,
     conorm,
@@ -257,6 +258,18 @@ class TestValidation:
                 [[ca.ONE, ca.var(0)], [ca.var(1), ca.ONE]],
                 ca.ONE,
             )
+
+    @pytest.mark.parametrize("box, message", [
+        (((-1.0, 1.0), (1.0, -1.0)), r"empty interval \(1.0, -1.0\)"),
+        (((-1.0, 1.0), (0.0, math.nan)), r"empty interval \(0.0, nan\)"),
+        (((-1.0, 1.0),), "box has 1 intervals, chart needs 2"),
+    ])
+    def test_function_and_structure_boxes_share_one_rule(self, box, message):
+        coords = CoordSystem(("a", "b"))
+        with pytest.raises(ValueError, match=message):
+            ScalarField(ca.var(0), coords, box)
+        with pytest.raises(ValueError, match=message):
+            SubriemannianStructure(coords, [[ca.ONE, ca.ZERO], [ca.ZERO, ca.ONE]], ca.ONE, domain_box=box)
 
     @pytest.mark.parametrize("axes", [
         [(0.0, 1.0, 2), (0.0, 1.0, 3)],
