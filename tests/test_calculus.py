@@ -896,9 +896,10 @@ class TestBuildMemo:
             with pytest.raises(EvaluationError, match="graph u: outside the float range while building H") as info:
                 smp.run_scenario(sc)
             errors.append(str(info.value))
-        # the two parsed texts stay; the build that raised keeps nothing
+        # the drift structure and the two parsed texts stay; the build that raised keeps nothing
         assert errors[0] == errors[1]
-        assert list(memo) == [("parse", t, op.chart) for t in ("x1^2 + 1e154*x2^2", "x1*x2")]
+        assert list(memo) == [("graph_F", 2, (ca.neg(ca.var(1)), ca.var(0))),
+                              *[("parse", t, op.chart) for t in ("x1^2 + 1e154*x2^2", "x1*x2")]]
 
     @staticmethod
     def tokenized(monkeypatch) -> list:

@@ -1089,6 +1089,20 @@ class TestExitCodeContract:
         config = [] if text is None else ["--config", cfg("refused.cfg", text)]
         assert run_main_quietly([*argv, *config]) == (2, f"config error: {message}\n")
 
+    @pytest.mark.parametrize("structure, message", [
+        ("coords = x, x\ncometric.0.0 = 1\n",
+         "line 3: [structure] coords: duplicate coordinate names in ('x', 'x')"),
+        ("coords = x, y\ncometric.0.1 = x\ncometric.0.0 = 1\ncometric.1.0 = y\n",
+         "line 6: [structure]: cometric.1.0 differs from cometric.0.1, and the cometric is symmetric"),
+        ("coords = x, y\ncometric.1.0 = 2\ncometric.0.1 = 3\n",
+         "line 5: [structure]: cometric.0.1 differs from cometric.1.0, and the cometric is symmetric"),
+        ("coords = x, y\ncometric.0.1 = x*y\ncometric.1.0 = y*x\ncometric.0.0 = 1\n", None),
+    ], ids=["coords-twice", "mirror-differs", "mirror-differs-first-lower", "mirror-equal"])
+    def test_a_name_given_twice_or_an_unequal_mirror_names_its_line(self, cfg, structure, message):
+        path = cfg("custom.cfg", "[structure]\nkind = custom\n" + structure + "\n[function f]\nexpr = x\n")
+        expected = (0, "") if message is None else (2, f"config error: {message}\n")
+        assert run_main_quietly(["curvature", "--config", path, "--function", "f", "--at", "0,0"]) == expected
+
     @pytest.mark.parametrize("structure, code, message", [
         ("cometric.0.0 = 1\ncometric.1.1 = x\n", 2, "config error: [structure]: cometric not "
          "PSD at (-1.0, -1.0): principal minor of cometric.1.1 is -1.0"),

@@ -4,6 +4,7 @@ generated grid sweep, Newton refinement and structure validation."""
 import itertools
 import marshal
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,21 @@ class TestNewtonRefiner:
         refine = newton_refiner(ca.pow_(ca.var(0), Fraction(3, 2)), 1, GridSpec([(0.5, 1.5, 5)]))
         assert refine((0.5,)) == ([0.5], False)
 
+    def test_one_pair_of_kernels_per_function_and_each_grid_its_own_axes(self, monkeypatch):
+        # the gradient and Hessian kernels come from calculus.built; the frozen axes do not
+        memo, compiled, real = OrderedDict(), [], ca.compile_expr
+        monkeypatch.setattr(ca, "_BUILT", memo)
+        monkeypatch.setattr(ca, "compile_expr", lambda e, nvars: compiled.append(e) or real(e, nvars))
+        f = ca.parse_expr("(x - 1/2)^2 + (y + 1/4)^2 + x*y", XY)
+        free = newton_refiner(f, 2, GridSpec([(-1.0, 1.0, 5), (-1.0, 1.0, 5)]))
+        kernels = memo["newton", f, 2]
+        frozen = newton_refiner(f, 2, GridSpec([(-1.0, 1.0, 5), (0.25, 0.25, 1)]))
+        assert len(compiled) == 2 and memo["newton", f, 2] is kernels
+        x, ok = free((0.0, 0.0))
+        assert ok and x == pytest.approx([5 / 6, -2 / 3])
+        x, ok = frozen((0.0, 0.25))
+        assert ok and x == pytest.approx([0.375, 0.25])
+
 
 class TestValidation:
     @pytest.mark.parametrize("n", [1, 2])
@@ -354,6 +370,23 @@ class TestMaskedCurvature:
         source = compile_sweep(ca.parse_expr("x^2 + 1", XY), ca.parse_expr("x^2", XY), 2, 1e-14,
                                graph=("u", ca.parse_expr("x^2", XY))).source
         assert source.count("** 2") == 1
+
+    def test_one_sweep_per_inputs_and_another_for_another_eps_or_graph(self, monkeypatch):
+        monkeypatch.setattr(ca, "_BUILT", OrderedDict())
+        h, sq, u = (ca.parse_expr(t, XY) for t in ("x^-1", "x^2", "sqrt(y)"))
+        kernel = compile_sweep(h, sq, 2, 0.5, graph=("u", u))
+        assert compile_sweep(h, sq, 2, 0.5, graph=("u", u)) is kernel
+        finer = compile_sweep(h, sq, 2, 0.1, graph=("u", u))
+        named_v = compile_sweep(h, sq, 2, 0.5, graph=("v", u))
+        bare = compile_sweep(h, sq, 2, 0.5)
+        assert len({id(k) for k in (kernel, finer, named_v, bare)}) == 4
+        points = [(0.5, 1.0), (2.0, 4.0)]
+        assert kernel(points) == ([1.0, 2.0], [None, 0.5], {0: 0.25})
+        assert finer(points) == ([1.0, 2.0], [2.0, 0.5], {})
+        assert bare(points) == ([], [None, 0.5], {0: 0.25})
+        for name, k in (("u", kernel), ("v", named_v)):
+            with pytest.raises(ca.EvaluationError, match=rf"^graph {name} undefined at chart point \(0\.5, -1\.0\)"):
+                k([(0.5, -1.0)])
 
     def test_roundoff_norm_is_singular_and_nan_norm_is_not(self):
         points = [(0.0, 1.0), (0.0, -1e-12), (0.0, math.nan)]

@@ -206,3 +206,31 @@ def test_a_second_benchmark_pass_builds_nothing(monkeypatch):
         # every key of the first pass is still kept, parsed texts among them
         assert per_pass == [len(memo), 0], workload
         assert any(key[0] == "parse" for key in memo), workload
+
+
+def test_a_warm_pass_differentiates_nothing_and_generates_no_sweep_or_newton_kernel(monkeypatch):
+    # each graph's sweep loop and each touch op's Newton kernels come from
+    # calculus.built, so after one pass of a workload's seed-101 configs the
+    # next pass takes no derivative and emits neither kind of text
+    workloads = _load_workloads(monkeypatch)
+    differentiated, generated = [], []
+    real_diff, real_compile = ca.differentiate, ca.compile_source
+
+    def compiling(src, name, kind="generated", **names):
+        generated.append(kind)
+        return real_compile(src, name, kind, **names)
+
+    monkeypatch.setattr(ca, "differentiate", lambda *args: differentiated.append(args) or real_diff(*args))
+    monkeypatch.setattr(ca, "compile_source", compiling)
+    for workload, jobs in (("touch", 1), ("sweep", 2)):
+        monkeypatch.setattr(ca, "_BUILT", OrderedDict())
+        configs = workloads.configs(workload, 101)
+        per_pass = []
+        for _ in range(2):
+            differentiated.clear()
+            generated.clear()
+            for cfg in configs:
+                smp.run_scenario(scenario_from_config(parse_config(cfg["text"])), jobs)
+            per_pass.append((len(differentiated), {"sweep", "kernel"} & set(generated)))
+        assert per_pass[0][0] > 0 and "sweep" in per_pass[0][1], workload
+        assert per_pass[1] == (0, set()), workload

@@ -10,6 +10,7 @@ to it.
 import functools
 import importlib.util
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,9 @@ def _report_bytes(make):
 )
 def test_traced_run_counts_kernel_calls_and_keeps_the_report(monkeypatch, make):
     plain = _report_bytes(make)
+    # a fresh memo: the untraced run's kernels would answer every compile, and the
+    # traced run's wrapped kernels leave with this memo
+    monkeypatch.setattr(ca, "_BUILT", OrderedDict())
     tracer = _load_tracer(monkeypatch).Tracer()
     tracer.install()
     try:
